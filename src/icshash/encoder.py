@@ -241,6 +241,8 @@ def _validate_dataset(samples, center_set: HashCenterSet):
             raise DataError(
                 f"sample {i} has {len(s.features)} features, expected {dim}"
             )
+        if not np.all(np.isfinite(s.features)):
+            raise DataError(f"sample {i} has a non-finite feature")
     return dim
 
 
@@ -363,24 +365,29 @@ def load_checkpoint(path):
     weights, biases = [], []
     ln = 5
     try:
-        for l in range(len(sizes) - 1):
-            tag, idx, n_in, n_out = raw[ln].split()
-            assert tag == "weight" and int(idx) == l
-            n_in, n_out = int(n_in), int(n_out)
+        for l, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+            tag, idx, rows, cols = raw[ln].split()
+            if tag != "weight" or [int(idx), int(rows), int(cols)] != [l, n_in, n_out]:
+                raise ParseError(f"expected 'weight {l} {n_in} {n_out}'", line=ln + 1)
             ln += 1
             w = np.empty((n_in, n_out))
             for r in range(n_in):
-                w[r] = np.array(raw[ln].split(), dtype=np.float64)
+                row = np.array(raw[ln].split(), dtype=np.float64)
+                if row.size != n_out:
+                    raise ParseError(f"expected {n_out} weights", line=ln + 1)
+                w[r] = row
                 ln += 1
             tag, idx, n = raw[ln].split()
-            assert tag == "bias" and int(idx) == l
+            if tag != "bias" or [int(idx), int(n)] != [l, n_out]:
+                raise ParseError(f"expected 'bias {l} {n_out}'", line=ln + 1)
             ln += 1
             b = np.array(raw[ln].split(), dtype=np.float64)
-            assert b.size == int(n) == n_out and w.shape == (n_in, n_out)
+            if b.size != n_out:
+                raise ParseError(f"expected {n_out} biases", line=ln + 1)
             ln += 1
             weights.append(w)
             biases.append(b)
-    except (ValueError, AssertionError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:
         raise ParseError(f"bad checkpoint body: {exc}", line=ln + 1) from None
     params = EncoderParams(sizes, weights, biases)
     return params, meta

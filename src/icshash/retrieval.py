@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import EvaluationError, ParseError
 
+# Queries ranked per block by the metrics: memory is O(_QUERY_CHUNK * N).
+_QUERY_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class BinaryCode:
@@ -87,13 +90,17 @@ def hamming(a: BinaryCode, b: BinaryCode) -> int:
     return int(np.bitwise_count(a.words ^ b.words).sum())
 
 
+def _hamming_rows(k_bits: int, query_words: np.ndarray, db: CodeDatabase) -> np.ndarray:
+    """(Q, N) distances from Q packed K-bit query rows to every database code."""
+    if k_bits != db.k_bits:
+        raise ValueError(f"code length mismatch: {k_bits} vs {db.k_bits}")
+    xor = query_words[:, None, :] ^ db.words[None, :, :]
+    return np.bitwise_count(xor).sum(axis=2, dtype=np.int64)
+
+
 def hamming_to_all(query: BinaryCode, db: CodeDatabase) -> np.ndarray:
     """Distances from one query to every database code."""
-    if query.k_bits != db.k_bits:
-        raise ValueError(f"code length mismatch: {query.k_bits} vs {db.k_bits}")
-    return np.bitwise_count(db.words ^ query.words[None, :]).sum(
-        axis=1, dtype=np.int64
-    )
+    return _hamming_rows(query.k_bits, query.words[None, :], db)[0]
 
 
 def rank_database(query: BinaryCode, db: CodeDatabase, query_index: int = -1) -> RankedResult:
@@ -114,15 +121,37 @@ def relevant(query_labels, db_labels) -> bool:
     return bool(np.any((a > 0) & (b > 0)))
 
 
-def _relevance_matrix(query_labels: np.ndarray, db_labels: np.ndarray) -> np.ndarray:
-    if query_labels.shape[1] != db_labels.shape[1]:
+def _top_k_relevance(query_codes, query_labels, db_codes, db_labels, k):
+    """Relevance flags of each query's top-min(k, N) items in (distance,
+    index) order, and its count of relevant database items; queries
+    without a relevant item are dropped. The key ``dist * N + index`` is
+    unique, so sorting only the partitioned top k keys keeps that order."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    n = len(db_codes)
+    if n == 0:
+        raise ValueError("empty database")
+    query_positive = np.atleast_2d(np.asarray(query_labels)) > 0
+    db_positive = (np.atleast_2d(np.asarray(db_labels)) > 0).astype(np.float64)
+    if query_positive.shape[1] != db_positive.shape[1]:
         raise ValueError("label dimension mismatch")
-    return (query_labels.astype(np.int64) @ db_labels.astype(np.int64).T) > 0
-
-
-def _per_query_rankings(query_codes: CodeDatabase, db_codes: CodeDatabase):
-    for qi in range(len(query_codes)):
-        yield qi, rank_database(query_codes.code(qi), db_codes, qi)
+    if (len(query_positive), len(db_positive)) != (len(query_codes), n):
+        raise ValueError("label rows do not match the number of codes")
+    top = min(k, n)
+    flags, counts = [], []
+    for start in range(0, len(query_codes), _QUERY_CHUNK):
+        rows = slice(start, start + _QUERY_CHUNK)
+        dist = _hamming_rows(query_codes.k_bits, query_codes.words[rows], db_codes)
+        key = np.partition(dist * n + np.arange(n), top - 1, axis=1)[:, :top]
+        # shared-label counts are at most M, so the float64 product is exact
+        rel = query_positive[rows].astype(np.float64) @ db_positive.T > 0
+        flags.append(np.take_along_axis(rel, np.sort(key, axis=1) % n, axis=1))
+        counts.append(rel.sum(axis=1))
+    flags, n_relevant = np.concatenate(flags), np.concatenate(counts)
+    keep = n_relevant > 0
+    if not keep.any():
+        raise EvaluationError("no query has a relevant database item")
+    return flags[keep], n_relevant[keep]
 
 
 def map_at_k(
@@ -138,26 +167,10 @@ def map_at_k(
     queries without any relevant database item are skipped, and if no
     query has one the metric is undefined.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if len(db_codes) == 0:
-        raise ValueError("empty database")
-    query_labels = np.atleast_2d(np.asarray(query_labels))
-    db_labels = np.atleast_2d(np.asarray(db_labels))
-    rel = _relevance_matrix(query_labels, db_labels)
-    ap_values = []
-    for qi, ranking in _per_query_rankings(query_codes, db_codes):
-        n_relevant = int(rel[qi].sum())
-        if n_relevant == 0:
-            continue
-        top = ranking.indices[:k]
-        flags = rel[qi][top].astype(np.float64)
-        cum = np.cumsum(flags)
-        precision = cum / np.arange(1, top.size + 1)
-        ap_values.append(float(np.sum(precision * flags)) / min(k, n_relevant))
-    if not ap_values:
-        raise EvaluationError("no query has a relevant database item")
-    return float(np.mean(ap_values))
+    flags, n_relevant = _top_k_relevance(query_codes, query_labels, db_codes, db_labels, k)
+    precision = np.cumsum(flags, axis=1) / np.arange(1, flags.shape[1] + 1)
+    ap = np.sum(precision * flags, axis=1) / np.minimum(k, n_relevant)
+    return float(np.mean(ap))
 
 
 def precision_at_k(
@@ -169,22 +182,8 @@ def precision_at_k(
 ) -> float:
     """Fraction of relevant items in the top-k, averaged over queries
     that have at least one relevant database item."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if len(db_codes) == 0:
-        raise ValueError("empty database")
-    query_labels = np.atleast_2d(np.asarray(query_labels))
-    db_labels = np.atleast_2d(np.asarray(db_labels))
-    rel = _relevance_matrix(query_labels, db_labels)
-    values = []
-    for qi, ranking in _per_query_rankings(query_codes, db_codes):
-        if int(rel[qi].sum()) == 0:
-            continue
-        top = ranking.indices[:k]
-        values.append(float(rel[qi][top].sum()) / k)
-    if not values:
-        raise EvaluationError("no query has a relevant database item")
-    return float(np.mean(values))
+    flags, _ = _top_k_relevance(query_codes, query_labels, db_codes, db_labels, k)
+    return float(np.mean(flags.sum(axis=1) / k))
 
 
 def save_codes(path, db: CodeDatabase) -> None:

@@ -64,10 +64,10 @@ class WeightSolverConfig:
     tol: relative objective-change stopping threshold.
     gradient_mode: "paper" or "exact".
     weight_floor: weights are clamped here before logs are taken.
-    line_search: in exact mode, halve or double the mirror step around
-        eta so the objective never increases; without it exact mode
-        takes fixed mirror steps of size eta. Ignored in paper mode,
-        which applies the printed update verbatim.
+
+    Exact mode halves or doubles its mirror step around eta so the
+    objective never increases; paper mode applies the printed update
+    verbatim.
     """
 
     lam: float = 0.01
@@ -77,7 +77,6 @@ class WeightSolverConfig:
     tol: float = 1e-6
     gradient_mode: str = "paper"
     weight_floor: float = 1e-8
-    line_search: bool = True
 
     def __post_init__(self):
         if self.lam < 0:
@@ -182,9 +181,9 @@ def solve_weights(
     Paper mode iterates a fixed gradient step + Euclidean projection.
     Exact mode iterates entropic mirror-descent steps from the log of
     the floor-clamped start, so a warm start holding a zero coordinate
-    can still move it; with line search the step is halved until the
-    objective does not increase and doubled while that strictly helps,
-    so the trace is non-increasing.
+    can still move it; the step is halved until the objective does not
+    increase and doubled while that strictly helps, so the trace is
+    non-increasing.
     """
     if cfg is None:
         cfg = WeightSolverConfig()
@@ -207,11 +206,8 @@ def solve_weights(
     for t in range(1, cfg.max_iters + 1):
         iterations = t
         g = weight_gradient(w, d, cfg)
-        if exact and cfg.line_search:
+        if exact:
             (log_w, w_new), f_new = _monotone_step((log_w, w), f, g, d, cfg)
-        elif exact:
-            log_w, w_new = _mirror_point(log_w - cfg.eta * g)
-            f_new = weight_objective(w_new, d, cfg)
         else:
             w_new = project_to_simplex(w - cfg.eta * g)
             f_new = weight_objective(w_new, d, cfg)

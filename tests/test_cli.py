@@ -124,6 +124,21 @@ class TestTrainCommand:
             [f"{prefix}.ckpt", f"{prefix}.weights.csv", f"{prefix}.loss.csv"]
         )
 
+    def test_non_finite_feature_is_data_error(self, workdir, capsys):
+        tmp_path, data, centers = workdir
+        lines = data.read_text().splitlines()
+        features = lines[4].split()
+        features[3] = "nan"
+        lines[4] = " ".join(features)
+        data.write_text("\n".join(lines) + "\n")
+        code = run(
+            ["train", "--data", data, "--centers", centers, "--out-prefix",
+             tmp_path / "nan", "--epochs", 1, "--hidden", "8", "--seed", 1]
+        )
+        assert code == 3
+        assert "line 5" in capsys.readouterr().err
+        assert not (tmp_path / "nan.ckpt").exists()
+
     def test_zero_epochs_checkpoint_equals_seeded_init(self, workdir):
         tmp_path, data, centers = workdir
         prefix = tmp_path / "init"

@@ -125,6 +125,21 @@ class TestDatasetFile:
             load_dataset(path)
         assert "line 2" in str(exc_info.value)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_reports_line(self, tmp_path, bad):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2 2 2\n0.1 0.2\n10\n-\n0.3 {bad}\n01\n-\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_dataset(path)
+        assert exc_info.value.line == 5
+
+    def test_csv_rejects_non_finite_feature(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0.5,1.5,1,0\n-0.25,nan,0,1\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_dataset_csv(path, m_labels=2)
+        assert exc_info.value.line == 2
+
     def test_csv_variant(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("0.5,1.5,1,0\n-0.25,0.75,0,1\n")

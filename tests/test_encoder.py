@@ -4,16 +4,21 @@ behavior, the alternating training loop, binarization rules, and the
 bit-exact checkpoint round trip."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import icshash
 from icshash import (
     AdamState,
     DataError,
     EncoderParams,
     LossConfig,
     MultiLabelSample,
+    ParseError,
     TrainConfig,
     WeightSolverConfig,
     adam_step,
@@ -253,6 +258,16 @@ class TestTrain:
             d = distance_vector(codes[i], state.assignments[i])
             assert float(w @ d) >= float(d.min()) - 1e-9
 
+    def test_non_finite_feature_rejected_with_index(self):
+        samples = synthetic_two_label(n=10)
+        features = samples[4].features.copy()
+        features[0] = np.nan
+        samples[4] = MultiLabelSample(features, samples[4].labels)
+        center_set = generate_centers(16, 2, seed=0)
+        with pytest.raises(DataError) as exc_info:
+            train(samples, center_set, TrainConfig(epochs=1))
+        assert "sample 4" in str(exc_info.value)
+
     def test_zero_label_sample_rejected_with_index(self):
         samples = synthetic_two_label(n=10)
         samples[7] = MultiLabelSample(samples[7].features, np.zeros(2, dtype=np.int8))
@@ -316,3 +331,61 @@ class TestCheckpoint:
         with pytest.raises(Exception) as exc_info:
             load_checkpoint(path)
         assert "checkpoint" in str(exc_info.value)
+
+    @pytest.mark.parametrize(
+        "line_no, old, new",
+        [
+            (6, "weight 0 6 10", "wieght 0 6 10"),
+            (6, "weight 0 6 10", "weight 1 6 10"),
+            (6, "weight 0 6 10", "weight 0 6 9"),
+            (13, "bias 0 10", "bias_ 0 10"),
+            (13, "bias 0 10", "bias 0 9"),
+        ],
+    )
+    def test_bad_layer_header_names_its_line(self, tmp_path, line_no, old, new):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_net(seed=13, sizes=(6, 10, 16)), 16, 4, 13)
+        lines = path.read_text().splitlines()
+        assert lines[line_no - 1] == old
+        lines[line_no - 1] = new
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_checkpoint(path)
+        assert exc_info.value.line == line_no
+
+    @pytest.mark.parametrize("line_no", [7, 14])
+    def test_short_row_names_its_line(self, tmp_path, line_no):
+        # a single value would broadcast across the whole row
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_net(seed=13, sizes=(6, 10, 16)), 16, 4, 13)
+        lines = path.read_text().splitlines()
+        lines[line_no - 1] = lines[line_no - 1].split()[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_checkpoint(path)
+        assert exc_info.value.line == line_no
+
+    def test_validation_survives_optimized_mode(self, tmp_path):
+        # python -O strips assert statements; the checks must not be asserts
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_net(seed=13, sizes=(6, 10, 16)), 16, 4, 13)
+        path.write_text(path.read_text().replace("weight 0 ", "wieght 0 "))
+        script = (
+            "import sys\n"
+            "from icshash import ParseError, load_checkpoint\n"
+            "try:\n"
+            "    load_checkpoint(sys.argv[1])\n"
+            "except ParseError as exc:\n"
+            "    print(exc.line)\n"
+            "    sys.exit(0)\n"
+            "sys.exit('loaded a corrupt checkpoint')\n"
+        )
+        src = os.path.dirname(os.path.dirname(icshash.__file__))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "6"

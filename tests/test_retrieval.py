@@ -1,6 +1,7 @@
 """Retrieval tests: packed distances against a naive per-bit loop,
 metric axioms checked exhaustively for 8-bit codes, ranking against a
-naive sort, hand-traced average precision, and the codes file format."""
+naive sort, hand-traced average precision, the batched metrics against
+a per-query rank_database reference, and the codes file format."""
 
 import numpy as np
 import pytest
@@ -271,6 +272,72 @@ class TestPrecisionAtK:
         )
         db_labels = np.array([[1, 0], [0, 1], [1, 0], [0, 1]])
         assert precision_at_k(query_codes, query_labels, db, db_labels, k=4) == 0.5
+
+
+def reference_metrics(query_codes, query_labels, db_codes, db_labels, k):
+    """(mAP@k, P@k) from one rank_database call per query and the
+    per-query AP@k / P@k formulas; None if no query has a relevant item."""
+    rel = (query_labels > 0).astype(np.int64) @ (db_labels > 0).astype(np.int64).T > 0
+    ap_values, p_values = [], []
+    for qi in range(len(query_codes)):
+        n_relevant = int(rel[qi].sum())
+        if n_relevant == 0:
+            continue
+        top = rank_database(query_codes.code(qi), db_codes, qi).indices[:k]
+        flags = rel[qi][top].astype(np.float64)
+        precision = np.cumsum(flags) / np.arange(1, top.size + 1)
+        ap_values.append(float(np.sum(precision * flags)) / min(k, n_relevant))
+        p_values.append(float(rel[qi][top].sum()) / k)
+    if not ap_values:
+        return None
+    return float(np.mean(ap_values)), float(np.mean(p_values))
+
+
+class TestBatchedMetricsMatchPerQueryReference:
+    def test_random_instances_bit_identical(self):
+        # few bits -> heavy distance ties; sparse labels -> some queries
+        # (and some whole instances) without a relevant item; up to 150
+        # queries so several query blocks are ranked
+        rng = np.random.default_rng(11)
+        undefined = 0
+        for _ in range(300):
+            n_q, n_db = int(rng.integers(1, 151)), int(rng.integers(1, 61))
+            k_bits, m = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            density = rng.uniform(0.02, 0.5)
+            query_codes = pack_database(random_codes(rng, n_q, k_bits))
+            db_codes = pack_database(random_codes(rng, n_db, k_bits))
+            query_labels = (rng.random((n_q, m)) < density).astype(np.int8)
+            db_labels = (rng.random((n_db, m)) < density).astype(np.int8)
+            k = int(rng.integers(1, 2 * n_db + 2))
+            args = (query_codes, query_labels, db_codes, db_labels, k)
+            expected = reference_metrics(*args)
+            if expected is None:
+                undefined += 1
+                with pytest.raises(EvaluationError):
+                    map_at_k(*args)
+                with pytest.raises(EvaluationError):
+                    precision_at_k(*args)
+            else:
+                assert (map_at_k(*args), precision_at_k(*args)) == expected
+        assert 0 < undefined < 300
+
+    @pytest.mark.parametrize("metric", [map_at_k, precision_at_k])
+    def test_argument_errors(self, metric):
+        from icshash import CodeDatabase
+
+        db = pack_database([[1, -1, 1], [-1, -1, 1]])
+        labels = np.array([[1, 0], [0, 1]])
+        empty = CodeDatabase(3, np.empty((0, 1), dtype=np.uint64))
+        cases = [
+            (db, labels, db, labels, 0),
+            (db, labels, empty, np.empty((0, 2)), 1),
+            (db, labels, db, np.array([[1, 0, 0], [0, 1, 0]]), 1),
+            (pack_database([[1, -1], [1, 1]]), labels, db, labels, 1),
+            (db, labels[:1], db, labels, 1),
+        ]
+        for case in cases:
+            with pytest.raises(ValueError):
+                metric(*case)
 
 
 class TestCodesFile:
