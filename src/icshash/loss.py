@@ -84,6 +84,12 @@ def clamp_code(b: Sequence[float]) -> np.ndarray:
     return np.clip(np.asarray(b, dtype=np.float64), CODE_EPS, 1.0 - CODE_EPS)
 
 
+def _bce(b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # clamped codes against {0, 1} centers, summed over the last (bit)
+    # axis; leading axes broadcast
+    return -np.sum(v * np.log(b) + (1.0 - v) * np.log(1.0 - b), axis=-1)
+
+
 def bce_distance(b: Sequence[float], center01: Sequence[float]) -> float:
     """Nonnegative cross-entropy distance of a relaxed code to one
     center given in {0, 1}; equals K*log 2 at b = 0.5."""
@@ -91,7 +97,7 @@ def bce_distance(b: Sequence[float], center01: Sequence[float]) -> float:
     v = np.asarray(center01, dtype=np.float64)
     if b.shape != v.shape:
         raise ValueError(f"code/center length mismatch: {b.shape} vs {v.shape}")
-    return float(-np.sum(v * np.log(b) + (1.0 - v) * np.log(1.0 - b)))
+    return float(_bce(b, v))
 
 
 def distance_vector(b: Sequence[float], assignment: CenterAssignment) -> np.ndarray:
@@ -100,7 +106,7 @@ def distance_vector(b: Sequence[float], assignment: CenterAssignment) -> np.ndar
     v = assignment.centers01
     if b.shape != (v.shape[1],):
         raise ValueError(f"code length {b.shape} does not match centers {v.shape}")
-    return -(v @ np.log(b) + (1.0 - v) @ np.log(1.0 - b))
+    return _bce(b, v)
 
 
 def weighted_distance(b, assignment: CenterAssignment, w) -> float:
@@ -120,11 +126,30 @@ def central_likelihood(omega: float, beta: float) -> float:
     return float(expit(-beta * omega))
 
 
-def _weighted_distances(codes, assignments, weights):
-    out = np.empty(len(assignments))
-    for i, (a, w) in enumerate(zip(assignments, weights)):
-        out[i] = weighted_distance(codes[i], a, w)
-    return out
+def _flat_batch(codes, assignments, weights, aggregation: str):
+    """One row per (sample, center) pair of a ragged batch: returns the
+    clamped codes, each pair's sample, {0, 1} center and weight, the
+    sigmoid arguments over beta (omega_i per sample, or w_ij * d_ij per
+    pair for "per-center") and the argument that applies to each pair."""
+    b = clamp_code(np.atleast_2d(codes))
+    n = len(assignments)
+    if n == 0:
+        raise ValueError("empty batch")
+    if b.shape[0] != n or len(weights) != n:
+        raise ValueError(f"{b.shape[0]} codes, {n} assignments, {len(weights)} weight rows")
+    counts = [a.centers01.shape[0] for a in assignments]
+    if min(counts) == 0 or [np.shape(w) for w in weights] != [(c,) for c in counts]:
+        raise ValueError("every sample needs one or more centers and one weight per center")
+    v = np.concatenate([a.centers01 for a in assignments])
+    if v.shape[1] != b.shape[1]:
+        raise ValueError(f"code length {b.shape[1]} does not match centers {v.shape}")
+    rows = np.repeat(np.arange(n), counts)
+    w = np.concatenate(weights, dtype=np.float64)
+    wd = w * _bce(b[rows], v)
+    if aggregation == "per-image":
+        omega = np.bincount(rows, wd, minlength=n)
+        return b, rows, v, w, omega, omega[rows]
+    return b, rows, v, w, wd, wd
 
 
 def central_loss(codes, assignments, weights, cfg: LossConfig) -> float:
@@ -133,17 +158,8 @@ def central_loss(codes, assignments, weights, cfg: LossConfig) -> float:
     per-image: sum_i softplus(beta * omega_i);
     per-center: sum_i sum_j softplus(beta * w_ij * d_ij).
     """
-    n = len(assignments)
-    if n == 0:
-        raise ValueError("empty batch")
-    if cfg.aggregation == "per-image":
-        omegas = _weighted_distances(codes, assignments, weights)
-        return float(np.sum(np.logaddexp(0.0, cfg.beta * omegas)))
-    total = 0.0
-    for i, (a, w) in enumerate(zip(assignments, weights)):
-        d = distance_vector(codes[i], a)
-        total += float(np.sum(np.logaddexp(0.0, cfg.beta * np.asarray(w) * d)))
-    return total
+    *_, x, _ = _flat_batch(codes, assignments, weights, cfg.aggregation)
+    return float(np.sum(np.logaddexp(0.0, cfg.beta * x)))
 
 
 def quantization_loss(codes) -> float:
@@ -164,9 +180,7 @@ def total_loss(codes, assignments, weights, cfg: LossConfig):
     """
     j_central = central_loss(codes, assignments, weights, cfg)
     j_quant = quantization_loss(codes)
-    entropy = float(
-        sum(entropy_regularizer(w, cfg.weight_floor) for w in weights)
-    )
+    entropy = entropy_regularizer(np.concatenate(weights), cfg.weight_floor)
     total = j_central + cfg.gamma * j_quant + cfg.lam * entropy
     return total, {
         "central": j_central,
@@ -175,34 +189,17 @@ def total_loss(codes, assignments, weights, cfg: LossConfig):
     }
 
 
-def _bce_grad_wrt_code(b, centers01, w):
-    # d/db of sum_j w_j * bce(b, v_j) = sum_j w_j * (b - v_j) / (b (1 - b))
-    w = np.asarray(w, dtype=np.float64)
-    diff = w @ (b[None, :] - centers01)
-    return diff / (b * (1.0 - b))
-
-
 def loss_gradient_wrt_codes(codes, assignments, weights, cfg: LossConfig) -> np.ndarray:
     """Analytic dJ/db for every sample, weights held fixed.
 
-    The quantization term uses subgradient 0 at the kink b = 0.5.
+    Per pair, d/db of softplus(beta * x) is c_ij (b_i - v_ij) / (b_i (1 - b_i))
+    with c_ij = beta * w_ij * sigmoid(beta * x); the quantization term
+    uses subgradient 0 at the kink b = 0.5.
     """
-    codes = np.atleast_2d(np.asarray(codes, dtype=np.float64))
-    n = len(assignments)
-    grads = np.empty((n, codes.shape[1]))
-    for i, (a, w) in enumerate(zip(assignments, weights)):
-        b = clamp_code(codes[i])
-        if cfg.aggregation == "per-image":
-            omega = weighted_distance(b, a, w)
-            scale = cfg.beta * expit(cfg.beta * omega)
-            g = scale * _bce_grad_wrt_code(b, a.centers01, w)
-        else:
-            d = distance_vector(b, a)
-            w_arr = np.asarray(w, dtype=np.float64)
-            scales = cfg.beta * w_arr * expit(cfg.beta * w_arr * d)
-            per_bit = (b[None, :] - a.centers01) / (b * (1.0 - b))[None, :]
-            g = scales @ per_bit
-        s = 2.0 * b - 1.0
-        g = g + cfg.gamma * 2.0 * np.sign(s) * np.tanh(np.abs(s) - 1.0)
-        grads[i] = g
-    return grads
+    b, rows, v, w, _, x = _flat_batch(codes, assignments, weights, cfg.aggregation)
+    c = cfg.beta * w * expit(cfg.beta * x)
+    bp = b[rows]
+    per_pair = c[:, None] * (bp - v) / (bp * (1.0 - bp))
+    g = np.add.reduceat(per_pair, np.searchsorted(rows, np.arange(len(b))), axis=0)
+    s = 2.0 * b - 1.0
+    return g + cfg.gamma * 2.0 * np.sign(s) * np.tanh(np.abs(s) - 1.0)

@@ -189,12 +189,10 @@ def precision_at_k(
 def save_codes(path, db: CodeDatabase) -> None:
     """Text format: header ``N K``, then one K-character 0/1 line per
     code (1 encodes +1)."""
-    pm1 = unpack_database(db)
-    lines = [f"{len(db)} {db.k_bits}"]
-    for row in pm1:
-        lines.append("".join("1" if v > 0 else "0" for v in row))
+    text = np.full((len(db), db.k_bits + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = ord("0") + (unpack_database(db) > 0)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{len(db)} {db.k_bits}\n" + text.tobytes().decode())
 
 
 def load_codes(path) -> CodeDatabase:

@@ -1,11 +1,13 @@
 """Objective tests: hand-evaluated distances and likelihoods, analytic
-closed forms at symmetric points, decomposition identities, and a
-central finite-difference oracle for the code gradient."""
+closed forms at symmetric points, decomposition identities, a central
+finite-difference oracle for the code gradient, and the batched loss and
+gradient against a per-sample reference."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from icshash import (
     LossConfig,
@@ -21,6 +23,7 @@ from icshash import (
     weighted_distance,
 )
 from icshash.loss import CODE_EPS, CenterAssignment
+from icshash.weights import entropy_regularizer
 
 
 def make_assignment(centers01):
@@ -284,6 +287,100 @@ class TestLossGradient:
         a = loss_gradient_wrt_codes(codes, assignments, weights, cfg)
         b = loss_gradient_wrt_codes(codes, assignments, weights, cfg)
         np.testing.assert_array_equal(a, b)
+
+
+def reference_loss_and_gradient(codes, assignments, weights, cfg):
+    """The objective and its code gradient evaluated one sample at a time,
+    straight from the formulas. Returns the total, the parts, the (n, K)
+    gradient and, per gradient entry, the sum of the magnitudes of the
+    terms it adds up (the scale its rounding error is relative to)."""
+    central, entropy = 0.0, 0.0
+    grads, magnitudes = np.empty(codes.shape), np.empty(codes.shape)
+    for i, (a, w) in enumerate(zip(assignments, weights)):
+        b = np.clip(codes[i], CODE_EPS, 1.0 - CODE_EPS)
+        v = a.centers01
+        w = np.asarray(w, dtype=np.float64)
+        d = -(v @ np.log(b) + (1.0 - v) @ np.log(1.0 - b))
+        per_bit = (b[None, :] - v) / (b * (1.0 - b))[None, :]
+        if cfg.aggregation == "per-image":
+            omega = float(np.dot(w, d))
+            central += float(np.logaddexp(0.0, cfg.beta * omega))
+            scale = cfg.beta * expit(cfg.beta * omega)
+            coef = scale * w
+            g = scale * (w @ (b[None, :] - v)) / (b * (1.0 - b))
+        else:
+            central += float(np.sum(np.logaddexp(0.0, cfg.beta * w * d)))
+            coef = cfg.beta * w * expit(cfg.beta * w * d)
+            g = coef @ per_bit
+        s = 2.0 * b - 1.0
+        quant = cfg.gamma * 2.0 * np.sign(s) * np.tanh(np.abs(s) - 1.0)
+        grads[i] = g + quant
+        magnitudes[i] = np.abs(coef) @ np.abs(per_bit) + np.abs(quant)
+        entropy += entropy_regularizer(w, cfg.weight_floor)
+    quant = quantization_loss(codes)
+    parts = {"central": central, "quantization": quant, "entropy": entropy}
+    return central + cfg.gamma * quant + cfg.lam * entropy, parts, grads, magnitudes
+
+
+class TestBatchedMatchesPerSampleReference:
+    """The loss and gradient run over the batch's (sample, center) pairs at
+    once. Summation order differs from the per-sample formulas, so values
+    agree to 1e-12 relative, not bit for bit; a gradient entry is a sum of
+    terms of both signs, so its error is taken relative to the sum of
+    their magnitudes."""
+
+    def test_random_ragged_batches(self):
+        rng = np.random.default_rng(11)
+        for trial in range(240):
+            n, k = int(rng.integers(1, 9)), int(rng.choice([4, 16, 33]))
+            codes, assignments, weights = random_batch(rng, n, k, 6)
+            codes = rng.uniform(0.0, 1.0, size=(n, k))
+            saturated = rng.uniform(size=(n, k)) < 0.1
+            codes[saturated] = rng.integers(0, 2, size=int(saturated.sum()))
+            cfg = LossConfig(
+                beta=float(rng.choice([0.01, 0.1, 1.0])),
+                gamma=float(rng.choice([0.0, 0.05, 1.0])),
+                lam=float(rng.choice([0.0, 0.01, 4.0])),
+                aggregation=("per-image", "per-center")[trial % 2],
+            )
+            want, want_parts, want_grad, magnitude = reference_loss_and_gradient(
+                codes, assignments, weights, cfg
+            )
+            got, got_parts = total_loss(codes, assignments, weights, cfg)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+            for key, value in want_parts.items():
+                assert got_parts[key] == pytest.approx(value, rel=1e-12, abs=0)
+            assert central_loss(codes, assignments, weights, cfg) == got_parts["central"]
+            grad = loss_gradient_wrt_codes(codes, assignments, weights, cfg)
+            assert grad.shape == (n, k)
+            assert np.all(np.abs(grad - want_grad) <= 1e-12 * magnitude)
+
+
+class TestMismatchedBatch:
+    @pytest.mark.parametrize("aggregation", ["per-image", "per-center"])
+    def test_disagreeing_sizes_rejected(self, aggregation):
+        rng = np.random.default_rng(12)
+        codes, assignments, weights = random_batch(rng, 4, 8, 3)
+        while len(weights[2]) == 1:
+            codes, assignments, weights = random_batch(rng, 4, 8, 3)
+        cases = [
+            (codes, assignments, weights[:3]),  # a sample without weights
+            (codes, assignments[:3], weights[:3]),  # an extra code row
+            (codes[:3], assignments, weights),  # a sample without a code
+            (codes, assignments, weights[:2] + [np.array([1.0])] + weights[3:]),
+            (codes, assignments, weights[:2] + [np.append(weights[2], 0.0)] + weights[3:]),
+            (codes[:, :6], assignments, weights),  # code shorter than its centers
+        ]
+        cfg = LossConfig(aggregation=aggregation)
+        for case in cases:
+            for fn in (central_loss, total_loss, loss_gradient_wrt_codes):
+                with pytest.raises(ValueError):
+                    fn(*case, cfg)
+
+    def test_sample_without_centers_rejected(self):
+        empty = CenterAssignment(np.arange(0), np.empty((0, 4)))
+        with pytest.raises(ValueError):
+            loss_gradient_wrt_codes(np.full((1, 4), 0.5), [empty], [np.empty(0)], LossConfig())
 
 
 class TestLossConfig:

@@ -343,16 +343,20 @@ class TestBatchedMetricsMatchPerQueryReference:
 class TestCodesFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
-        codes = random_codes(rng, 12, 20)
-        db = pack_database(codes)
-        path = tmp_path / "codes.txt"
-        save_codes(path, db)
-        loaded = load_codes(path)
-        assert loaded.k_bits == 20
-        np.testing.assert_array_equal(unpack_database(loaded), codes)
-        again = tmp_path / "again.txt"
-        save_codes(again, loaded)
-        assert path.read_bytes() == again.read_bytes()
+        for n, k in [(12, 20), (7, 3), (1, 130), (5, 64)]:
+            codes = random_codes(rng, n, k)
+            db = pack_database(codes)
+            path = tmp_path / "codes.txt"
+            save_codes(path, db)
+            # the format written one character at a time
+            lines = [f"{n} {k}"] + ["".join("1" if v > 0 else "0" for v in row) for row in codes]
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+            loaded = load_codes(path)
+            assert loaded.k_bits == k
+            np.testing.assert_array_equal(unpack_database(loaded), codes)
+            again = tmp_path / "again.txt"
+            save_codes(again, loaded)
+            assert path.read_bytes() == again.read_bytes()
 
     def test_malformed(self, tmp_path):
         path = tmp_path / "bad.txt"
