@@ -10,7 +10,6 @@ how much of that label is in the sample" is a measurable question.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DataError, EvaluationError, ParseError
 
@@ -214,6 +213,21 @@ def load_dataset_csv(path, m_labels: int) -> list[MultiLabelSample]:
     return samples
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array; each run of tied values gets the
+    mean of the positions it spans, an exact half-integer. NaN anywhere
+    makes every rank NaN."""
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="stable")
+    sorted_x = x[order]
+    starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def spearman_corr(a, b) -> float:
     """Rank correlation with average ranks on ties, in [-1, 1]."""
     a = np.asarray(a, dtype=np.float64)
@@ -224,8 +238,8 @@ def spearman_corr(a, b) -> float:
         raise EvaluationError("need at least 2 points for a rank correlation")
     if np.all(a == a[0]) or np.all(b == b[0]):
         raise EvaluationError("rank correlation undefined for constant input")
-    ra = rankdata(a, method="average")
-    rb = rankdata(b, method="average")
+    ra = _average_ranks(a)
+    rb = _average_ranks(b)
     ra -= ra.mean()
     rb -= rb.mean()
     return float(np.dot(ra, rb) / np.sqrt(np.dot(ra, ra) * np.dot(rb, rb)))

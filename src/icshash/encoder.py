@@ -11,7 +11,6 @@ update.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .centers import HashCenterSet
 from .data import MultiLabelSample
@@ -25,7 +24,7 @@ from .loss import (
     loss_gradient_wrt_codes,
     total_loss,
 )
-from .weights import WeightSolverConfig, solve_weights
+from .weights import WeightSolverConfig, _sigmoid, solve_weights
 
 WEIGHT_MODES = ("learned", "equal")
 
@@ -79,7 +78,7 @@ def forward_batch(params: EncoderParams, x: np.ndarray):
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(a)
         z = a @ w + b
-        a = expit(z) if l == last else np.maximum(z, 0.0)
+        a = _sigmoid(z) if l == last else np.maximum(z, 0.0)
     sig = a
     codes = np.clip(sig, CODE_EPS, 1.0 - CODE_EPS)
     return codes, (inputs, sig)

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .centers import HashCenterSet
 from .errors import ConfigError
-from .weights import entropy_regularizer
+from .weights import _sigmoid, entropy_regularizer
 
 # Relaxed codes are clamped into (CODE_EPS, 1 - CODE_EPS) before any
 # log; encoder squashing can saturate all the way to 0/1.
@@ -123,7 +122,7 @@ def central_likelihood(omega: float, beta: float) -> float:
     overflow-safe for large arguments."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    return float(expit(-beta * omega))
+    return float(_sigmoid(-beta * omega))
 
 
 def _flat_batch(codes, assignments, weights, aggregation: str):
@@ -197,7 +196,7 @@ def loss_gradient_wrt_codes(codes, assignments, weights, cfg: LossConfig) -> np.
     uses subgradient 0 at the kink b = 0.5.
     """
     b, rows, v, w, _, x = _flat_batch(codes, assignments, weights, cfg.aggregation)
-    c = cfg.beta * w * expit(cfg.beta * x)
+    c = cfg.beta * w * _sigmoid(cfg.beta * x)
     bp = b[rows]
     per_pair = c[:, None] * (bp - v) / (bp * (1.0 - bp))
     g = np.add.reduceat(per_pair, np.searchsorted(rows, np.arange(len(b))), axis=0)

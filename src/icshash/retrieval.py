@@ -78,7 +78,7 @@ def pack_database(codes_pm1) -> CodeDatabase:
 
 def unpack_database(db: CodeDatabase) -> np.ndarray:
     """Back to an (N, K) int8 matrix of {-1, +1}."""
-    bytes_ = db.words.view(np.uint8).reshape(len(db), -1)
+    bytes_ = db.words.view(np.uint8).reshape(len(db), db.words.shape[1] * 8)
     bits = np.unpackbits(bytes_, axis=1, bitorder="little")[:, : db.k_bits]
     return (2 * bits.astype(np.int8)) - 1
 
@@ -207,6 +207,8 @@ def load_codes(path) -> CodeDatabase:
         n, k = int(head[0]), int(head[1])
     except ValueError:
         raise ParseError("non-integer header field", line=1) from None
+    if n < 0 or k < 1:
+        raise ParseError("header needs N >= 0 and K >= 1", line=1)
     if len(raw) < 1 + n:
         raise ParseError(f"expected {n} code lines, found {len(raw) - 1}", line=len(raw))
     rows = np.empty((n, k), dtype=np.int64)
@@ -215,4 +217,4 @@ def load_codes(path) -> CodeDatabase:
         if len(text) != k or set(text) - {"0", "1"}:
             raise ParseError(f"expected a {k}-character 0/1 string", line=2 + i)
         rows[i] = [1 if ch == "1" else -1 for ch in text]
-    return pack_database(rows)
+    return CodeDatabase(k, _pack_rows(rows))

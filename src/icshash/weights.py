@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InternalInvariantError
 
@@ -50,6 +49,14 @@ GRADIENT_MODES = ("paper", "exact")
 _FEASIBLE_TOL = 1e-12
 
 _MAX_STEP_ADJUSTMENTS = 60
+
+
+def _sigmoid(x):
+    """Logistic ``1 / (1 + exp(-x))``, elementwise; a scalar stays a
+    scalar. Below x of about -709.78 the exp overflows to inf and the
+    result is 0.0; that overflow is expected, so it is not reported."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass
@@ -156,9 +163,9 @@ def weight_gradient(
         raise InternalInvariantError("weights nonpositive after floor clamping")
     entropy_grad = cfg.lam * (1.0 + np.log(wc))
     if cfg.gradient_mode == "paper":
-        return -wc * expit(-(wc * d)) + entropy_grad
+        return -wc * _sigmoid(-(wc * d)) + entropy_grad
     omega = float(np.dot(w, d))
-    return cfg.beta * d * expit(cfg.beta * omega) + entropy_grad
+    return cfg.beta * d * _sigmoid(cfg.beta * omega) + entropy_grad
 
 
 def _relative_change(new: float, old: float) -> float:

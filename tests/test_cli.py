@@ -389,3 +389,15 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "0.1.0"
+
+    def test_import_loads_no_scipy(self):
+        # importing scipy.stats alone cost about 1 s of every command
+        script = (
+            "import sys, icshash, icshash.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

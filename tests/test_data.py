@@ -3,6 +3,7 @@ trip, parse failures with line numbers, and the rank correlation."""
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from icshash import (
     DataError,
@@ -15,7 +16,7 @@ from icshash import (
     save_dataset,
     spearman_corr,
 )
-from icshash.data import load_dataset_csv
+from icshash.data import _average_ranks, load_dataset_csv
 
 
 class TestGenerateSynthetic:
@@ -170,6 +171,18 @@ class TestSpearman:
         # ranks of a: (1.5, 1.5, 3); ranks of b: (1, 2, 3)
         value = spearman_corr([5.0, 5.0, 9.0], [1.0, 2.0, 3.0])
         assert value == pytest.approx(0.866, abs=1e-3)
+
+    def test_average_ranks_equal_scipy(self):
+        rng = np.random.default_rng(12)
+        cases = [np.full(5, 2.0), np.array([1.0, np.nan, 0.0])]
+        for _ in range(500):
+            x = rng.integers(0, int(rng.integers(1, 6)), size=int(rng.integers(1, 30)))
+            # all-tied runs at both ends of the order
+            low, high = [x.min() - 1.0] * 3, [x.max() + 1.0] * 4
+            cases.append(rng.permutation(np.r_[x, low, high]))
+        for x in cases:
+            ranks = _average_ranks(x.astype(np.float64))
+            np.testing.assert_array_equal(ranks, rankdata(x, method="average"))
 
     def test_constant_input_rejected(self):
         with pytest.raises(EvaluationError):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from icshash import (
+    CodeDatabase,
     EvaluationError,
+    ParseError,
     hamming,
     load_codes,
     map_at_k,
@@ -357,6 +359,24 @@ class TestCodesFile:
             again = tmp_path / "again.txt"
             save_codes(again, loaded)
             assert path.read_bytes() == again.read_bytes()
+
+    def test_empty_database_round_trip(self, tmp_path):
+        for k, n_words in [(8, 1), (130, 3)]:
+            path = tmp_path / "empty.txt"
+            save_codes(path, CodeDatabase(k, np.empty((0, n_words), dtype=np.uint64)))
+            assert path.read_bytes() == f"0 {k}\n".encode()
+            loaded = load_codes(path)
+            assert loaded.k_bits == k
+            assert loaded.words.shape == (0, n_words)
+            assert unpack_database(loaded).shape == (0, k)
+
+    @pytest.mark.parametrize("text", ["-1 4\n", "0 0\n", "2 0\n\n\n"])
+    def test_bad_header_counts(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc_info:
+            load_codes(path)
+        assert "line 1" in str(exc_info.value)
 
     def test_malformed(self, tmp_path):
         path = tmp_path / "bad.txt"
