@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _parse_rows, _read_table
 from .errors import CapacityError, ParseError
 
 # Largest supported doubling exponent (order 2^16 = 65536); beyond this
@@ -173,37 +174,13 @@ def save_centers(path, center_set: HashCenterSet) -> None:
 
 
 def load_centers(path) -> HashCenterSet:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw:
-        raise ParseError("empty centers file", line=1)
-    head = raw[0].split()
-    if len(head) != 4:
-        raise ParseError("expected header 'K M strategy seed'", line=1)
-    try:
-        k_bits, m_labels, seed = int(head[0]), int(head[1]), int(head[3])
-    except ValueError as exc:
-        raise ParseError(f"bad header value: {exc}", line=1) from None
-    strategy = head[2]
+    (k_bits, m_labels, strategy, seed), body = _read_table(
+        path, "K M strategy seed", {"K": 1, "M": 1, "seed": 0}, "M"
+    )
     if strategy not in STRATEGIES:
         raise ParseError(f"unknown strategy {strategy!r}", line=1)
-    if len(raw) < 1 + m_labels:
-        raise ParseError(
-            f"expected {m_labels} center rows, found {len(raw) - 1}",
-            line=len(raw),
-        )
-    centers = np.empty((m_labels, k_bits), dtype=np.int8)
-    for i in range(m_labels):
-        parts = raw[1 + i].split()
-        if len(parts) != k_bits:
-            raise ParseError(
-                f"expected {k_bits} values, found {len(parts)}", line=2 + i
-            )
-        try:
-            row = np.array([int(p) for p in parts], dtype=np.int8)
-        except ValueError:
-            raise ParseError("non-integer center value", line=2 + i) from None
-        if not np.all(np.abs(row) == 1):
-            raise ParseError("center values must be -1 or 1", line=2 + i)
-        centers[i] = row
+    centers = _parse_rows(body, range(2, m_labels + 2), k_bits, np.int8)
+    bad = np.flatnonzero(~(np.abs(centers) == 1).all(axis=1))
+    if bad.size:
+        raise ParseError("center values must be -1 or 1", line=int(bad[0]) + 2)
     return HashCenterSet(k_bits, m_labels, centers, strategy, seed)

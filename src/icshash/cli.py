@@ -25,6 +25,9 @@ import numpy as np
 from . import __version__
 from .centers import generate_centers, load_centers, min_pairwise_hamming, save_centers
 from .data import (
+    _parse_ragged,
+    _parse_rows,
+    _read_nonblank,
     features_matrix,
     labels_matrix,
     load_dataset,
@@ -38,7 +41,7 @@ from .encoder import (
     save_checkpoint,
     train,
 )
-from .errors import ConfigError, DataError, EvaluationError, ToolkitError
+from .errors import ConfigError, DataError, EvaluationError, ParseError, ToolkitError
 from .loss import LossConfig
 from .retrieval import map_at_k, pack_database, precision_at_k, save_codes
 from .weights import WeightSolverConfig, solve_weights
@@ -107,18 +110,15 @@ def _cmd_solve_weights(args) -> int:
         tol=args.tol,
         gradient_mode=args.gradient_mode,
     )
-    with open(args.distances) as fh:
-        raw = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not raw:
+    lines, numbers = _read_nonblank(args.distances)
+    if not lines:
         raise DataError(f"no distance vectors in {args.distances}")
+    vectors = _parse_ragged(lines, numbers, [len(ln.split()) for ln in lines])
     rows = []
-    for i, line in enumerate(raw):
-        try:
-            d = np.array([float(p) for p in line.split()], dtype=np.float64)
-        except ValueError:
-            raise DataError(f"line {i + 1}: non-numeric distance") from None
-        result = solve_weights(d, cfg)
-        rows.append((i, result))
+    for i, (d, number) in enumerate(zip(vectors, numbers)):
+        if not np.all(np.isfinite(d) & (d >= 0)):
+            raise ParseError("distances must be finite and nonnegative", line=number)
+        rows.append((i, solve_weights(d, cfg)))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample", "iterations", "weights"])
@@ -277,22 +277,20 @@ def _cmd_eval(args) -> int:
 
 
 def _read_weights_csv(path):
-    per_sample: dict[int, list[tuple[int, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["sample", "label", "weight"]:
-            raise DataError(
-                f"{path}: expected columns sample,label,weight, "
-                f"found {reader.fieldnames}"
-            )
-        for row in reader:
-            per_sample.setdefault(int(row["sample"]), []).append(
-                (int(row["label"]), float(row["weight"]))
-            )
-    return {
-        i: np.array([v for _, v in sorted(entries)])
-        for i, entries in per_sample.items()
-    }
+    """Per-sample weight arrays, ordered by label, from the weights CSV
+    written by ``train``; blank lines are skipped."""
+    lines, numbers = _read_nonblank(path)
+    columns = lines[0].split(",") if lines else None
+    if columns != ["sample", "label", "weight"]:
+        raise DataError(f"{path}: expected columns sample,label,weight, found {columns}")
+    values = _parse_rows(lines[1:], numbers[1:], 3, np.float64, delimiter=",")
+    ids = values[:, :2]
+    bad = ~(np.isfinite(ids) & (ids == np.floor(ids))).all(axis=1)
+    if bad.any():
+        raise ParseError("sample and label must be integers", line=numbers[1 + int(np.argmax(bad))])
+    sample, _, weight = values[np.lexsort(values.T[::-1])].T
+    ids, starts = np.unique(sample, return_index=True)
+    return dict(zip(ids.astype(np.int64).tolist(), np.split(weight, starts[1:])))
 
 
 def _cmd_weight_report(args) -> int:

@@ -7,11 +7,12 @@ desk-scale dataset on which "does the learned weight of a center track
 how much of that label is in the sample" is a measurable question.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EvaluationError, ParseError
+from .errors import DataError, EvaluationError, InternalInvariantError, ParseError
 
 
 @dataclass
@@ -122,95 +123,142 @@ def save_dataset(path, samples: list[MultiLabelSample]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_floats(text: str, expected: int, line_no: int) -> np.ndarray:
-    parts = text.split()
-    if len(parts) != expected:
-        raise ParseError(f"expected {expected} values, found {len(parts)}", line=line_no)
+def _read_table(path, header, minimums, count_field, lines_per_row=1):
+    """The fields of line 1 of a text file, named by ``header`` (those in
+    ``minimums`` are integers no smaller than their entry), and the
+    ``lines_per_row`` lines per row that follow; the header field
+    ``count_field`` holds the row count."""
+    with open(path) as fh:
+        raw = fh.read().splitlines()
+    fields = raw[0].split() if raw else []
+    names = header.split()
+    if len(fields) != len(names):
+        raise ParseError(f"expected header '{header}'", line=1)
+    for i, name in enumerate(names):
+        if name in minimums:
+            try:
+                fields[i] = int(fields[i])
+            except ValueError:
+                raise ParseError(f"non-integer header field {name}", line=1) from None
+            if fields[i] < minimums[name]:
+                raise ParseError(f"header needs {name} >= {minimums[name]}", line=1)
+    count = lines_per_row * fields[names.index(count_field)]
+    if len(raw) < 1 + count:
+        raise ParseError(f"expected {count} more lines, found {len(raw) - 1}", line=len(raw))
+    return fields, raw[1 : 1 + count]
+
+
+def _read_nonblank(path) -> tuple[list[str], list[int]]:
+    """The non-blank lines of a text file and their 1-based line numbers."""
+    with open(path) as fh:
+        raw = fh.read().splitlines()
+    numbers = [i for i, ln in enumerate(raw, 1) if ln.strip()]
+    return [raw[i - 1] for i in numbers], numbers
+
+
+def _first_bad_line(parse, lines, line_numbers, *args):
+    """Parse a block that failed again one line at a time, so that the
+    first bad line raises its ParseError."""
+    for line, number in zip(lines, line_numbers):
+        parse([line], [number], *args)
+    raise InternalInvariantError("a block failed to parse but none of its lines did")
+
+
+def _parse_rows(lines, line_numbers, width, dtype, delimiter=None) -> np.ndarray:
+    """(len(lines), width) values of ``dtype`` from one numpy conversion
+    of a block of lines. When the block does not parse, ParseError names
+    the physical 1-based line, taken from ``line_numbers``."""
+    if not lines:
+        return np.empty((0, width), dtype=dtype)
     try:
-        return np.array([float(p) for p in parts], dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a block of blank lines warns
+            values = np.loadtxt(
+                lines, dtype=dtype, delimiter=delimiter, comments=None, ndmin=2
+            )
+        if values.shape == (len(lines), width):  # loadtxt skips blank lines
+            return values
     except ValueError:
-        raise ParseError("non-numeric value", line=line_no) from None
+        pass
+    if len(lines) > 1:
+        _first_bad_line(_parse_rows, lines, line_numbers, width, dtype, delimiter)
+    found = len(lines[0].split(delimiter))
+    problem = f"found {found}" if found != width else f"not all read as {np.dtype(dtype).name}"
+    raise ParseError(f"expected {width} values, {problem}", line=int(line_numbers[0]))
+
+
+def _parse_bits(lines, line_numbers, width) -> np.ndarray:
+    """(len(lines), width) int8 0/1 matrix from one np.frombuffer over a
+    block of 0/1 strings (surrounding whitespace ignored), with the same
+    error reporting as _parse_rows."""
+    text = np.frombuffer("\n".join([*map(str.strip, lines), ""]).encode(), np.uint8)
+    if text.size == len(lines) * (width + 1):
+        # n newlines, none among the bits: each ends its own row
+        bits = text.reshape(len(lines), width + 1)[:, :width] - np.uint8(ord("0"))
+        if not np.any(bits > 1):
+            return bits.view(np.int8)
+    if len(lines) > 1:
+        _first_bad_line(_parse_bits, lines, line_numbers, width)
+    raise ParseError(f"expected a 0/1 string of {width} characters", line=int(line_numbers[0]))
+
+
+def _parse_ragged(lines, line_numbers, widths) -> list[np.ndarray]:
+    """Float rows of differing widths, in line order: one _parse_rows
+    block per width."""
+    widths = np.asarray(widths)
+    rows = [None] * len(lines)
+    for width in np.unique(widths):
+        at = np.flatnonzero(widths == width)
+        block = _parse_rows([lines[i] for i in at], np.asarray(line_numbers)[at], width, np.float64)
+        for i, row in zip(at, block):
+            rows[i] = row
+    return rows
 
 
 def load_dataset(path) -> list[MultiLabelSample]:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw or not raw[0].strip():
-        raise ParseError("empty dataset file", line=1)
-    head = raw[0].split()
-    if len(head) != 3:
-        raise ParseError("expected header 'N D M'", line=1)
-    try:
-        n, d, m = (int(v) for v in head)
-    except ValueError:
-        raise ParseError("non-integer header field", line=1) from None
-    if len(raw) < 1 + 3 * n:
-        raise ParseError(
-            f"expected {3 * n} sample lines, found {len(raw) - 1}", line=len(raw)
-        )
-    samples = []
-    for i in range(n):
-        base = 1 + 3 * i
-        features = _parse_floats(raw[base], d, base + 1)
-        label_text = raw[base + 1].strip()
-        if len(label_text) != m or set(label_text) - {"0", "1"}:
-            raise ParseError(
-                f"expected an {m}-character 0/1 string", line=base + 2
-            )
-        labels = np.array([int(ch) for ch in label_text], dtype=np.int8)
-        if labels.sum() == 0:
-            raise DataError(f"sample {i} (line {base + 2}) has no positive label")
-        prop_text = raw[base + 2].strip()
-        if prop_text == "-":
-            proportions = None
-        else:
-            proportions = _parse_floats(raw[base + 2], int(labels.sum()), base + 3)
-        samples.append(MultiLabelSample(features, labels, proportions))
-    # checked once for all samples: a per-line check added ~20% to the
-    # load time; sample i's features are on line 3i + 2
-    bad = np.flatnonzero(~np.isfinite(features_matrix(samples)))
+    (n, d, m), body = _read_table(path, "N D M", {"N": 1, "D": 1, "M": 1}, "N", 3)
+    first = 3 * np.arange(n) + 2  # line of sample i's features; labels, proportions follow
+    features = _parse_rows(body[0::3], first, d, np.float64)
+    labels = _parse_bits(body[1::3], first + 1, m)
+    counts = labels.sum(axis=1)
+    if np.any(counts == 0):
+        i = int(np.argmin(counts))
+        raise DataError(f"sample {i} (line {first[i] + 1}) has no positive label")
+    given = [i for i, text in enumerate(body[2::3]) if text.strip() != "-"]
+    parsed = _parse_ragged([body[3 * i + 2] for i in given], first[given] + 2, counts[given])
+    proportions = [None] * n
+    for i, row in zip(given, parsed):
+        proportions[i] = row
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
-        raise ParseError("non-finite feature value", line=3 * int(bad[0] // d) + 2)
-    return samples
+        raise ParseError("non-finite feature value", line=int(first[bad[0]]))
+    return [MultiLabelSample(*sample) for sample in zip(features, labels, proportions)]
 
 
 def load_dataset_csv(path, m_labels: int) -> list[MultiLabelSample]:
     """Headerless CSV fallback: each row is D feature values followed
-    by M 0/1 label values; no proportions."""
-    with open(path) as fh:
-        raw = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not raw:
+    by M 0/1 label values; no proportions. Blank lines are skipped."""
+    lines, numbers = _read_nonblank(path)
+    if not lines:
         raise ParseError("empty CSV file", line=1)
-    samples = []
-    width = None
-    for i, line in enumerate(raw):
-        parts = [p.strip() for p in line.split(",")]
-        if width is None:
-            width = len(parts)
-            if width <= m_labels:
-                raise ParseError(
-                    f"row has {width} columns, need more than M={m_labels}",
-                    line=i + 1,
-                )
-        elif len(parts) != width:
-            raise ParseError(
-                f"expected {width} columns, found {len(parts)}", line=i + 1
-            )
-        try:
-            values = np.array([float(p) for p in parts], dtype=np.float64)
-        except ValueError:
-            raise ParseError("non-numeric value", line=i + 1) from None
-        features = values[: width - m_labels]
-        labels = values[width - m_labels :]
-        if not np.all(np.isfinite(features)):
-            raise ParseError("non-finite feature value", line=i + 1)
-        if not np.all(np.isin(labels, (0.0, 1.0))):
-            raise ParseError("label columns must be 0 or 1", line=i + 1)
-        labels = labels.astype(np.int8)
-        if labels.sum() == 0:
-            raise DataError(f"sample {i} (line {i + 1}) has no positive label")
-        samples.append(MultiLabelSample(features, labels, None))
-    return samples
+    width = len(lines[0].split(","))
+    if width <= m_labels:
+        raise ParseError(f"row has {width} columns, need more than M={m_labels}", line=numbers[0])
+    values = _parse_rows(lines, numbers, width, np.float64, delimiter=",")
+    features = values[:, : width - m_labels]
+    labels = values[:, width - m_labels :]
+    non_finite = ~np.isfinite(features).all(axis=1)
+    bad = non_finite | ~np.isin(labels, (0.0, 1.0)).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        message = "non-finite feature value" if non_finite[i] else "label columns must be 0 or 1"
+        raise ParseError(message, line=numbers[i])
+    labels = labels.astype(np.int8)
+    empty = labels.sum(axis=1) == 0
+    if empty.any():
+        i = int(np.argmax(empty))
+        raise DataError(f"sample {i} (line {numbers[i]}) has no positive label")
+    return [MultiLabelSample(f, l, None) for f, l in zip(features, labels)]
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

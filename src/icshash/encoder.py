@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .centers import HashCenterSet
-from .data import MultiLabelSample
+from .data import MultiLabelSample, _parse_rows
 from .errors import ConfigError, DataError, ParseError
 from .loss import (
     CODE_EPS,
@@ -353,40 +353,33 @@ def load_checkpoint(path):
         raw = fh.read().splitlines()
     if not raw or raw[0] != _CKPT_MAGIC:
         raise ParseError("not an encoder checkpoint", line=1)
+    ln = 1  # index in raw of the line being read
     try:
-        sizes = [int(v) for v in raw[1].split()[1:]]
+        tag, *fields = raw[1].split()
+        sizes = [int(v) for v in fields]
+        if tag != "sizes" or len(sizes) < 2:
+            raise ParseError("expected 'sizes' and at least two layer sizes", line=2)
         meta = {}
-        for ln in (2, 3, 4):
-            key, value = raw[ln].split()
+        for ln, key in ((2, "k_bits"), (3, "m_labels"), (4, "seed")):
+            name, value = raw[ln].split()
+            if name != key:
+                raise ParseError(f"expected '{key}'", line=ln + 1)
             meta[key] = int(value)
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"bad checkpoint header: {exc}", line=2) from None
-    weights, biases = [], []
-    ln = 5
-    try:
+        weights, biases = [], []
+        ln = 5
         for l, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             tag, idx, rows, cols = raw[ln].split()
             if tag != "weight" or [int(idx), int(rows), int(cols)] != [l, n_in, n_out]:
                 raise ParseError(f"expected 'weight {l} {n_in} {n_out}'", line=ln + 1)
-            ln += 1
-            w = np.empty((n_in, n_out))
-            for r in range(n_in):
-                row = np.array(raw[ln].split(), dtype=np.float64)
-                if row.size != n_out:
-                    raise ParseError(f"expected {n_out} weights", line=ln + 1)
-                w[r] = row
-                ln += 1
+            block = raw[ln + 1 : ln + 1 + n_in]
+            weights.append(_parse_rows(block, range(ln + 2, ln + 2 + n_in), n_out, np.float64))
+            ln += 1 + n_in
             tag, idx, n = raw[ln].split()
             if tag != "bias" or [int(idx), int(n)] != [l, n_out]:
                 raise ParseError(f"expected 'bias {l} {n_out}'", line=ln + 1)
-            ln += 1
-            b = np.array(raw[ln].split(), dtype=np.float64)
-            if b.size != n_out:
-                raise ParseError(f"expected {n_out} biases", line=ln + 1)
-            ln += 1
-            weights.append(w)
-            biases.append(b)
+            biases.append(_parse_rows(raw[ln + 1 : ln + 2], [ln + 2], n_out, np.float64)[0])
+            ln += 2
     except (ValueError, IndexError) as exc:
-        raise ParseError(f"bad checkpoint body: {exc}", line=ln + 1) from None
+        raise ParseError(f"bad checkpoint line: {exc}", line=ln + 1) from None
     params = EncoderParams(sizes, weights, biases)
     return params, meta

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, ParseError
+from .data import _parse_bits, _read_table
+from .errors import EvaluationError
 
 # Queries ranked per block by the metrics: memory is O(_QUERY_CHUNK * N).
 _QUERY_CHUNK = 64
@@ -50,8 +51,8 @@ class RankedResult:
     distances: np.ndarray
 
 
-def _pack_rows(pm1: np.ndarray) -> np.ndarray:
-    bits01 = ((pm1 + 1) // 2).astype(np.uint8)
+def _pack_rows(bits01: np.ndarray) -> np.ndarray:
+    """Pack an (N, K) 0/1 matrix, 1 encoding +1."""
     n, k = bits01.shape
     n_words = (k + 63) // 64
     padded = np.zeros((n, n_words * 64), dtype=np.uint8)
@@ -65,7 +66,7 @@ def pack_code(bits_pm1) -> BinaryCode:
     row = np.asarray(bits_pm1, dtype=np.int64)
     if row.ndim != 1 or row.size == 0 or not np.all(np.abs(row) == 1):
         raise ValueError("expected a nonempty vector of -1/+1 values")
-    return BinaryCode(row.size, _pack_rows(row[None, :])[0])
+    return BinaryCode(row.size, _pack_rows(row[None, :] > 0)[0])
 
 
 def pack_database(codes_pm1) -> CodeDatabase:
@@ -73,7 +74,7 @@ def pack_database(codes_pm1) -> CodeDatabase:
     rows = np.atleast_2d(np.asarray(codes_pm1, dtype=np.int64))
     if rows.size == 0 or not np.all(np.abs(rows) == 1):
         raise ValueError("expected a nonempty matrix of -1/+1 values")
-    return CodeDatabase(rows.shape[1], _pack_rows(rows))
+    return CodeDatabase(rows.shape[1], _pack_rows(rows > 0))
 
 
 def unpack_database(db: CodeDatabase) -> np.ndarray:
@@ -196,25 +197,5 @@ def save_codes(path, db: CodeDatabase) -> None:
 
 
 def load_codes(path) -> CodeDatabase:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw:
-        raise ParseError("empty codes file", line=1)
-    head = raw[0].split()
-    if len(head) != 2:
-        raise ParseError("expected header 'N K'", line=1)
-    try:
-        n, k = int(head[0]), int(head[1])
-    except ValueError:
-        raise ParseError("non-integer header field", line=1) from None
-    if n < 0 or k < 1:
-        raise ParseError("header needs N >= 0 and K >= 1", line=1)
-    if len(raw) < 1 + n:
-        raise ParseError(f"expected {n} code lines, found {len(raw) - 1}", line=len(raw))
-    rows = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        text = raw[1 + i].strip()
-        if len(text) != k or set(text) - {"0", "1"}:
-            raise ParseError(f"expected a {k}-character 0/1 string", line=2 + i)
-        rows[i] = [1 if ch == "1" else -1 for ch in text]
-    return CodeDatabase(k, _pack_rows(rows))
+    (n, k), body = _read_table(path, "N K", {"N": 0, "K": 1}, "N")
+    return CodeDatabase(k, _pack_rows(_parse_bits(body, range(2, n + 2), k)))

@@ -102,6 +102,22 @@ class TestSolveWeightsCommand:
         assert run(["solve-weights", "--distances", distances, "--out", out]) == 3
 
 
+    def test_error_after_blank_line_names_physical_line(self, tmp_path, capsys):
+        distances = tmp_path / "d.txt"
+        distances.write_text("1 2\n\n1 x\n")
+        out = tmp_path / "w.csv"
+        assert run(["solve-weights", "--distances", distances, "--out", out]) == 3
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_distance_is_data_error(self, tmp_path, capsys, bad):
+        distances = tmp_path / "d.txt"
+        distances.write_text(f"1 2\n\n3 {bad}\n")
+        out = tmp_path / "w.csv"
+        assert run(["solve-weights", "--distances", distances, "--out", out]) == 3
+        assert "line 3" in capsys.readouterr().err
+
+
 class TestTrainCommand:
     def test_toy_training_run(self, workdir):
         tmp_path, data, centers = workdir
@@ -138,6 +154,16 @@ class TestTrainCommand:
         assert code == 3
         assert "line 5" in capsys.readouterr().err
         assert not (tmp_path / "nan.ckpt").exists()
+
+    def test_empty_dataset_header_is_data_error(self, workdir, capsys):
+        tmp_path, data, centers = workdir
+        data.write_text("0 8 4\n")
+        code = run(
+            ["train", "--data", data, "--centers", centers, "--out-prefix",
+             tmp_path / "empty", "--epochs", 1, "--hidden", "8", "--seed", 1]
+        )
+        assert code == 3
+        assert "line 1" in capsys.readouterr().err
 
     def test_zero_epochs_checkpoint_equals_seeded_init(self, workdir):
         tmp_path, data, centers = workdir
@@ -368,6 +394,21 @@ class TestWeightReportCommand:
              "--out-prefix", prefix])
         summary = json.loads((tmp_path / "r.summary.json").read_text())
         assert summary["weight_variance"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("row", ["0,1,x", "0,1", "0.5,1,0.25"])
+    def test_malformed_weights_row_names_its_line(self, workdir, capsys, row):
+        tmp_path, data, _ = workdir
+        from icshash import load_dataset
+
+        weights_csv = tmp_path / "w.csv"
+        self.make_weights_csv(weights_csv, load_dataset(data), lambda s, j: 0.5)
+        lines = weights_csv.read_text().splitlines()
+        lines[3] = row
+        weights_csv.write_text("\n".join(lines) + "\n")
+        code = run(["weight-report", "--weights", weights_csv, "--data", data,
+                    "--out-prefix", tmp_path / "r"])
+        assert code == 3
+        assert "line 4" in capsys.readouterr().err
 
     def test_dataset_without_proportions_is_data_error(self, tmp_path):
         samples = [MultiLabelSample(np.zeros(3), np.array([1, 0]))]

@@ -134,6 +134,29 @@ class TestDatasetFile:
             load_dataset(path)
         assert exc_info.value.line == 5
 
+    @pytest.mark.parametrize("header", ["0 8 4", "1 0 4", "1 2 0"])
+    def test_header_counts_must_be_positive(self, tmp_path, header):
+        path = tmp_path / "empty.txt"
+        path.write_text(f"{header}\n0.1 0.2\n10\n-\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_dataset(path)
+        assert exc_info.value.line == 1
+
+    def test_label_string_message_names_its_width(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("1 2 2\n0.1 0.2\n1x\n-\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_dataset(path)
+        assert exc_info.value.line == 3
+        assert "expected a 0/1 string of 2 characters" in str(exc_info.value)
+
+    def test_csv_error_after_blank_line_names_physical_line(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("0.5,1.5,1,0\n\n-0.25,x,0,1\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_dataset_csv(path, m_labels=2)
+        assert exc_info.value.line == 3
+
     def test_csv_rejects_non_finite_feature(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.5,1.5,1,0\n-0.25,nan,0,1\n")

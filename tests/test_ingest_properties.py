@@ -1,0 +1,218 @@
+"""Property tests for text ingest, one set per file format (dataset,
+CSV, centers, codes, checkpoint): a valid file with one corrupted line
+fails with a ParseError naming that physical 1-based line, and
+save -> load -> save is byte-identical.
+
+Every test is pinned (derandomized, fixed example count, no deadline)
+so that the suite is deterministic and its run time does not depend on
+the host."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from icshash import (
+    HashCenterSet,
+    MultiLabelSample,
+    ParseError,
+    init_params,
+    load_centers,
+    load_checkpoint,
+    load_codes,
+    load_dataset,
+    pack_database,
+    save_centers,
+    save_checkpoint,
+    save_codes,
+    save_dataset,
+)
+from icshash.data import load_dataset_csv
+
+PINNED = settings(derandomize=True, deadline=None, max_examples=40)
+
+SEEDS = st.integers(0, 2**32 - 1)
+COUNTS = st.integers(1, 5)
+WIDTHS = st.integers(1, 140)
+
+# Tokens that neither int() nor float() reads; "1_0" is read by both,
+# but not by the block parser, so it is only put into value rows.
+NOT_A_NUMBER = ["x", "#", "0x1", "1.5e"]
+
+# Corruptions that each kind of line must report.
+CORRUPTIONS = {
+    "header": ["drop", "add", "token", "blank"],
+    "sizes": ["token", "blank"],  # a changed size count moves the blame to a layer line
+    "values": ["drop", "add", "token", "blank"],
+    "bits": ["drop", "add", "token", "blank"],
+    # a headerless CSV takes its column count from its first row, and
+    # blank lines are skipped
+    "csv_first": ["token"],
+    "csv": ["drop", "add", "token"],
+}
+
+
+def pm1(rng, shape):
+    return np.where(rng.random(shape) < 0.5, -1, 1).astype(np.int8)
+
+
+def write_csv(path, samples):
+    rows = [
+        ",".join([repr(float(v)) for v in s.features] + [str(int(v)) for v in s.labels])
+        for s in samples
+    ]
+    path.write_text("\n".join(rows) + "\n")
+
+
+def make_dataset(rng, path, n, width):
+    m = int(rng.integers(1, 9))
+    samples = []
+    for _ in range(n):
+        labels = np.zeros(m, dtype=np.int8)
+        labels[rng.choice(m, size=rng.integers(1, m + 1), replace=False)] = 1
+        props = rng.dirichlet(np.ones(labels.sum())) if rng.random() < 0.7 else None
+        samples.append(MultiLabelSample(rng.normal(size=width), labels, props))
+    save_dataset(path, samples)
+    return ["header"] + ["values", "bits", "values"] * n, lambda: load_dataset(path)
+
+
+def make_csv(rng, path, n, width):
+    m = int(rng.integers(1, 5))
+    samples = []
+    for _ in range(n):
+        labels = (rng.random(m) < 0.5).astype(np.int8)
+        labels[rng.integers(m)] = 1
+        samples.append(MultiLabelSample(rng.normal(size=width), labels))
+    write_csv(path, samples)
+    return ["csv_first"] + ["csv"] * (n - 1), lambda: load_dataset_csv(path, m)
+
+
+def make_centers(rng, path, n, width):
+    save_centers(path, HashCenterSet(width, n, pm1(rng, (n, width)), "bernoulli", n))
+    return ["header"] + ["values"] * n, lambda: load_centers(path)
+
+
+def make_codes(rng, path, n, width):
+    save_codes(path, pack_database(pm1(rng, (n, width))))
+    return ["header"] + ["bits"] * n, lambda: load_codes(path)
+
+
+def make_checkpoint(rng, path, n, width):
+    sizes = [width] + [int(v) for v in rng.integers(1, 6, size=n)]
+    save_checkpoint(path, init_params(sizes, rng), sizes[-1], 3, n)
+    kinds = ["header", "sizes", "header", "header", "header"]
+    for n_in in sizes[:-1]:
+        kinds += ["header"] + ["values"] * n_in + ["header", "values"]
+    return kinds, lambda: load_checkpoint(path)
+
+
+MAKERS = {
+    "dataset": make_dataset,
+    "csv": make_csv,
+    "centers": make_centers,
+    "codes": make_codes,
+    "checkpoint": make_checkpoint,
+}
+
+SAVERS = {
+    "dataset": save_dataset,
+    "csv": write_csv,
+    "centers": save_centers,
+    "codes": save_codes,
+    "checkpoint": lambda path, loaded: save_checkpoint(
+        path, loaded[0], *(loaded[1][key] for key in ("k_bits", "m_labels", "seed"))
+    ),
+}
+
+
+def corrupt(line, line_kind, how, draw):
+    if how == "blank":
+        return ""
+    if line_kind == "bits":
+        tokens, sep = list(line), ""
+        bad = ["2", "x", "-", "é"]
+    else:
+        sep = "," if line_kind.startswith("csv") else " "
+        tokens = line.split(sep)
+        bad = NOT_A_NUMBER + (["1_0"] if line_kind != "header" else [])
+    i = draw(st.integers(0, len(tokens) - 1))
+    if how == "drop":
+        del tokens[i]
+    elif how == "add":
+        tokens.insert(i, "1")
+    else:
+        tokens[i] = draw(st.sampled_from(bad))
+    return sep.join(tokens)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ingest")
+
+
+@pytest.mark.parametrize("fmt", sorted(MAKERS))
+@PINNED
+@given(seed=SEEDS, n=COUNTS, width=WIDTHS, data=st.data())
+def test_corrupted_line_is_named(workdir, fmt, seed, n, width, data):
+    path = workdir / fmt
+    kinds, load = MAKERS[fmt](np.random.default_rng(seed), path, n, width)
+    lines = path.read_text().splitlines()
+    assert len(lines) == len(kinds)
+    j = data.draw(st.integers(0, len(lines) - 1), label="line index")
+    how = data.draw(st.sampled_from(CORRUPTIONS[kinds[j]]), label="corruption")
+    lines[j] = corrupt(lines[j], kinds[j], how, data.draw)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc_info:
+        load()
+    assert exc_info.value.line == j + 1
+
+
+@PINNED
+@given(seed=SEEDS, n=COUNTS, width=WIDTHS, data=st.data())
+def test_csv_error_after_blank_lines_names_physical_line(workdir, seed, n, width, data):
+    path = workdir / "blank.csv"
+    _, load = make_csv(np.random.default_rng(seed), path, n, width)
+    lines = path.read_text().splitlines()
+    for _ in range(data.draw(st.integers(1, 4), label="blank lines")):
+        lines.insert(data.draw(st.integers(0, len(lines))), "")
+    j = data.draw(st.sampled_from([i for i, ln in enumerate(lines) if ln]), label="line")
+    path.write_text("\n".join(lines) + "\n")
+    assert len(load()) == n
+    lines[j] = corrupt(lines[j], "csv", "token", data.draw)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc_info:
+        load()
+    assert exc_info.value.line == j + 1
+
+
+@pytest.mark.parametrize("fmt", sorted(MAKERS))
+@PINNED
+@given(seed=SEEDS, n=COUNTS, width=WIDTHS)
+@example(seed=0, n=1, width=65)
+@example(seed=1, n=1, width=130)
+def test_save_load_save_is_byte_identical(workdir, fmt, seed, n, width):
+    path = workdir / fmt
+    _, load = MAKERS[fmt](np.random.default_rng(seed), path, n, width)
+    first = path.read_bytes()
+    SAVERS[fmt](path, load())
+    assert path.read_bytes() == first
+
+
+@PINNED
+@given(seed=SEEDS, n=COUNTS, width=WIDTHS)
+def test_csv_values_equal_per_line_float_reference(workdir, seed, n, width):
+    # numbers in several spellings, from subnormal to huge; the block
+    # parse must give the values Python's float() gives line by line
+    rng = np.random.default_rng(seed)
+    spellings = ["%r", "%.3e", "%.17g", "%g", "%.1f", "%E"]
+    values = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-310, 300, size=(n, width))
+    lines = [
+        ",".join([spellings[rng.integers(len(spellings))] % float(v) for v in row] + ["1"])
+        for row in values
+    ]
+    path = workdir / "spellings.csv"
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_dataset_csv(path, 1)
+    for sample, line in zip(loaded, lines):
+        reference = [float(p) for p in line.split(",")[:-1]]
+        assert sample.features.tolist() == reference
