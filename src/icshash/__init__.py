@@ -1,8 +1,9 @@
 """Instance-weighted central-similarity hashing toolkit.
 
-Hash-center generation, a simplex-constrained per-sample center-weight
-solver, the full training objective with a small feed-forward hash
-encoder, and bit-packed Hamming retrieval with standard metrics.
+Hash-center generation, a simplex-constrained center-weight solver for
+one sample or a whole batch, the full training objective with a small
+feed-forward hash encoder, and bit-packed Hamming retrieval with
+standard metrics.
 """
 
 from .centers import (
@@ -54,6 +55,7 @@ from .loss import (
     bce_distance,
     central_likelihood,
     central_loss,
+    distance_matrix,
     distance_vector,
     loss_gradient_wrt_codes,
     quantization_loss,
@@ -79,8 +81,10 @@ from .weights import (
     WeightSolveResult,
     WeightSolverConfig,
     entropy_regularizer,
+    project_rows_to_simplex,
     project_to_simplex,
     solve_weights,
+    solve_weights_batch,
     weight_gradient,
     weight_objective,
 )

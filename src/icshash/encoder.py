@@ -3,9 +3,9 @@
 The encoder maps a feature vector to a relaxed code in (0, 1)^K:
 affine layers with rectifier activations, a final logistic squashing,
 and a clamp away from 0/1. Training alternates two steps per batch:
-solve each sample's center weights with the encoder frozen, then
-backpropagate the total loss with the weights frozen and apply an Adam
-update.
+solve the center weights of the whole batch in one call with the
+encoder frozen, then backpropagate the total loss with the weights
+frozen and apply an Adam update.
 """
 
 from dataclasses import dataclass, field
@@ -20,11 +20,17 @@ from .loss import (
     CenterAssignment,
     LossConfig,
     assignment_for_labels,
-    distance_vector,
+    distance_matrix,
+    distance_vector,  # unused: perfbench/traced.py rebinds this name by getattr
     loss_gradient_wrt_codes,
     total_loss,
 )
-from .weights import WeightSolverConfig, _sigmoid, solve_weights
+from .weights import (
+    WeightSolverConfig,
+    _sigmoid,
+    solve_weights,  # unused: perfbench/traced.py rebinds this name by getattr
+    solve_weights_batch,
+)
 
 WEIGHT_MODES = ("learned", "equal")
 
@@ -252,12 +258,16 @@ def train(
 ) -> TrainState:
     """Two-step alternating optimization.
 
-    Per batch: freeze the encoder, recompute each sample's distance
-    vector and re-solve its weights warm-started from the stored table
-    (skipped in "equal" mode, which pins every weight at 1/c); then
-    freeze the weights and take one Adam step on the total loss.
-    Weight rows are stored per sample and the loss decomposition is
-    recorded per epoch. Deterministic for a fixed seed.
+    Per batch: freeze the encoder, compute the batch's (B, M) code-to-
+    center distances in one pass and re-solve all of its weight rows
+    with one ``solve_weights_batch`` call, warm-started from the stored
+    rows (skipped in "equal" mode, which pins every weight at 1/c); then
+    freeze the weights and take one Adam step on the total loss. In
+    exact mode the solve is the optimality root, so the solver's eta,
+    max_iters and tol apply to paper mode only. The weights are kept as
+    one (N, M) matrix, zero off the (N, M) label mask; the per-sample
+    ``weight_table`` is built from it at the end. The loss decomposition
+    is recorded per epoch. Deterministic for a fixed seed.
     """
     dim = _validate_dataset(samples, center_set)
     rng = np.random.default_rng(cfg.seed)
@@ -267,15 +277,13 @@ def train(
     assignments = [
         assignment_for_labels(center_set, s.labels) for s in samples
     ]
-    weight_table = [
-        np.full(len(a.center_indices), 1.0 / len(a.center_indices))
-        for a in assignments
-    ]
+    mask = np.array([s.labels for s in samples]) != 0
+    weights = mask / mask.sum(axis=1, keepdims=True)
+    centers01 = (center_set.centers.astype(np.float64) + 1.0) / 2.0
     features = np.asarray([s.features for s in samples], dtype=np.float64)
     solver_cfg = cfg.resolved_solver()
     n = len(samples)
     history: list[dict] = []
-    state = TrainState(params, adam, weight_table, history, assignments, cfg)
     for epoch in range(cfg.epochs):
         lr = learning_rate(cfg, epoch)
         order = rng.permutation(n)
@@ -284,12 +292,14 @@ def train(
             batch = order[start : start + cfg.batch_size]
             codes, cache = forward_batch(params, features[batch])
             if cfg.weight_mode == "learned":
-                for row, i in enumerate(batch):
-                    d = distance_vector(codes[row], assignments[i])
-                    result = solve_weights(d, solver_cfg, w_init=weight_table[i])
-                    weight_table[i] = result.w
+                weights[batch] = solve_weights_batch(
+                    distance_matrix(codes, centers01),
+                    mask[batch],
+                    solver_cfg,
+                    w_init=weights[batch],
+                )
             batch_assignments = [assignments[i] for i in batch]
-            batch_weights = [weight_table[i] for i in batch]
+            batch_weights = _weight_rows(weights[batch], mask[batch])
             value, parts = total_loss(codes, batch_assignments, batch_weights, cfg.loss)
             grad_codes = loss_gradient_wrt_codes(
                 codes, batch_assignments, batch_weights, cfg.loss
@@ -309,7 +319,16 @@ def train(
             for key in ("central", "quantization", "entropy"):
                 sums[key] += parts[key]
         history.append(sums)
-    return state
+    weight_table = _weight_rows(weights, mask)
+    return TrainState(params, adam, weight_table, history, assignments, cfg)
+
+
+def _weight_rows(weights: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
+    """Each row's weights on its mask, in label order: the ragged layout
+    of the loss and of ``TrainState.weight_table``."""
+    flat = weights[mask]
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    return [flat[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def binarize(b) -> np.ndarray:
@@ -365,6 +384,11 @@ def load_checkpoint(path):
             if name != key:
                 raise ParseError(f"expected '{key}'", line=ln + 1)
             meta[key] = int(value)
+        if sizes[-1] != meta["k_bits"]:
+            raise ParseError(
+                f"last layer size {sizes[-1]} does not match k_bits {meta['k_bits']}",
+                line=2,
+            )
         weights, biases = [], []
         ln = 5
         for l, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
@@ -381,5 +405,8 @@ def load_checkpoint(path):
             ln += 2
     except (ValueError, IndexError) as exc:
         raise ParseError(f"bad checkpoint line: {exc}", line=ln + 1) from None
+    extra = [i for i in range(ln, len(raw)) if raw[i].strip()]
+    if extra:
+        raise ParseError("unexpected line after the last bias row", line=extra[0] + 1)
     params = EncoderParams(sizes, weights, biases)
     return params, meta

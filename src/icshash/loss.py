@@ -108,6 +108,22 @@ def distance_vector(b: Sequence[float], assignment: CenterAssignment) -> np.ndar
     return _bce(b, v)
 
 
+def distance_matrix(codes, centers01) -> np.ndarray:
+    """BCE distance of every code to every center in one pass.
+
+    For clamped codes b (B, K) and centers v (M, K) in {0, 1},
+    d_ij = -(sum_k log(1 - b_ik) + sum_k (log b_ik - log(1 - b_ik)) v_jk),
+    which is ``distance_vector`` of code i against center j up to
+    rounding. Returns (B, M).
+    """
+    b = clamp_code(np.atleast_2d(codes))
+    v = np.asarray(centers01, dtype=np.float64)
+    if v.ndim != 2 or v.shape[1] != b.shape[1]:
+        raise ValueError(f"codes {b.shape} do not match centers {v.shape}")
+    log_1mb = np.log(1.0 - b)
+    return -(log_1mb.sum(axis=1, keepdims=True) + (np.log(b) - log_1mb) @ v.T)
+
+
 def weighted_distance(b, assignment: CenterAssignment, w) -> float:
     """Convex combination of per-center BCE distances under w."""
     w = np.asarray(w, dtype=np.float64)

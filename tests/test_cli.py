@@ -213,6 +213,29 @@ class TestTrainCommand:
             m["config"]["centers"] = "CENTERS"
         assert ma == mb
 
+    def test_exact_learned_rerun_byte_identical_on_the_simplex(self, workdir):
+        tmp_path, data, centers = workdir
+        argv = ["train", "--data", data, "--centers", centers, "--epochs", 2,
+                "--batch", 16, "--hidden", "8", "--seed", 6, "--beta", "1.0",
+                "--lambda", "0.5", "--gradient-mode", "exact",
+                "--weight-mode", "learned"]
+        assert run(argv + ["--out-prefix", tmp_path / "runa"]) == 0
+        assert run(argv + ["--out-prefix", tmp_path / "runb"]) == 0
+        for suffix in (".ckpt", ".weights.csv", ".loss.csv"):
+            assert (tmp_path / f"runa{suffix}").read_bytes() == (
+                tmp_path / f"runb{suffix}"
+            ).read_bytes()
+        per_sample = {}
+        with open(tmp_path / "runa.weights.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                per_sample.setdefault(int(row["sample"]), []).append(
+                    float(row["weight"])
+                )
+        assert len(per_sample) == 60
+        for values in per_sample.values():
+            assert min(values) >= 0.0
+            assert abs(sum(values) - 1.0) <= 1e-12
+
     def test_centers_dataset_mismatch_is_config_error(self, workdir, tmp_path):
         _, data, _ = workdir
         other = tmp_path / "centers8.txt"

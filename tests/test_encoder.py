@@ -365,6 +365,32 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert exc_info.value.line == line_no
 
+    def test_last_layer_must_match_k_bits(self, tmp_path):
+        # eval would otherwise write 8-bit codes under a 16-bit checkpoint
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_net(seed=13, sizes=(4, 8)), 16, 3, 0)
+        with pytest.raises(ParseError) as exc_info:
+            load_checkpoint(path)
+        assert exc_info.value.line == 2
+        assert "k_bits 16" in str(exc_info.value)
+
+    def test_trailing_line_names_its_line(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_net(seed=13, sizes=(4, 8)), 8, 3, 0)
+        n_lines = len(path.read_text().splitlines())
+        path.write_text(path.read_text() + "\n  \ngarbage line\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_checkpoint(path)
+        assert exc_info.value.line == n_lines + 3
+
+    def test_trailing_blank_lines_are_accepted(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        params = tiny_net(seed=13, sizes=(4, 8))
+        save_checkpoint(path, params, 8, 3, 0)
+        path.write_text(path.read_text() + "\n\n")
+        loaded, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.weights[0], params.weights[0])
+
     def test_validation_survives_optimized_mode(self, tmp_path):
         # python -O strips assert statements; the checks must not be asserts
         path = tmp_path / "model.ckpt"

@@ -15,6 +15,7 @@ from icshash import (
     bce_distance,
     central_likelihood,
     central_loss,
+    distance_matrix,
     distance_vector,
     generate_centers,
     loss_gradient_wrt_codes,
@@ -72,6 +73,25 @@ class TestBceDistance:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             bce_distance([0.5, 0.5], [1.0])
+
+
+class TestDistanceMatrix:
+    def test_matches_distance_vector_per_sample(self):
+        # the matrix form sums the same logs in another order
+        rng = np.random.default_rng(17)
+        for k, m in ((8, 3), (32, 16), (64, 80)):
+            center_set = generate_centers(k, m, seed=k)
+            codes = rng.uniform(0.0, 1.0, size=(20, k))
+            codes[0, : k // 2] = [0.0, 1.0] * (k // 4)  # clamped at the ends
+            got = distance_matrix(codes, (center_set.centers + 1.0) / 2.0)
+            labels = np.ones(m, dtype=np.int8)
+            a = assignment_for_labels(center_set, labels)
+            for i, b in enumerate(codes):
+                np.testing.assert_allclose(got[i], distance_vector(b, a), rtol=1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            distance_matrix(np.full((2, 3), 0.5), np.zeros((4, 2)))
 
 
 class TestWeightedDistance:

@@ -4,7 +4,8 @@ Oracles: a dense grid over the simplex (brute force, small c), an
 independent water-filling bisection for the projection (any c), central
 finite differences for the exact-mode gradient, grid search over the
 simplex for the solver's limit behavior, the exact-mode optimum
-from a scalar optimality condition solved by bisection, and
+from a scalar optimality condition solved by bisection, per-sample
+solves as the reference for the batched solver, and
 scipy.special.expit for the logistic.
 """
 
@@ -18,13 +19,22 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from icshash import (
+    SyntheticSpec,
+    TrainConfig,
     WeightSolverConfig,
+    distance_vector,
     entropy_regularizer,
+    generate_centers,
+    generate_synthetic,
+    project_rows_to_simplex,
     project_to_simplex,
     solve_weights,
+    solve_weights_batch,
+    train,
     weight_gradient,
     weight_objective,
 )
+from icshash.encoder import forward_batch, init_params
 from icshash.weights import _sigmoid
 
 
@@ -436,3 +446,140 @@ class TestConfigValidation:
     def test_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             WeightSolverConfig(**kwargs)
+
+
+@st.composite
+def masked_batches(draw):
+    """A ragged batch as (B, M) distances and a label mask with at least
+    one center per row. Half the batches draw distances from a few
+    values so that rows hold ties; entries off the mask are nan, which
+    the solver must never read."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b, m = draw(st.integers(1, 12)), draw(st.integers(1, 10))
+    mask = rng.random((b, m)) < draw(st.sampled_from([0.2, 0.5, 0.9]))
+    mask[np.arange(b), rng.integers(0, m, size=b)] = True
+    if draw(st.booleans()):
+        d = rng.integers(0, 4, size=(b, m)) * 2.5
+    else:
+        d = rng.uniform(0.0, 16 * math.log(2), size=(b, m))
+    return np.where(mask, d, np.nan), mask, rng
+
+
+def random_warm_start(rng, mask):
+    return np.where(mask, rng.dirichlet(np.ones(mask.shape[1]), size=mask.shape[0]), 0.0)
+
+
+BATCH_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+class TestSolveWeightsBatch:
+    @given(
+        masked_batches(),
+        st.sampled_from([0.01, 0.1, 1.0, 4.0]),
+        st.sampled_from([0.1, 1.0]),
+        st.booleans(),
+    )
+    @BATCH_SETTINGS
+    def test_exact_rows_reach_the_optimum(self, batch, lam, beta, warm):
+        d, mask, rng = batch
+        cfg = WeightSolverConfig(lam=lam, beta=beta, gradient_mode="exact")
+        w_init = random_warm_start(rng, mask) if warm else None
+        w = solve_weights_batch(d, mask, cfg, w_init=w_init)
+        assert np.all(w[~mask] == 0.0)
+        for row, row_mask, row_d in zip(w, mask, d):
+            di = row_d[row_mask]
+            best = weight_objective(exact_optimum(di, lam, beta), di, cfg)
+            assert abs(weight_objective(row[row_mask], di, cfg) - best) <= 1e-9
+            assert abs(math.fsum(row.tolist()) - 1.0) <= 1e-12
+            if di.size == 1:
+                assert row[row_mask][0] == 1.0
+
+    @given(masked_batches(), st.sampled_from([0.1, 1.0]))
+    @BATCH_SETTINGS
+    def test_zero_entropy_splits_over_tied_minima(self, batch, beta):
+        d, mask, rng = batch
+        cfg = WeightSolverConfig(lam=0.0, beta=beta, gradient_mode="exact")
+        w = solve_weights_batch(d, mask, cfg, w_init=random_warm_start(rng, mask))
+        for row, row_mask, row_d in zip(w, mask, d):
+            ties = row_mask & (row_d == np.min(row_d[row_mask]))
+            np.testing.assert_array_equal(row, np.where(ties, 1.0 / ties.sum(), 0.0))
+
+    @given(
+        masked_batches(),
+        st.sampled_from([0.0, 0.01, 0.1, 1.0, 4.0]),
+        st.sampled_from([0.01, 0.1, 1.0]),
+    )
+    @BATCH_SETTINGS
+    def test_paper_rows_match_per_sample_solves(self, batch, lam, eta):
+        d, mask, rng = batch
+        cfg = WeightSolverConfig(lam=lam, eta=eta, gradient_mode="paper")
+        w_init = random_warm_start(rng, mask)
+        w = solve_weights_batch(d, mask, cfg, w_init=w_init)
+        assert np.all(w[~mask] == 0.0)
+        for row, row_mask, row_d, row_init in zip(w, mask, d, w_init):
+            ref = solve_weights(row_d[row_mask], cfg, w_init=row_init[row_mask])
+            np.testing.assert_allclose(row[row_mask], ref.w, rtol=0, atol=1e-12)
+
+    def test_rejects_bad_batches(self):
+        cfg = WeightSolverConfig(gradient_mode="exact")
+        mask = np.array([[True, False], [True, True]])
+        with pytest.raises(ValueError):
+            solve_weights_batch(np.ones((2, 2)), [[True, False], [False, False]], cfg)
+        with pytest.raises(ValueError):
+            solve_weights_batch(np.array([[1.0, 0.0], [1.0, -1.0]]), mask, cfg)
+        with pytest.raises(ValueError):
+            solve_weights_batch(np.array([[1.0, 0.0], [1.0, np.inf]]), mask, cfg)
+        with pytest.raises(ValueError):
+            solve_weights_batch(np.ones((2, 3)), mask, cfg)
+
+
+class TestProjectRowsToSimplex:
+    @given(masked_batches(), st.sampled_from([1.0, 50.0]))
+    @BATCH_SETTINGS
+    def test_feasible_idempotent_and_row_by_row(self, batch, scale):
+        _, mask, rng = batch
+        v = np.where(mask, rng.uniform(-scale, scale, size=mask.shape), np.nan)
+        once = project_rows_to_simplex(v, mask)
+        assert np.all(once >= 0) and np.all(once[~mask] == 0.0)
+        for row in once:
+            assert abs(math.fsum(row.tolist()) - 1.0) <= 1e-9
+        np.testing.assert_array_equal(project_rows_to_simplex(once, mask), once)
+        for row, row_mask, row_v in zip(once, mask, v):
+            np.testing.assert_array_equal(
+                row[row_mask], project_to_simplex(row_v[row_mask])
+            )
+
+    def test_rejects_empty_row_and_non_finite_entry(self):
+        with pytest.raises(ValueError):
+            project_rows_to_simplex(np.ones((2, 2)), [[True, True], [False, False]])
+        with pytest.raises(ValueError):
+            project_rows_to_simplex(np.array([[np.inf, 0.0]]), True)
+
+
+class TestTrainSolvesEachBatch:
+    """One epoch in one batch: the weights are solved against the codes
+    of the seeded initial encoder, which the test can rebuild."""
+
+    def _train_one_batch(self, solver):
+        spec = SyntheticSpec(40, 6, 5, labels_per_sample=(1, 4), seed=2)
+        samples = generate_synthetic(spec)
+        center_set = generate_centers(16, 5, seed=2)
+        cfg = TrainConfig(epochs=1, batch_size=40, hidden=(8,), solver=solver, seed=4)
+        state = train(samples, center_set, cfg)
+        params = init_params([6, 8, 16], np.random.default_rng(4))
+        codes, _ = forward_batch(params, np.array([s.features for s in samples]))
+        rows = [distance_vector(b, a) for b, a in zip(codes, state.assignments)]
+        return state.weight_table, rows
+
+    def test_exact_mode_rows_reach_the_optimum(self):
+        cfg = WeightSolverConfig(lam=0.5, beta=1.0, gradient_mode="exact")
+        table, distances = self._train_one_batch(cfg)
+        for w, d in zip(table, distances):
+            best = weight_objective(exact_optimum(d, cfg.lam, cfg.beta), d, cfg)
+            assert abs(weight_objective(w, d, cfg) - best) <= 1e-9
+
+    def test_paper_mode_rows_match_per_sample_solves(self):
+        cfg = WeightSolverConfig(lam=0.5, gradient_mode="paper")
+        table, distances = self._train_one_batch(cfg)
+        for w, d in zip(table, distances):
+            np.testing.assert_allclose(w, solve_weights(d, cfg).w, rtol=0, atol=1e-12)
