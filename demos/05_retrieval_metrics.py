@@ -13,10 +13,9 @@ from icshash import (
     generate_centers,
     generate_synthetic,
     labels_matrix,
-    map_at_k,
     pack_database,
-    precision_at_k,
     rank_database,
+    retrieval_metrics,
     train,
 )
 from icshash.encoder import encode_binary
@@ -39,10 +38,9 @@ for mode in ("learned", "equal"):
     )
     state = train(samples, center_set, cfg)
     db = pack_database(encode_binary(state.params, features_matrix(samples)))
-    scores[mode] = (
-        map_at_k(db, labels, db, labels, k=100),
-        precision_at_k(db, labels, db, labels, k=100),
-    )
+    # one ranking of every query gives both metrics
+    metrics = retrieval_metrics(db, labels, db, labels, k=100)
+    scores[mode] = (metrics["map_at_k"], metrics["precision_at_k"])
     if mode == "learned":
         ranking = rank_database(db.code(0), db, query_index=0)
         print("query 0 top-8 neighbors (index, distance):")

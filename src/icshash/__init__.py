@@ -74,6 +74,7 @@ from .retrieval import (
     precision_at_k,
     rank_database,
     relevant,
+    retrieval_metrics,
     save_codes,
     unpack_database,
 )

@@ -43,7 +43,13 @@ from .encoder import (
 )
 from .errors import ConfigError, DataError, EvaluationError, ParseError, ToolkitError
 from .loss import LossConfig
-from .retrieval import map_at_k, pack_database, precision_at_k, save_codes
+from .retrieval import (
+    map_at_k,  # unused: perfbench/traced.py rebinds this name by getattr
+    pack_database,
+    precision_at_k,  # unused: perfbench/traced.py rebinds this name by getattr
+    retrieval_metrics,
+    save_codes,
+)
 from .weights import WeightSolverConfig, solve_weights
 
 _FLOAT_FMT = "%.17g"
@@ -243,10 +249,7 @@ def _cmd_eval(args) -> int:
     query_labels = labels_matrix(queries)
     db_labels = labels_matrix(database)
     metrics = {
-        "map_at_k": map_at_k(query_codes, query_labels, db_codes, db_labels, args.k),
-        "precision_at_k": precision_at_k(
-            query_codes, query_labels, db_codes, db_labels, args.k
-        ),
+        **retrieval_metrics(query_codes, query_labels, db_codes, db_labels, args.k),
         "k": args.k,
         "n_queries": len(queries),
         "n_database": len(database),

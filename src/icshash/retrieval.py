@@ -8,6 +8,7 @@ relevant database items), and queries with no relevant item are
 excluded from the mean.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,16 +93,21 @@ def hamming(a: BinaryCode, b: BinaryCode) -> int:
 
 
 def _hamming_rows(k_bits: int, query_words: np.ndarray, db: CodeDatabase) -> np.ndarray:
-    """(Q, N) distances from Q packed K-bit query rows to every database code."""
+    """(Q, N) distances from Q packed K-bit query rows to every database
+    code, summed one word at a time in the narrowest unsigned type that
+    holds K (uint8 below 256 bits, uint16 below 65536)."""
     if k_bits != db.k_bits:
         raise ValueError(f"code length mismatch: {k_bits} vs {db.k_bits}")
-    xor = query_words[:, None, :] ^ db.words[None, :, :]
-    return np.bitwise_count(xor).sum(axis=2, dtype=np.int64)
+    dist = np.bitwise_count(query_words[:, 0, None] ^ db.words[:, 0])
+    dist = dist.astype(np.min_scalar_type(k_bits), copy=False)
+    for w in range(1, db.words.shape[1]):
+        dist += np.bitwise_count(query_words[:, w, None] ^ db.words[:, w])
+    return dist
 
 
 def hamming_to_all(query: BinaryCode, db: CodeDatabase) -> np.ndarray:
     """Distances from one query to every database code."""
-    return _hamming_rows(query.k_bits, query.words[None, :], db)[0]
+    return _hamming_rows(query.k_bits, query.words[None, :], db)[0].astype(np.int64)
 
 
 def rank_database(query: BinaryCode, db: CodeDatabase, query_index: int = -1) -> RankedResult:
@@ -125,34 +131,72 @@ def relevant(query_labels, db_labels) -> bool:
 def _top_k_relevance(query_codes, query_labels, db_codes, db_labels, k):
     """Relevance flags of each query's top-min(k, N) items in (distance,
     index) order, and its count of relevant database items; queries
-    without a relevant item are dropped. The key ``dist * N + index`` is
-    unique, so sorting only the partitioned top k keys keeps that order."""
+    without a relevant item are dropped; also ``k`` as an int. The key
+    ``dist * N + index`` is unique, so sorting only the partitioned top k
+    keys keeps that order."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
     if k < 1:
         raise ValueError("k must be at least 1")
     n = len(db_codes)
     if n == 0:
         raise ValueError("empty database")
+    if len(query_codes) == 0:
+        raise ValueError("no queries")
     query_positive = np.atleast_2d(np.asarray(query_labels)) > 0
-    db_positive = (np.atleast_2d(np.asarray(db_labels)) > 0).astype(np.float64)
+    db_positive = (np.atleast_2d(np.asarray(db_labels)) > 0).astype(np.float32)
     if query_positive.shape[1] != db_positive.shape[1]:
         raise ValueError("label dimension mismatch")
     if (len(query_positive), len(db_positive)) != (len(query_codes), n):
         raise ValueError("label rows do not match the number of codes")
     top = min(k, n)
+    key_type = np.min_scalar_type((db_codes.k_bits + 1) * n)
+    index = np.arange(n, dtype=key_type)
     flags, counts = [], []
     for start in range(0, len(query_codes), _QUERY_CHUNK):
         rows = slice(start, start + _QUERY_CHUNK)
         dist = _hamming_rows(query_codes.k_bits, query_codes.words[rows], db_codes)
-        key = np.partition(dist * n + np.arange(n), top - 1, axis=1)[:, :top]
-        # shared-label counts are at most M, so the float64 product is exact
-        rel = query_positive[rows].astype(np.float64) @ db_positive.T > 0
+        key = dist * key_type.type(n)
+        key += index
+        key = np.partition(key, top - 1, axis=1)[:, :top]
+        # shared-label counts are at most M, so the float32 product is
+        # exact while M < 2**24
+        rel = query_positive[rows].astype(np.float32) @ db_positive.T > 0
         flags.append(np.take_along_axis(rel, np.sort(key, axis=1) % n, axis=1))
-        counts.append(rel.sum(axis=1))
+        counts.append(np.count_nonzero(rel, axis=1))
     flags, n_relevant = np.concatenate(flags), np.concatenate(counts)
     keep = n_relevant > 0
     if not keep.any():
         raise EvaluationError("no query has a relevant database item")
-    return flags[keep], n_relevant[keep]
+    return flags[keep], n_relevant[keep], k
+
+
+def retrieval_metrics(
+    query_codes: CodeDatabase,
+    query_labels,
+    db_codes: CodeDatabase,
+    db_labels,
+    k: int,
+) -> dict:
+    """mAP@k and P@k from one ranking of every query, as
+    ``{"map_at_k": ..., "precision_at_k": ...}``.
+
+    AP@k = sum_{r<=k} Precision@r * rel(r) / min(k, relevant-in-db) and
+    P@k = (relevant items in the top k) / k, each averaged over the
+    queries that have at least one relevant database item; if no query
+    has one the metrics are undefined (``EvaluationError``).
+    """
+    flags, n_relevant, k = _top_k_relevance(
+        query_codes, query_labels, db_codes, db_labels, k
+    )
+    precision = np.cumsum(flags, axis=1) / np.arange(1, flags.shape[1] + 1)
+    ap = np.sum(precision * flags, axis=1) / np.minimum(k, n_relevant)
+    return {
+        "map_at_k": float(np.mean(ap)),
+        "precision_at_k": float(np.mean(flags.sum(axis=1) / k)),
+    }
 
 
 def map_at_k(
@@ -162,16 +206,9 @@ def map_at_k(
     db_labels,
     k: int,
 ) -> float:
-    """Mean average precision over the top-k ranked results.
-
-    AP@k = sum_{r<=k} Precision@r * rel(r) / min(k, relevant-in-db);
-    queries without any relevant database item are skipped, and if no
-    query has one the metric is undefined.
-    """
-    flags, n_relevant = _top_k_relevance(query_codes, query_labels, db_codes, db_labels, k)
-    precision = np.cumsum(flags, axis=1) / np.arange(1, flags.shape[1] + 1)
-    ap = np.sum(precision * flags, axis=1) / np.minimum(k, n_relevant)
-    return float(np.mean(ap))
+    """Mean average precision over the top-k ranked results; see
+    ``retrieval_metrics``."""
+    return retrieval_metrics(query_codes, query_labels, db_codes, db_labels, k)["map_at_k"]
 
 
 def precision_at_k(
@@ -181,10 +218,10 @@ def precision_at_k(
     db_labels,
     k: int,
 ) -> float:
-    """Fraction of relevant items in the top-k, averaged over queries
-    that have at least one relevant database item."""
-    flags, _ = _top_k_relevance(query_codes, query_labels, db_codes, db_labels, k)
-    return float(np.mean(flags.sum(axis=1) / k))
+    """Fraction of relevant items in the top-k; see ``retrieval_metrics``."""
+    return retrieval_metrics(query_codes, query_labels, db_codes, db_labels, k)[
+        "precision_at_k"
+    ]
 
 
 def save_codes(path, db: CodeDatabase) -> None:

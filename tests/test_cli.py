@@ -2,9 +2,12 @@
 byte-identical reruns."""
 
 import csv
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,12 @@ from icshash import (
     SyntheticSpec,
     generate_centers,
     generate_synthetic,
+    labels_matrix,
     load_checkpoint,
+    load_codes,
+    load_dataset,
+    map_at_k,
+    precision_at_k,
     save_centers,
     save_dataset,
 )
@@ -294,6 +302,28 @@ class TestEvalCommand:
             )
         assert a.read_bytes() == b.read_bytes()
 
+    def test_metrics_equal_the_library_wrappers(self, workdir):
+        tmp_path, data, centers = workdir
+        prefix = tmp_path / "model"
+        run(
+            ["train", "--data", data, "--centers", centers, "--out-prefix", prefix,
+             "--epochs", 2, "--hidden", "8", "--seed", 3]
+        )
+        out = tmp_path / "metrics.json"
+        run(
+            ["eval", "--checkpoint", f"{prefix}.ckpt", "--queries", data,
+             "--database", data, "--k", 7, "--out", out,
+             "--dump-codes", tmp_path / "codes"]
+        )
+        metrics = json.loads(out.read_text())
+        labels = labels_matrix(load_dataset(data))
+        args = (
+            load_codes(tmp_path / "codes.queries.txt"), labels,
+            load_codes(tmp_path / "codes.database.txt"), labels, 7,
+        )
+        assert metrics["map_at_k"] == map_at_k(*args)
+        assert metrics["precision_at_k"] == precision_at_k(*args)
+
     def test_missing_checkpoint(self, workdir, tmp_path):
         _, data, _ = workdir
         code = run(
@@ -465,3 +495,14 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_names_the_traced_benchmark_rebinds_resolve(self):
+        # perfbench/traced.py times each layer by rebinding these names;
+        # dropping one breaks every traced benchmark command
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+        spec = importlib.util.spec_from_file_location("perfbench_traced", path)
+        traced = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(traced)
+        assert traced.PATCHES
+        for module, attr, _ in traced.PATCHES:
+            assert callable(getattr(importlib.import_module(module), attr)), (module, attr)

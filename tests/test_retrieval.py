@@ -1,7 +1,8 @@
 """Retrieval tests: packed distances against a naive per-bit loop,
 metric axioms checked exhaustively for 8-bit codes, ranking against a
 naive sort, hand-traced average precision, the batched metrics against
-a per-query rank_database reference, and the codes file format."""
+a per-query reference ranking of the unpacked codes, and the codes file
+format."""
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from icshash import (
     precision_at_k,
     rank_database,
     relevant,
+    retrieval_metrics,
     save_codes,
     unpack_database,
 )
+from icshash.retrieval import hamming_to_all
 
 
 def naive_hamming(a, b):
@@ -29,6 +32,13 @@ def naive_hamming(a, b):
 
 def random_codes(rng, n, k):
     return 2 * rng.integers(0, 2, size=(n, k)).astype(np.int64) - 1
+
+
+def biased_codes(rng, n, k):
+    # each row draws its own share of +1 bits, so distances between rows
+    # span 0..K instead of clustering near K/2
+    share = rng.random((n, 1))
+    return 2 * (rng.random((n, k)) < share).astype(np.int64) - 1
 
 
 class TestHamming:
@@ -128,6 +138,21 @@ class TestRankDatabase:
         empty = CodeDatabase(2, np.empty((0, 1), dtype=np.uint64))
         with pytest.raises(ValueError):
             rank_database(pack_code([1, -1]), empty)
+
+    @pytest.mark.parametrize("k", [8, 64, 65, 300])
+    def test_distances_are_int64(self, k):
+        rng = np.random.default_rng(k)
+        codes = biased_codes(rng, 40, k)
+        codes[-1] = -codes[0]  # distance K, past 255 at K = 300
+        db = pack_database(codes)
+        query = pack_code(codes[0])
+        naive = np.array([naive_hamming(codes[0], c) for c in codes])
+        dist = hamming_to_all(query, db)
+        ranking = rank_database(query, db)
+        assert dist.dtype == np.int64
+        assert ranking.distances.dtype == np.int64
+        np.testing.assert_array_equal(dist, naive)
+        np.testing.assert_array_equal(ranking.distances, np.sort(naive))
 
 
 class TestRelevant:
@@ -277,15 +302,18 @@ class TestPrecisionAtK:
 
 
 def reference_metrics(query_codes, query_labels, db_codes, db_labels, k):
-    """(mAP@k, P@k) from one rank_database call per query and the
-    per-query AP@k / P@k formulas; None if no query has a relevant item."""
+    """(mAP@k, P@k) from one stable sort per query of its per-bit
+    distances to the unpacked database codes and the per-query AP@k /
+    P@k formulas; None if no query has a relevant item."""
     rel = (query_labels > 0).astype(np.int64) @ (db_labels > 0).astype(np.int64).T > 0
+    query_bits, db_bits = unpack_database(query_codes), unpack_database(db_codes)
     ap_values, p_values = [], []
     for qi in range(len(query_codes)):
         n_relevant = int(rel[qi].sum())
         if n_relevant == 0:
             continue
-        top = rank_database(query_codes.code(qi), db_codes, qi).indices[:k]
+        dist = np.sum(query_bits[qi] != db_bits, axis=1)
+        top = np.argsort(dist, kind="stable")[:k]
         flags = rel[qi][top].astype(np.float64)
         precision = np.cumsum(flags) / np.arange(1, top.size + 1)
         ap_values.append(float(np.sum(precision * flags)) / min(k, n_relevant))
@@ -293,6 +321,22 @@ def reference_metrics(query_codes, query_labels, db_codes, db_labels, k):
     if not ap_values:
         return None
     return float(np.mean(ap_values)), float(np.mean(p_values))
+
+
+def check_against_reference(args):
+    """Both metrics equal the reference with ``==``, one call for both
+    equals the two wrappers, and all three raise when it is undefined;
+    returns whether the instance was defined."""
+    expected = reference_metrics(*args)
+    if expected is None:
+        for metric in (retrieval_metrics, map_at_k, precision_at_k):
+            with pytest.raises(EvaluationError):
+                metric(*args)
+        return False
+    both = retrieval_metrics(*args)
+    assert (both["map_at_k"], both["precision_at_k"]) == expected
+    assert (map_at_k(*args), precision_at_k(*args)) == expected
+    return True
 
 
 class TestBatchedMetricsMatchPerQueryReference:
@@ -312,33 +356,50 @@ class TestBatchedMetricsMatchPerQueryReference:
             db_labels = (rng.random((n_db, m)) < density).astype(np.int8)
             k = int(rng.integers(1, 2 * n_db + 2))
             args = (query_codes, query_labels, db_codes, db_labels, k)
-            expected = reference_metrics(*args)
-            if expected is None:
-                undefined += 1
-                with pytest.raises(EvaluationError):
-                    map_at_k(*args)
-                with pytest.raises(EvaluationError):
-                    precision_at_k(*args)
-            else:
-                assert (map_at_k(*args), precision_at_k(*args)) == expected
+            undefined += not check_against_reference(args)
         assert 0 < undefined < 300
 
-    @pytest.mark.parametrize("metric", [map_at_k, precision_at_k])
-    def test_argument_errors(self, metric):
-        from icshash import CodeDatabase
+    @pytest.mark.parametrize("k_bits", [63, 64, 65, 130, 300])
+    def test_multi_word_codes_bit_identical(self, k_bits):
+        # codes of one, two, three and five 64-bit words; at K = 300 some
+        # distances exceed 255, where an 8-bit accumulator would wrap
+        rng = np.random.default_rng(k_bits)
+        max_dist = defined = 0
+        for _ in range(20):
+            n_q, n_db = int(rng.integers(1, 151)), int(rng.integers(1, 81))
+            m = int(rng.integers(1, 101))
+            density = rng.uniform(0.02, 0.2)
+            query_raw = biased_codes(rng, n_q, k_bits)
+            db_raw = biased_codes(rng, n_db, k_bits)
+            query_labels = (rng.random((n_q, m)) < density).astype(np.int8)
+            db_labels = (rng.random((n_db, m)) < density).astype(np.int8)
+            k = int(rng.integers(1, 2 * n_db + 2))
+            args = (
+                pack_database(query_raw), query_labels,
+                pack_database(db_raw), db_labels, k,
+            )
+            defined += check_against_reference(args)
+            distances = (query_raw[:, None, :] != db_raw[None, :, :]).sum(axis=2)
+            max_dist = max(max_dist, int(distances.max()))
+        assert defined > 10
+        assert max_dist >= 256 or k_bits < 256
 
+    @pytest.mark.parametrize("metric", [retrieval_metrics, map_at_k, precision_at_k])
+    def test_argument_errors(self, metric):
         db = pack_database([[1, -1, 1], [-1, -1, 1]])
         labels = np.array([[1, 0], [0, 1]])
         empty = CodeDatabase(3, np.empty((0, 1), dtype=np.uint64))
         cases = [
-            (db, labels, db, labels, 0),
-            (db, labels, empty, np.empty((0, 2)), 1),
-            (db, labels, db, np.array([[1, 0, 0], [0, 1, 0]]), 1),
-            (pack_database([[1, -1], [1, 1]]), labels, db, labels, 1),
-            (db, labels[:1], db, labels, 1),
+            ((db, labels, db, labels, 0), "k must be at least 1"),
+            ((db, labels, db, labels, 1.5), "k must be an integer"),
+            ((db, labels, empty, np.empty((0, 2)), 1), "empty database"),
+            ((empty, np.empty((0, 2)), db, labels, 1), "no queries"),
+            ((db, labels, db, np.array([[1, 0, 0], [0, 1, 0]]), 1), "label dimension"),
+            ((pack_database([[1, -1], [1, 1]]), labels, db, labels, 1), "code length"),
+            ((db, labels[:1], db, labels, 1), "label rows"),
         ]
-        for case in cases:
-            with pytest.raises(ValueError):
+        for case, message in cases:
+            with pytest.raises(ValueError, match=message):
                 metric(*case)
 
 
