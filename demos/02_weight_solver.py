@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 # Solve per-sample center weights for a few distance vectors and watch
 # how the entropy strength moves the solution between "all mass on the
-# nearest center" and "uniform over all centers".
+# nearest center" and "uniform over all centers". Exact mode solves each
+# vector's optimality root by safeguarded Newton, so "iters" counts
+# Newton steps (2-5 here).
 import numpy as np
 
 from icshash import WeightSolverConfig, solve_weights

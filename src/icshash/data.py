@@ -8,6 +8,7 @@ how much of that label is in the sample" is a measurable question.
 """
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,13 +238,22 @@ def load_dataset(path) -> list[MultiLabelSample]:
 
 def load_dataset_csv(path, m_labels: int) -> list[MultiLabelSample]:
     """Headerless CSV fallback: each row is D feature values followed
-    by M 0/1 label values; no proportions. Blank lines are skipped."""
+    by M 0/1 label values; no proportions. Blank lines are skipped.
+
+    The format does not carry D, so the column count is the most common
+    one, ties going to the earliest row: in a file of 3 or more rows, a
+    single row of the wrong width is named on its own line, the first
+    row included."""
     lines, numbers = _read_nonblank(path)
     if not lines:
         raise ParseError("empty CSV file", line=1)
-    width = len(lines[0].split(","))
+    commas = [line.count(",") for line in lines]
+    width = Counter(commas).most_common(1)[0][0] + 1  # ties: first seen
     if width <= m_labels:
-        raise ParseError(f"row has {width} columns, need more than M={m_labels}", line=numbers[0])
+        raise ParseError(
+            f"row has {width} columns, need more than M={m_labels}",
+            line=numbers[commas.index(width - 1)],
+        )
     values = _parse_rows(lines, numbers, width, np.float64, delimiter=",")
     features = values[:, : width - m_labels]
     labels = values[:, width - m_labels :]

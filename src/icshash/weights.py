@@ -19,34 +19,27 @@ whose gradient is ``beta * d_j * sigmoid(beta * w.d) + lam * (1 + log w_j)``.
 The reported objective trace is always F, so traces from either mode
 are directly comparable.
 
-``solve_weights`` solves one instance iteratively. Paper mode applies
-the printed update verbatim: a Euclidean gradient step followed by an
-exact projection onto the simplex. Exact mode takes entropic
-mirror-descent steps (Beck & Teboulle, 2003): ``log w <- log w - step *
-grad``, then normalization, which is the KL projection onto the
-simplex. The solver keeps the log-weights as its state, so the state
-never holds an exact zero; a returned weight that underflows is clamped
-to the weight floor when it seeds a warm start. The entropy term's
-curvature ``lam / w_j`` grows without bound as a coordinate shrinks; in
-log space it is the constant ``lam``, so a mirror step of ``1/lam``
-lands on the minimizer for the current sigmoid value, while a Euclidean
-step near a tiny coordinate can only crawl.
-
 ``solve_weights_batch`` solves a batch given as a (B, M) distance
-matrix and a (B, M) label mask. Paper mode takes the same projected
-steps on every row at once, with a masked-row projection (Duchi et al.,
-ICML 2008; Condat, Math. Program. 2016); each row stops on its own
-``tol``/``max_iters`` rule and is frozen from then on, so every row is
-the per-sample result. Exact mode does not iterate on the weights: for
-``lam > 0`` F has one minimizer, ``w(s) = softmax(-beta s d / lam)``,
-where s is the root of ``g(s) = s - sigmoid(beta w(s).d)``. Since
-``g'(s) = 1 + sigmoid'(beta w.d) beta^2 Var_w(d) / lam >= 1`` and
-``d >= 0`` puts the root in [1/2, 1], safeguarded Newton finds it for
-all rows together. With ``lam = 0`` the weights split uniformly over
-each row's tied minimal distances, the limit as lam goes to 0.
+matrix and a (B, M) label mask; ``solve_weights`` is its one-row call,
+which also reports the iteration count and the objective trace. Paper
+mode applies the printed update verbatim on every row at once: a
+Euclidean gradient step followed by an exact projection onto the
+row's masked simplex (Duchi et al., ICML 2008; Condat, Math. Program.
+2016). Each row stops on its own ``tol``/``max_iters`` rule and is
+frozen from then on.
+
+Exact mode does not iterate on the weights: for ``lam > 0`` F has one
+minimizer, ``w(s) = softmax(-beta s d / lam)``, where s is the root of
+``g(s) = s - sigmoid(beta w(s).d)``. Since ``g'(s) = 1 + sigmoid'(beta
+w.d) beta^2 Var_w(d) / lam >= 1`` and ``d >= 0`` puts the root in
+[1/2, 1], safeguarded Newton finds it for all rows together. An
+iteration is one Newton step, and the trace holds F at ``w(s)`` of
+each step. The start only places the first guess, so ``eta``,
+``max_iters`` and ``tol`` do not apply. With ``lam = 0`` the weights
+split uniformly over each row's tied minimal distances, the limit as
+lam goes to 0, in one iteration.
 """
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -60,8 +53,6 @@ GRADIENT_MODES = ("paper", "exact")
 # tolerance is treated as already feasible; the projection returns it
 # unchanged, which makes the projection exactly idempotent.
 _FEASIBLE_TOL = 1e-12
-
-_MAX_STEP_ADJUSTMENTS = 60
 
 # Safeguarded Newton on the exact-mode root: a row stops once its step
 # is within a few ulps of s in [1/2, 1]. Bisection alone gets there in
@@ -83,19 +74,15 @@ class WeightSolverConfig:
     """Knobs of the weight subproblem.
 
     lam: entropy strength; 0 disables the regularizer.
-    eta: base gradient step: Euclidean in paper mode, in log-weight
-        space in exact mode.
+    eta: Euclidean gradient step of paper mode.
     beta: sigmoid bandwidth of the exact-mode objective (the paper-mode
         gradient formula has no bandwidth).
     tol: relative objective-change stopping threshold.
     gradient_mode: "paper" or "exact".
     weight_floor: weights are clamped here before logs are taken.
 
-    Exact mode in ``solve_weights`` halves or doubles its mirror step
-    so the objective never increases; paper mode applies the printed
-    update verbatim. ``solve_weights_batch`` solves exact mode at its
-    optimality root, so eta, max_iters and tol apply there to paper
-    mode only.
+    eta, max_iters and tol apply to paper mode only: exact mode solves
+    its optimality root to machine precision (see the module docstring).
     """
 
     lam: float = 0.01
@@ -233,99 +220,25 @@ def solve_weights(
     cfg: WeightSolverConfig | None = None,
     w_init: Sequence[float] | None = None,
 ) -> WeightSolveResult:
-    """Minimize the per-sample weight objective over the simplex.
+    """Minimize the weight objective of one sample over the simplex: the
+    one-row call of ``solve_weights_batch``.
 
-    Starts from uniform weights (or ``w_init``, projected) and iterates
-    until the relative objective change drops below ``cfg.tol`` or
-    ``cfg.max_iters`` is reached. Returns the final weights, the number
-    of iterations taken, and the objective value at the start plus
-    after every iteration.
-
-    Paper mode iterates a fixed gradient step + Euclidean projection.
-    Exact mode iterates entropic mirror-descent steps from the log of
-    the floor-clamped start, so a warm start holding a zero coordinate
-    can still move it; each line search starts at the step accepted on
-    the previous iteration (``eta`` on the first), halves it until the
-    objective does not increase and doubles it while that strictly
-    helps, so the trace is non-increasing.
+    Starts from uniform weights (or ``w_init``, projected) and returns
+    the final weights, the number of iterations taken, and the objective
+    F at the start plus after every iteration. In paper mode an
+    iteration is one projected step; in exact mode it is one Newton step
+    on the optimality root, and the trace holds F at that step's
+    weights.
     """
-    if cfg is None:
-        cfg = WeightSolverConfig()
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 1 or d.size == 0:
         raise ValueError("need at least one distance")
-    if np.any(d < 0) or not np.all(np.isfinite(d)):
-        raise ValueError("distances must be finite and nonnegative")
-    c = d.size
-    if w_init is None:
-        w = np.full(c, 1.0 / c)
-    else:
-        w = project_to_simplex(np.asarray(w_init, dtype=np.float64))
-    exact = cfg.gradient_mode == "exact"
-    if exact:
-        log_w, w = _mirror_point(np.log(np.maximum(w, cfg.weight_floor)))
-        step = cfg.eta
-    f = weight_objective(w, d, cfg)
-    trace = [f]
-    iterations = 0
-    for t in range(1, cfg.max_iters + 1):
-        iterations = t
-        g = weight_gradient(w, d, cfg)
-        if exact:
-            (log_w, w_new), f_new, step = _monotone_step((log_w, w), f, g, d, cfg, step)
-        else:
-            w_new = project_to_simplex(w - cfg.eta * g)
-            f_new = weight_objective(w_new, d, cfg)
-        rel = _relative_change(f_new, f)
-        w, f = w_new, f_new
-        trace.append(f)
-        if rel < cfg.tol:
-            break
-    return WeightSolveResult(w, iterations, np.array(trace))
-
-
-def _mirror_point(z):
-    """Normalize log-weights onto the simplex (the KL projection).
-
-    Returns the normalized log-weights and their exponentials.
-    """
-    z = z - z.max()
-    e = np.exp(z)
-    total = float(e.sum())
-    return z - math.log(total), e / total
-
-
-def _monotone_step(point, f, g, d, cfg, step):
-    """One mirror step that never increases the objective.
-
-    ``point`` is the pair (log-weights, weights). Tries ``step`` first;
-    if it overshoots, halves until the objective stops increasing, and
-    if it already helps, doubles while each doubling strictly improves.
-    Falls back to no movement when no decreasing step exists (i.e. the
-    point is already a minimizer). Returns the new point, its objective
-    and the step taken, which starts the next line search.
-    """
-    log_w = point[0]
-    cand = _mirror_point(log_w - step * g)
-    f_cand = weight_objective(cand[1], d, cfg)
-    if f_cand > f:
-        start = step
-        for _ in range(_MAX_STEP_ADJUSTMENTS):
-            step *= 0.5
-            cand = _mirror_point(log_w - step * g)
-            f_cand = weight_objective(cand[1], d, cfg)
-            if f_cand <= f:
-                return cand, f_cand, step
-        return point, f, start
-    for _ in range(_MAX_STEP_ADJUSTMENTS):
-        wider = _mirror_point(log_w - 2.0 * step * g)
-        f_wider = weight_objective(wider[1], d, cfg)
-        if f_wider < f_cand:
-            step *= 2.0
-            cand, f_cand = wider, f_wider
-        else:
-            break
-    return cand, f_cand, step
+    if w_init is not None:
+        w_init = np.asarray(w_init, dtype=np.float64)[None]
+    w, iterations, history = _solve_rows(
+        d[None], np.ones((1, d.size), dtype=bool), cfg, w_init, traced=True
+    )
+    return WeightSolveResult(w[0], int(iterations[0]), history[: iterations[0] + 1, 0])
 
 
 def solve_weights_batch(
@@ -342,11 +255,23 @@ def solve_weights_batch(
     masked simplex; without it each row starts uniform over its mask.
     Returns (B, M) weights, zero off the mask.
 
-    Paper mode takes ``solve_weights``'s projected steps on all rows at
-    once and gives each row its per-sample result. Exact mode returns
-    each row's minimizer from its optimality root (see the module
-    docstring), using the warm start only to place the first Newton
-    guess; a row with one center gets exactly 1.0.
+    Paper mode takes the projected steps on all rows at once, each row
+    stopping on its own rule. Exact mode returns each row's minimizer
+    from its optimality root (see the module docstring), using the warm
+    start only to place the first Newton guess; a row with one center
+    gets exactly 1.0.
+    """
+    return _solve_rows(d, mask, cfg, w_init, traced=False)[0]
+
+
+def _solve_rows(d, mask, cfg, w_init, traced):
+    """The solver behind both public calls.
+
+    Returns the (B, M) weights, each row's iteration count, and, when
+    ``traced``, a (T + 1, B) history of F: row r's trace is the first
+    ``iterations[r] + 1`` entries of column r, and later entries repeat
+    its last. Untraced, the history is None and F is evaluated only
+    where paper mode needs it to stop.
     """
     if cfg is None:
         cfg = WeightSolverConfig()
@@ -364,10 +289,24 @@ def solve_weights_batch(
     if w_init is None:
         w = mask / mask.sum(axis=1, keepdims=True)
     else:
+        w_init = np.asarray(w_init, dtype=np.float64)
+        if w_init.shape != d.shape:
+            raise ValueError(
+                f"w_init has shape {w_init.shape}, distances have shape {d.shape}"
+            )
         w = project_rows_to_simplex(w_init, mask)
-    if cfg.gradient_mode == "exact":
-        return _root_weights(d, mask, w, cfg)
+    solve = _root_weights if cfg.gradient_mode == "exact" else _projected_steps
+    w, iterations, history = solve(d, mask, w, cfg, traced)
+    return w, iterations, np.array(history) if traced else None
+
+
+def _projected_steps(d, mask, w, cfg: WeightSolverConfig, traced):
+    """Paper mode: the printed projected step on every active row; a row
+    leaves the active set once its relative objective change drops below
+    ``tol``."""
     f = _row_objectives(w, d, mask, cfg)
+    history = [f.copy()] if traced else None
+    iterations = np.zeros(len(d), dtype=np.int64)
     active = np.arange(len(d))
     for _ in range(cfg.max_iters):
         wa, da, ma = w[active], d[active], mask[active]
@@ -375,20 +314,27 @@ def solve_weights_batch(
         f_new = _row_objectives(w_new, da, ma, cfg)
         rel = _relative_change(f_new, f[active])
         w[active], f[active] = w_new, f_new
+        iterations[active] += 1
+        if traced:
+            history.append(f.copy())
         active = active[rel >= cfg.tol]
         if active.size == 0:
             break
-    return w
+    return w, iterations, history
 
 
-def _root_weights(d, mask, w, cfg: WeightSolverConfig):
-    """Exact-mode minimizer of every row; ``d`` is zero off the mask and
-    the rows of ``w`` (on the simplex) seed the first guess s =
-    sigmoid(beta w.d)."""
+def _root_weights(d, mask, w, cfg: WeightSolverConfig, traced):
+    """Exact mode: every row's minimizer by safeguarded Newton on its
+    optimality root. ``d`` is zero off the mask and the rows of ``w``
+    (on the simplex) seed the first guess s = sigmoid(beta w.d)."""
+    history = [_row_objectives(w, d, mask, cfg)] if traced else None
     d_min = np.min(np.where(mask, d, np.inf), axis=1, keepdims=True)
     if cfg.lam == 0:
         ties = mask & (d == d_min)
-        return ties / ties.sum(axis=1, keepdims=True)
+        w = ties / ties.sum(axis=1, keepdims=True)
+        if traced:
+            history.append(_row_objectives(w, d, mask, cfg))
+        return w, np.ones(len(d), dtype=np.int64), history
     gap = np.where(mask, d - d_min, 0.0)
 
     def weights_at(s):
@@ -400,6 +346,8 @@ def _root_weights(d, mask, w, cfg: WeightSolverConfig):
     lo, hi = np.full(len(d), 0.5), np.ones(len(d))
     s = _sigmoid(cfg.beta * np.sum(w * d, axis=1))
     active = np.ones(len(d), dtype=bool)
+    iterations = np.zeros(len(d), dtype=np.int64)
+    iterates = []
     for _ in range(_MAX_ROOT_ITERS):
         w = weights_at(s)
         omega = np.sum(w * d, axis=1)
@@ -413,7 +361,11 @@ def _root_weights(d, mask, w, cfg: WeightSolverConfig):
         s_next = np.where(g == 0, s, np.where(inside, newton, 0.5 * (lo + hi)))
         moved = np.abs(s_next - s)
         s = np.where(active, s_next, s)
+        iterations += active
+        iterates.append(s)
         active &= moved > _ROOT_TOL
         if not active.any():
             break
-    return weights_at(s)
+    if traced:
+        history += [_row_objectives(weights_at(t), d, mask, cfg) for t in iterates]
+    return weights_at(s), iterations, history

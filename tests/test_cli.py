@@ -5,6 +5,7 @@ import csv
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -474,12 +475,22 @@ class TestWeightReportCommand:
         assert code == 3
 
 
+def src_env():
+    """The environment with src/ first on PYTHONPATH, so that a child
+    interpreter imports the library under test, installed or not."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "icshash.cli", "--version"],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "0.1.0"
@@ -491,7 +502,7 @@ class TestEntryPoint:
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         )
         result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True
+            [sys.executable, "-c", script], capture_output=True, text=True, env=src_env()
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"

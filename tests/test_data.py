@@ -157,6 +157,21 @@ class TestDatasetFile:
             load_dataset_csv(path, m_labels=2)
         assert exc_info.value.line == 3
 
+    def test_csv_first_row_of_wrong_width_is_named(self, tmp_path):
+        path = tmp_path / "first.csv"
+        for first in ("0.1,0.2,1,0", "0.1,0.2,0.3,0.4,1,0"):
+            path.write_text(f"{first}\n0.5,1.5,2.5,1,0\n-0.25,0.75,0.5,0,1\n")
+            with pytest.raises(ParseError) as exc_info:
+                load_dataset_csv(path, m_labels=2)
+            assert exc_info.value.line == 1
+
+    def test_csv_width_tie_goes_to_the_earliest_row(self, tmp_path):
+        path = tmp_path / "tie.csv"
+        path.write_text("0.1,0.2,1,0\n0.5,1.5,2.5,1,0\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_dataset_csv(path, m_labels=2)
+        assert exc_info.value.line == 2
+
     def test_csv_rejects_non_finite_feature(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.5,1.5,1,0\n-0.25,nan,0,1\n")

@@ -45,8 +45,9 @@ CORRUPTIONS = {
     "sizes": ["token", "blank"],  # a changed size count moves the blame to a layer line
     "values": ["drop", "add", "token", "blank"],
     "bits": ["drop", "add", "token", "blank"],
-    # a headerless CSV takes its column count from its first row, and
-    # blank lines are skipped
+    # a headerless CSV takes its column count from its most common row
+    # width, ties going to the earliest row, and blank lines are skipped;
+    # so below 3 rows a changed width in row 1 is blamed on another row
     "csv_first": ["token"],
     "csv": ["drop", "add", "token"],
 }
@@ -84,7 +85,8 @@ def make_csv(rng, path, n, width):
         labels[rng.integers(m)] = 1
         samples.append(MultiLabelSample(rng.normal(size=width), labels))
     write_csv(path, samples)
-    return ["csv_first"] + ["csv"] * (n - 1), lambda: load_dataset_csv(path, m)
+    first = "csv" if n >= 3 else "csv_first"
+    return [first] + ["csv"] * (n - 1), lambda: load_dataset_csv(path, m)
 
 
 def make_centers(rng, path, n, width):
@@ -165,6 +167,20 @@ def test_corrupted_line_is_named(workdir, fmt, seed, n, width, data):
     with pytest.raises(ParseError) as exc_info:
         load()
     assert exc_info.value.line == j + 1
+
+
+@PINNED
+@given(seed=SEEDS, n=st.integers(3, 5), width=WIDTHS, data=st.data())
+def test_csv_first_row_corruption_is_named_from_three_rows(workdir, seed, n, width, data):
+    path = workdir / "first.csv"
+    kinds, load = make_csv(np.random.default_rng(seed), path, n, width)
+    lines = path.read_text().splitlines()
+    how = data.draw(st.sampled_from(CORRUPTIONS[kinds[0]]), label="corruption")
+    lines[0] = corrupt(lines[0], kinds[0], how, data.draw)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc_info:
+        load()
+    assert exc_info.value.line == 1
 
 
 @PINNED

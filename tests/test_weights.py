@@ -4,13 +4,17 @@ Oracles: a dense grid over the simplex (brute force, small c), an
 independent water-filling bisection for the projection (any c), central
 finite differences for the exact-mode gradient, grid search over the
 simplex for the solver's limit behavior, the exact-mode optimum
-from a scalar optimality condition solved by bisection, per-sample
-solves as the reference for the batched solver, and
-scipy.special.expit for the logistic.
+from a scalar optimality condition solved by bisection, a test-local
+copy of the per-sample paper-mode loop as the reference for paper
+mode, and scipy.special.expit for the logistic. ``solve_weights`` is
+the one-row call of ``solve_weights_batch``, so the reference for its
+paper mode is that loop, not the batched solver.
 """
 
+import csv
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from icshash import (
     weight_gradient,
     weight_objective,
 )
+from icshash.cli import main as cli_main
 from icshash.encoder import forward_batch, init_params
 from icshash.weights import _sigmoid
 
@@ -93,6 +98,20 @@ def exact_optimum(d, lam, beta):
         else:
             lo = s
     return weights_at(0.5 * (lo + hi))
+
+
+def paper_reference(d, cfg, w_init=None):
+    """Test-local per-sample paper-mode loop: the printed gradient step
+    and a Euclidean projection, until the relative objective change
+    drops below tol. Returns (w, iterations, objective trace)."""
+    w = np.full(d.size, 1.0 / d.size) if w_init is None else project_to_simplex(w_init)
+    trace = [weight_objective(w, d, cfg)]
+    for t in range(1, cfg.max_iters + 1):
+        w = project_to_simplex(w - cfg.eta * weight_gradient(w, d, cfg))
+        trace.append(weight_objective(w, d, cfg))
+        if abs(trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12) < cfg.tol:
+            break
+    return w, t, np.array(trace)
 
 
 def criterion_one_instances(n=1000, seed=0):
@@ -389,8 +408,7 @@ class TestSolveWeights:
 
     def test_warm_start_with_zero_coordinate_reaches_cold_optimum(self):
         # The cold optimum puts ~95% of the mass on the first center; a
-        # start with exactly zero there must still move it, so
-        # multiplicative steps cannot begin from log 0.
+        # start with exactly zero there must still reach it.
         d = np.array([1.0, 5.0, 9.0])
         cfg = WeightSolverConfig(lam=1.0, gradient_mode="exact")
         cold = solve_weights(d, cfg)
@@ -428,6 +446,87 @@ class TestSolveWeights:
     def test_negative_distances_rejected(self):
         with pytest.raises(ValueError):
             solve_weights(np.array([-1.0, 2.0]), WeightSolverConfig())
+
+    @pytest.mark.parametrize("mode", ["paper", "exact"])
+    def test_misshaped_warm_start_names_both_shapes(self, mode):
+        cfg = WeightSolverConfig(gradient_mode=mode)
+        message = r"w_init has shape \({0}, 2\), distances have shape \({0}, 3\)"
+        with pytest.raises(ValueError, match=message.format(1)):
+            solve_weights([1.0, 2.0, 3.0], cfg, w_init=[0.5, 0.5])
+        with pytest.raises(ValueError, match=message.format(2)):
+            solve_weights_batch(
+                np.ones((2, 3)), np.ones((2, 3), dtype=bool), cfg,
+                w_init=np.full((2, 2), 0.5),
+            )
+
+
+class TestOneRowCall:
+    """``solve_weights`` is the one-row call of ``solve_weights_batch``."""
+
+    @staticmethod
+    def _instances(n, seed):
+        rng = np.random.default_rng(seed)
+        for i in range(n):
+            c = int(rng.integers(1, 7))
+            d = rng.uniform(0.0, 16 * math.log(2), size=c)
+            w_init = rng.dirichlet(np.ones(c)) if i % 2 else None
+            yield d, (0.0, 0.01, 0.1, 1.0, 4.0)[i % 5], w_init
+
+    def test_exact_mode_is_row_zero_of_the_batch(self):
+        for d, lam, w_init in self._instances(300, 41):
+            cfg = WeightSolverConfig(lam=lam, gradient_mode="exact")
+            one = solve_weights(d, cfg, w_init=w_init)
+            batch = solve_weights_batch(
+                d[None], np.ones((1, d.size), dtype=bool), cfg,
+                w_init=None if w_init is None else w_init[None],
+            )
+            np.testing.assert_array_equal(one.w, batch[0])
+            assert len(one.objective_trace) == one.iterations + 1
+            assert one.objective_trace[-1] == weight_objective(one.w, d, cfg)
+
+    def test_exact_mode_ignores_eta_max_iters_and_tol(self):
+        for d, lam, w_init in self._instances(150, 43):
+            cfg = WeightSolverConfig(lam=lam, gradient_mode="exact")
+            base = solve_weights(d, cfg, w_init)
+            for knob in ({"eta": 1e-3}, {"eta": 10.0}, {"max_iters": 1}, {"tol": 0.5}):
+                other = solve_weights(d, replace(cfg, **knob), w_init)
+                np.testing.assert_array_equal(other.w, base.w)
+                assert other.iterations == base.iterations
+                np.testing.assert_array_equal(other.objective_trace, base.objective_trace)
+
+    def test_zero_entropy_takes_one_iteration_to_the_tied_minima(self):
+        d = np.array([2.0, 1.0, 1.0, 3.0])
+        cfg = WeightSolverConfig(lam=0.0, gradient_mode="exact")
+        result = solve_weights(d, cfg)
+        np.testing.assert_array_equal(result.w, [0.0, 0.5, 0.5, 0.0])
+        assert result.iterations == 1
+        np.testing.assert_array_equal(
+            result.objective_trace,
+            [weight_objective(np.full(4, 0.25), d, cfg), weight_objective(result.w, d, cfg)],
+        )
+
+    @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
+    def test_solve_weights_command_writes_the_exact_optimum(self, tmp_path, lam):
+        rng = np.random.default_rng(17)
+        vectors = [
+            rng.uniform(0.0, 16 * math.log(2), size=int(rng.integers(1, 7)))
+            for _ in range(50)
+        ]
+        distances, out = tmp_path / "d.txt", tmp_path / "w.csv"
+        lines = [" ".join(map(repr, d.tolist())) for d in vectors]
+        distances.write_text("\n".join(lines) + "\n")
+        assert cli_main(
+            ["solve-weights", "--distances", str(distances), "--out", str(out),
+             "--gradient-mode", "exact", "--lambda", str(lam)]
+        ) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(vectors)
+        cfg = WeightSolverConfig(lam=lam, gradient_mode="exact")
+        for row, d in zip(rows, vectors):
+            w = np.array([float(v) for v in row["weights"].split(";")])
+            best = weight_objective(exact_optimum(d, lam, cfg.beta), d, cfg)
+            assert abs(weight_objective(w, d, cfg) - best) <= 1e-9
 
 
 class TestConfigValidation:
@@ -517,8 +616,14 @@ class TestSolveWeightsBatch:
         w = solve_weights_batch(d, mask, cfg, w_init=w_init)
         assert np.all(w[~mask] == 0.0)
         for row, row_mask, row_d, row_init in zip(w, mask, d, w_init):
-            ref = solve_weights(row_d[row_mask], cfg, w_init=row_init[row_mask])
-            np.testing.assert_allclose(row[row_mask], ref.w, rtol=0, atol=1e-12)
+            ref_w, ref_iterations, ref_trace = paper_reference(
+                row_d[row_mask], cfg, w_init=row_init[row_mask]
+            )
+            np.testing.assert_allclose(row[row_mask], ref_w, rtol=0, atol=1e-12)
+            one = solve_weights(row_d[row_mask], cfg, w_init=row_init[row_mask])
+            np.testing.assert_array_equal(one.w, ref_w)
+            assert one.iterations == ref_iterations
+            np.testing.assert_array_equal(one.objective_trace, ref_trace)
 
     def test_rejects_bad_batches(self):
         cfg = WeightSolverConfig(gradient_mode="exact")
@@ -582,4 +687,4 @@ class TestTrainSolvesEachBatch:
         cfg = WeightSolverConfig(lam=0.5, gradient_mode="paper")
         table, distances = self._train_one_batch(cfg)
         for w, d in zip(table, distances):
-            np.testing.assert_allclose(w, solve_weights(d, cfg).w, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(w, paper_reference(d, cfg)[0], rtol=0, atol=1e-12)
