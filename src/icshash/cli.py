@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .centers import generate_centers, load_centers, min_pairwise_hamming, save_centers
 from .data import (
+    _padded_rows,
     _parse_ragged,
     _parse_rows,
     _read_nonblank,
@@ -50,7 +51,7 @@ from .retrieval import (
     retrieval_metrics,
     save_codes,
 )
-from .weights import WeightSolverConfig, solve_weights
+from .weights import WeightSolverConfig, _solve_rows
 
 _FLOAT_FMT = "%.17g"
 
@@ -119,19 +120,18 @@ def _cmd_solve_weights(args) -> int:
     lines, numbers = _read_nonblank(args.distances)
     if not lines:
         raise DataError(f"no distance vectors in {args.distances}")
-    vectors = _parse_ragged(lines, numbers, [len(ln.split()) for ln in lines])
-    rows = []
-    for i, (d, number) in enumerate(zip(vectors, numbers)):
-        if not np.all(np.isfinite(d) & (d >= 0)):
-            raise ParseError("distances must be finite and nonnegative", line=number)
-        rows.append((i, solve_weights(d, cfg)))
+    d, mask = _padded_rows(_parse_ragged(lines, numbers, [len(ln.split()) for ln in lines]))
+    bad = ~np.where(mask, np.isfinite(d) & (d >= 0), True).all(axis=1)
+    if bad.any():
+        raise ParseError("distances must be finite and nonnegative", line=numbers[np.argmax(bad)])
+    # one solve over the zero-padded rows: each row stops on its own rule and
+    # reports its own iteration count, as a per-line solve_weights call does
+    w, iterations, _ = _solve_rows(d, mask, cfg, None, traced=False)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample", "iterations", "weights"])
-        for i, result in rows:
-            writer.writerow(
-                [i, result.iterations, ";".join(_FLOAT_FMT % v for v in result.w)]
-            )
+        for i, (row, row_mask, n_iter) in enumerate(zip(w, mask, iterations.tolist())):
+            writer.writerow([i, n_iter, ";".join(_FLOAT_FMT % v for v in row[row_mask])])
     config = {
         "distances": args.distances,
         "lambda": args.lam,
@@ -184,11 +184,9 @@ def _cmd_train(args) -> int:
     with open(weights_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample", "label", "weight"])
-        for i, (assignment, w) in enumerate(
-            zip(state.assignments, state.weight_table)
-        ):
-            for label, value in zip(assignment.center_indices, w):
-                writer.writerow([i, int(label), _FLOAT_FMT % value])
+        rows, labels = np.nonzero(state.label_mask)
+        values = [_FLOAT_FMT % v for v in state.weight_matrix[state.label_mask].tolist()]
+        writer.writerows(zip(rows.tolist(), labels.tolist(), values))
     with open(loss_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "total", "central", "quantization", "entropy"])
@@ -280,8 +278,8 @@ def _cmd_eval(args) -> int:
 
 
 def _read_weights_csv(path):
-    """Per-sample weight arrays, ordered by label, from the weights CSV
-    written by ``train``; blank lines are skipped."""
+    """Per-sample (c, 2) arrays of label and weight, ordered by label,
+    from the weights CSV written by ``train``; blank lines are skipped."""
     lines, numbers = _read_nonblank(path)
     columns = lines[0].split(",") if lines else None
     if columns != ["sample", "label", "weight"]:
@@ -291,9 +289,9 @@ def _read_weights_csv(path):
     bad = ~(np.isfinite(ids) & (ids == np.floor(ids))).all(axis=1)
     if bad.any():
         raise ParseError("sample and label must be integers", line=numbers[1 + int(np.argmax(bad))])
-    sample, _, weight = values[np.lexsort(values.T[::-1])].T
-    ids, starts = np.unique(sample, return_index=True)
-    return dict(zip(ids.astype(np.int64).tolist(), np.split(weight, starts[1:])))
+    values = values[np.lexsort(values.T[::-1])]
+    ids, starts = np.unique(values[:, 0], return_index=True)
+    return dict(zip(ids.astype(np.int64).tolist(), np.split(values[:, 1:], starts[1:])))
 
 
 def _cmd_weight_report(args) -> int:
@@ -316,12 +314,14 @@ def _cmd_weight_report(args) -> int:
         for i, sample in enumerate(samples):
             if i not in weight_rows:
                 raise DataError(f"weights file has no rows for sample {i}")
-            w = weight_rows[i]
-            c = sample.n_labels()
-            if w.size != c:
+            labels, w = weight_rows[i].T
+            positives = np.flatnonzero(sample.labels)
+            if not np.array_equal(labels, positives):
                 raise DataError(
-                    f"sample {i}: {w.size} weights for {c} positive labels"
+                    f"sample {i}: weights for labels {labels.astype(np.int64).tolist()}, "
+                    f"but its positive labels are {positives.tolist()}"
                 )
+            c = positives.size
             all_weights.extend(w.tolist())
             props = sample.proportions
             prop_text = (

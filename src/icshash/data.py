@@ -216,6 +216,17 @@ def _parse_ragged(lines, line_numbers, widths) -> list[np.ndarray]:
     return rows
 
 
+def _padded_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of differing lengths as one array, zero-padded to the longest
+    (N, L, ...), and the (N, L) boolean mask of the entries they fill."""
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    flat = np.concatenate(rows)
+    padded = np.zeros((*mask.shape, *flat.shape[1:]), dtype=flat.dtype)
+    padded[mask] = flat
+    return padded, mask
+
+
 def load_dataset(path) -> list[MultiLabelSample]:
     (n, d, m), body = _read_table(path, "N D M", {"N": 1, "D": 1, "M": 1}, "N", 3)
     first = 3 * np.arange(n) + 2  # line of sample i's features; labels, proportions follow

@@ -13,17 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .centers import HashCenterSet
-from .data import MultiLabelSample, _parse_rows
+from .data import MultiLabelSample, _padded_rows, _parse_rows
 from .errors import ConfigError, DataError, ParseError
 from .loss import (
     CODE_EPS,
-    CenterAssignment,
     LossConfig,
-    assignment_for_labels,
+    _loss_and_gradient,
     distance_matrix,
     distance_vector,  # unused: perfbench/traced.py rebinds this name by getattr
-    loss_gradient_wrt_codes,
-    total_loss,
+    loss_gradient_wrt_codes,  # unused: perfbench/traced.py rebinds this name by getattr
+    total_loss,  # unused: perfbench/traced.py rebinds this name by getattr
 )
 from .weights import (
     WeightSolverConfig,
@@ -221,34 +220,48 @@ def learning_rate(cfg: TrainConfig, epoch: int) -> float:
 
 @dataclass
 class TrainState:
+    """The trained encoder, its optimizer state, the per-epoch loss
+    parts, and the (N, M) weight matrix, zero off the (N, M) label
+    mask."""
+
     params: EncoderParams
     adam: AdamState
-    weight_table: list[np.ndarray]
+    weight_matrix: np.ndarray
+    label_mask: np.ndarray
     loss_history: list[dict]
-    assignments: list[CenterAssignment]
     config: TrainConfig
+
+    @property
+    def weight_table(self) -> list[np.ndarray]:
+        """Each sample's weights on its positive labels, in label order."""
+        flat = self.weight_matrix[self.label_mask]
+        return np.split(flat, np.cumsum(self.label_mask.sum(axis=1))[:-1])
 
 
 def _validate_dataset(samples, center_set: HashCenterSet):
+    """The stacked (N, D) features and (N, M) label mask of a training
+    set. Raises for the first sample, in index order, that fails a check
+    and names the first it fails: M labels, a positive label, sample 0's
+    feature count, finite features."""
     if len(samples) == 0:
         raise DataError("empty dataset")
     m = center_set.m_labels
-    dim = len(samples[0].features)
-    for i, s in enumerate(samples):
-        if len(s.labels) != m:
-            raise ConfigError(
-                f"sample {i} has {len(s.labels)} labels but the centers "
-                f"define M={m}"
-            )
-        if int(np.sum(s.labels)) == 0:
-            raise DataError(f"sample {i} has no positive label")
-        if len(s.features) != dim:
-            raise DataError(
-                f"sample {i} has {len(s.features)} features, expected {dim}"
-            )
-        if not np.all(np.isfinite(s.features)):
-            raise DataError(f"sample {i} has a non-finite feature")
-    return dim
+    labels, label_slots = _padded_rows([s.labels for s in samples])
+    features, feature_slots = _padded_rows([s.features for s in samples])
+    n_labels, n_features = label_slots.sum(axis=1), feature_slots.sum(axis=1)
+    no_positive, non_finite = labels.sum(axis=1) == 0, ~np.isfinite(features).all(axis=1)
+    failed = np.stack([n_labels != m, no_positive, n_features != n_features[0], non_finite], 1)
+    if failed.any():
+        i = int(np.argmax(failed.any(axis=1)))
+        kind = int(np.argmax(failed[i]))
+        messages = [
+            f"sample {i} has {n_labels[i]} labels but the centers define M={m}",
+            f"sample {i} has no positive label",
+            f"sample {i} has {n_features[i]} features, expected {n_features[0]}",
+            f"sample {i} has a non-finite feature",
+        ]
+        raise (ConfigError if kind == 0 else DataError)(messages[kind])
+    return features, labels != 0
 
 
 def train(
@@ -262,25 +275,21 @@ def train(
     center distances in one pass and re-solve all of its weight rows
     with one ``solve_weights_batch`` call, warm-started from the stored
     rows (skipped in "equal" mode, which pins every weight at 1/c); then
-    freeze the weights and take one Adam step on the total loss. In
-    exact mode the solve is the optimality root, so the solver's eta,
-    max_iters and tol apply to paper mode only. The weights are kept as
-    one (N, M) matrix, zero off the (N, M) label mask; the per-sample
-    ``weight_table`` is built from it at the end. The loss decomposition
-    is recorded per epoch. Deterministic for a fixed seed.
+    freeze the weights and take one Adam step on the total loss, whose
+    value and code gradient come from one pass over the same (B, M)
+    distances, weights and label mask. In exact mode the solve is the
+    optimality root, so the solver's eta, max_iters and tol apply to
+    paper mode only. The weights are kept as one (N, M) matrix, zero off
+    the (N, M) label mask; no per-sample object is built. The loss
+    decomposition is recorded per epoch. Deterministic for a fixed seed.
     """
-    dim = _validate_dataset(samples, center_set)
+    features, mask = _validate_dataset(samples, center_set)
     rng = np.random.default_rng(cfg.seed)
-    sizes = [dim, *cfg.hidden, center_set.k_bits]
+    sizes = [features.shape[1], *cfg.hidden, center_set.k_bits]
     params = init_params(sizes, rng)
     adam = AdamState.for_params(params)
-    assignments = [
-        assignment_for_labels(center_set, s.labels) for s in samples
-    ]
-    mask = np.array([s.labels for s in samples]) != 0
     weights = mask / mask.sum(axis=1, keepdims=True)
     centers01 = (center_set.centers.astype(np.float64) + 1.0) / 2.0
-    features = np.asarray([s.features for s in samples], dtype=np.float64)
     solver_cfg = cfg.resolved_solver()
     n = len(samples)
     history: list[dict] = []
@@ -291,18 +300,13 @@ def train(
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             codes, cache = forward_batch(params, features[batch])
+            d = distance_matrix(codes, centers01)
+            w, batch_mask = weights[batch], mask[batch]
             if cfg.weight_mode == "learned":
-                weights[batch] = solve_weights_batch(
-                    distance_matrix(codes, centers01),
-                    mask[batch],
-                    solver_cfg,
-                    w_init=weights[batch],
-                )
-            batch_assignments = [assignments[i] for i in batch]
-            batch_weights = _weight_rows(weights[batch], mask[batch])
-            value, parts = total_loss(codes, batch_assignments, batch_weights, cfg.loss)
-            grad_codes = loss_gradient_wrt_codes(
-                codes, batch_assignments, batch_weights, cfg.loss
+                w = solve_weights_batch(d, batch_mask, solver_cfg, w_init=w)
+                weights[batch] = w
+            value, parts, grad_codes = _loss_and_gradient(
+                codes, d, w, batch_mask, centers01, cfg.loss
             )
             grads = backward_batch(params, cache, grad_codes)
             adam_step(
@@ -315,20 +319,10 @@ def train(
                 eps=cfg.adam_eps,
                 weight_decay=cfg.weight_decay,
             )
-            sums["total"] += value
-            for key in ("central", "quantization", "entropy"):
-                sums[key] += parts[key]
+            for key, part in {"total": value, **parts}.items():
+                sums[key] += part
         history.append(sums)
-    weight_table = _weight_rows(weights, mask)
-    return TrainState(params, adam, weight_table, history, assignments, cfg)
-
-
-def _weight_rows(weights: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
-    """Each row's weights on its mask, in label order: the ragged layout
-    of the loss and of ``TrainState.weight_table``."""
-    flat = weights[mask]
-    ends = np.cumsum(mask.sum(axis=1)).tolist()
-    return [flat[start:end] for start, end in zip([0, *ends], ends)]
+    return TrainState(params, adam, weights, mask, history, cfg)
 
 
 def binarize(b) -> np.ndarray:

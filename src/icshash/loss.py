@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .centers import HashCenterSet
+from .data import _padded_rows
 from .errors import ConfigError
 from .weights import _sigmoid, entropy_regularizer
 
@@ -141,11 +142,12 @@ def central_likelihood(omega: float, beta: float) -> float:
     return float(_sigmoid(-beta * omega))
 
 
-def _flat_batch(codes, assignments, weights, aggregation: str):
-    """One row per (sample, center) pair of a ragged batch: returns the
-    clamped codes, each pair's sample, {0, 1} center and weight, the
-    sigmoid arguments over beta (omega_i per sample, or w_ij * d_ij per
-    pair for "per-center") and the argument that applies to each pair."""
+def _ragged_rows(codes, assignments, weights):
+    """A ragged batch laid out as (B, P) rows, P the most centers of any
+    sample: the clamped codes, each sample's distances and weights in its
+    first c columns (zero after them), the mask of those columns, and the
+    (B, P, K) {0, 1} centers. The mask's row-major order is the pair
+    order; the layout grows as B * P, not as B times all pairs."""
     b = clamp_code(np.atleast_2d(codes))
     n = len(assignments)
     if n == 0:
@@ -155,16 +157,40 @@ def _flat_batch(codes, assignments, weights, aggregation: str):
     counts = [a.centers01.shape[0] for a in assignments]
     if min(counts) == 0 or [np.shape(w) for w in weights] != [(c,) for c in counts]:
         raise ValueError("every sample needs one or more centers and one weight per center")
-    v = np.concatenate([a.centers01 for a in assignments])
+    centers, mask = _padded_rows([a.centers01 for a in assignments])
+    v = centers[mask]  # (sample, center) pairs in order
     if v.shape[1] != b.shape[1]:
         raise ValueError(f"code length {b.shape[1]} does not match centers {v.shape}")
-    rows = np.repeat(np.arange(n), counts)
-    w = np.concatenate(weights, dtype=np.float64)
-    wd = w * _bce(b[rows], v)
-    if aggregation == "per-image":
-        omega = np.bincount(rows, wd, minlength=n)
-        return b, rows, v, w, omega, omega[rows]
-    return b, rows, v, w, wd, wd
+    w, _ = _padded_rows(weights)
+    d = np.zeros(mask.shape)
+    d[mask] = _bce(np.repeat(b, counts, axis=0), v)
+    return b, d, w, mask, centers
+
+
+def _loss_and_gradient(b, d, w, mask, centers01, cfg: LossConfig):
+    """(J, parts, dJ/db) of a batch in one pass: clamped codes ``b``
+    (B, K), their distances ``d`` (B, P) to the {0, 1} centers
+    ``centers01``, (P, K) shared by every row or (B, P, K) per row, and
+    weights ``w`` (B, P), zero off the boolean (B, P) ``mask``. The
+    central gradient sum_j c_ij (b_i - v_j) / (b_i (1 - b_i)) is taken as
+    (c (1 - V))_i / (1 - b_i) - (c V)_i / b_i, which spares a code at the
+    clamp a cancellation of two near terms.
+    """
+    per_image = cfg.aggregation == "per-image"
+    wd = w * d
+    x = wd.sum(axis=1, keepdims=True) if per_image else wd
+    softplus = np.logaddexp(0.0, cfg.beta * x)
+    # off the mask a per-center term would add softplus(0) = log 2
+    j_central = float(np.sum(softplus if per_image else softplus[mask]))
+    j_quant = quantization_loss(b)
+    entropy = entropy_regularizer(w[mask], cfg.weight_floor)
+    # (B, 1, P): each row of c against the (P, K) centers, shared or its own
+    c = (cfg.beta * w * _sigmoid(cfg.beta * x))[:, None]
+    s = 2.0 * b - 1.0
+    grad = (c @ (1.0 - centers01))[:, 0] / (1.0 - b) - (c @ centers01)[:, 0] / b
+    grad += cfg.gamma * 2.0 * np.sign(s) * np.tanh(np.abs(s) - 1.0)
+    total = j_central + cfg.gamma * j_quant + cfg.lam * entropy
+    return total, {"central": j_central, "quantization": j_quant, "entropy": entropy}, grad
 
 
 def central_loss(codes, assignments, weights, cfg: LossConfig) -> float:
@@ -173,8 +199,7 @@ def central_loss(codes, assignments, weights, cfg: LossConfig) -> float:
     per-image: sum_i softplus(beta * omega_i);
     per-center: sum_i sum_j softplus(beta * w_ij * d_ij).
     """
-    *_, x, _ = _flat_batch(codes, assignments, weights, cfg.aggregation)
-    return float(np.sum(np.logaddexp(0.0, cfg.beta * x)))
+    return total_loss(codes, assignments, weights, cfg)[1]["central"]
 
 
 def quantization_loss(codes) -> float:
@@ -193,15 +218,7 @@ def total_loss(codes, assignments, weights, cfg: LossConfig):
     Returns (J, parts) with parts keyed "central", "quantization",
     "entropy"; J recombines them exactly.
     """
-    j_central = central_loss(codes, assignments, weights, cfg)
-    j_quant = quantization_loss(codes)
-    entropy = entropy_regularizer(np.concatenate(weights), cfg.weight_floor)
-    total = j_central + cfg.gamma * j_quant + cfg.lam * entropy
-    return total, {
-        "central": j_central,
-        "quantization": j_quant,
-        "entropy": entropy,
-    }
+    return _loss_and_gradient(*_ragged_rows(codes, assignments, weights), cfg)[:2]
 
 
 def loss_gradient_wrt_codes(codes, assignments, weights, cfg: LossConfig) -> np.ndarray:
@@ -211,10 +228,4 @@ def loss_gradient_wrt_codes(codes, assignments, weights, cfg: LossConfig) -> np.
     with c_ij = beta * w_ij * sigmoid(beta * x); the quantization term
     uses subgradient 0 at the kink b = 0.5.
     """
-    b, rows, v, w, _, x = _flat_batch(codes, assignments, weights, cfg.aggregation)
-    c = cfg.beta * w * _sigmoid(cfg.beta * x)
-    bp = b[rows]
-    per_pair = c[:, None] * (bp - v) / (bp * (1.0 - bp))
-    g = np.add.reduceat(per_pair, np.searchsorted(rows, np.arange(len(b))), axis=0)
-    s = 2.0 * b - 1.0
-    return g + cfg.gamma * 2.0 * np.sign(s) * np.tanh(np.abs(s) - 1.0)
+    return _loss_and_gradient(*_ragged_rows(codes, assignments, weights), cfg)[2]

@@ -16,6 +16,7 @@ import pytest
 from icshash import (
     MultiLabelSample,
     SyntheticSpec,
+    WeightSolverConfig,
     generate_centers,
     generate_synthetic,
     labels_matrix,
@@ -26,6 +27,7 @@ from icshash import (
     precision_at_k,
     save_centers,
     save_dataset,
+    solve_weights,
 )
 from icshash.cli import main
 from icshash.encoder import init_params
@@ -126,6 +128,30 @@ class TestSolveWeightsCommand:
         assert run(["solve-weights", "--distances", distances, "--out", out]) == 3
         assert "line 3" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("mode", ["paper", "exact"])
+    def test_one_batch_solve_writes_the_per_line_rows(self, tmp_path, mode):
+        """The command solves all lines in one call on rows zero-padded to
+        the widest; its CSV is byte for byte the one that a
+        ``solve_weights`` call per line would give."""
+        rng = np.random.default_rng(7)
+        vectors = [rng.uniform(0.0, 20.0, size=rng.integers(1, 13)) for _ in range(80)]
+        vectors[5][:] = 3.0  # a row of ties
+        distances = tmp_path / "d.txt"
+        distances.write_text("".join(" ".join(f"{v:.17g}" for v in d) + "\n" for d in vectors))
+        out = tmp_path / "w.csv"
+        argv = ["solve-weights", "--distances", distances, "--out", out,
+                "--gradient-mode", mode, "--lambda", "0.05", "--eta", "0.5"]
+        assert run(argv) == 0
+        cfg = WeightSolverConfig(lam=0.05, eta=0.5, gradient_mode=mode)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["sample", "iterations", "weights"])
+            for i, d in enumerate(vectors):  # %.17g reads back bit for bit
+                result = solve_weights(d, cfg)
+                writer.writerow([i, result.iterations, ";".join("%.17g" % v for v in result.w)])
+        assert out.read_bytes() == expected.read_bytes()
 
 class TestTrainCommand:
     def test_toy_training_run(self, workdir):
@@ -463,6 +489,29 @@ class TestWeightReportCommand:
                     "--out-prefix", tmp_path / "r"])
         assert code == 3
         assert "line 4" in capsys.readouterr().err
+
+    def test_labels_that_are_not_the_sample_positives_are_a_data_error(self, workdir, capsys):
+        tmp_path, data, _ = workdir
+        samples = load_dataset(data)
+        i = next(i for i, s in enumerate(samples) if s.n_labels() == 2)
+        negative = int(np.flatnonzero(samples[i].labels == 0)[0])
+        weights_csv = tmp_path / "w.csv"
+        self.make_weights_csv(weights_csv, samples, lambda s, j: 0.5)
+        with open(weights_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        at = next(r for r, row in enumerate(rows) if row[0] == str(i))
+        rows[at][1] = str(negative)  # the sample's first label swapped for a negative one
+        with open(weights_csv, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code = run(["weight-report", "--weights", weights_csv, "--data", data,
+                    "--out-prefix", tmp_path / "r"])
+        assert code == 3
+        positives = np.flatnonzero(samples[i].labels).tolist()
+        swapped = sorted([negative, positives[1]])
+        assert capsys.readouterr().err == (
+            f"error: sample {i}: weights for labels {swapped}, "
+            f"but its positive labels are {positives}\n"
+        )
 
     def test_dataset_without_proportions_is_data_error(self, tmp_path):
         samples = [MultiLabelSample(np.zeros(3), np.array([1, 0]))]

@@ -14,6 +14,7 @@ import pytest
 import icshash
 from icshash import (
     AdamState,
+    ConfigError,
     DataError,
     EncoderParams,
     LossConfig,
@@ -255,7 +256,7 @@ class TestTrain:
         for i, w in enumerate(state.weight_table):
             assert abs(w.sum() - 1.0) < 1e-9
             assert np.all(w >= -1e-12)
-            d = distance_vector(codes[i], state.assignments[i])
+            d = distance_vector(codes[i], assignment_for_labels(center_set, samples[i].labels))
             assert float(w @ d) >= float(d.min()) - 1e-9
 
     def test_non_finite_feature_rejected_with_index(self):
@@ -275,6 +276,94 @@ class TestTrain:
         with pytest.raises(DataError) as exc_info:
             train(samples, center_set, TrainConfig(epochs=1))
         assert "7" in str(exc_info.value)
+
+
+class TestTrainBuildsNoPerSampleObjects:
+    """train solves and backpropagates on (N, M) arrays: it runs with
+    every way of building a per-sample CenterAssignment disabled."""
+
+    @pytest.mark.parametrize("weight_mode", ["learned", "equal"])
+    def test_runs_without_center_assignments(self, monkeypatch, weight_mode):
+        def refuse(*args, **kwargs):
+            raise AssertionError("train built a per-sample assignment")
+
+        monkeypatch.setattr(icshash.loss, "assignment_for_labels", refuse)
+        monkeypatch.setattr(icshash.encoder, "assignment_for_labels", refuse, raising=False)
+        monkeypatch.setattr(icshash.loss.CenterAssignment, "__init__", refuse)
+        samples = synthetic_two_label(n=40)
+        cfg = TrainConfig(epochs=2, batch_size=16, hidden=(8,), weight_mode=weight_mode)
+        state = train(samples, generate_centers(16, 2, seed=0), cfg)
+        assert len(state.loss_history) == 2
+        assert state.label_mask.shape == state.weight_matrix.shape == (40, 2)
+        np.testing.assert_array_equal(state.weight_matrix[~state.label_mask], 0.0)
+
+
+def corrupted(samples, kind, i):
+    """samples with sample i made to fail one check of train's input
+    validation; the checks run in this order for each sample."""
+    s = samples[i]
+    features, labels = s.features.copy(), s.labels
+    if kind == "label count":
+        labels = np.append(labels, 1).astype(np.int8)
+    elif kind == "no positive":
+        labels = np.zeros_like(labels)
+    elif kind == "feature count":
+        features = features[:5]
+    else:
+        features[2] = np.inf
+    samples = list(samples)
+    samples[i] = MultiLabelSample(features, labels)
+    return samples
+
+
+VALIDATION_KINDS = ["label count", "no positive", "feature count", "non-finite"]
+
+
+def validation_error(kind, i):
+    return {
+        "label count": (ConfigError, f"sample {i} has 3 labels but the centers define M=2"),
+        "no positive": (DataError, f"sample {i} has no positive label"),
+        "feature count": (DataError, f"sample {i} has 5 features, expected 8"),
+        "non-finite": (DataError, f"sample {i} has a non-finite feature"),
+    }[kind]
+
+
+class TestTrainInputValidation:
+    """The checks run on the stacked dataset at once, but report what a
+    loop over the samples would: the first failing sample in index
+    order, and for it the first failing check."""
+
+    def run(self, samples):
+        train(samples, generate_centers(16, 2, seed=0), TrainConfig(epochs=1, hidden=(4,)))
+
+    @pytest.mark.parametrize("first", VALIDATION_KINDS)
+    @pytest.mark.parametrize("second", VALIDATION_KINDS)
+    def test_first_failing_sample_is_named(self, first, second):
+        samples = corrupted(corrupted(synthetic_two_label(n=10), second, 6), first, 3)
+        error, message = validation_error(first, 3)
+        with pytest.raises(error) as exc_info:
+            self.run(samples)
+        assert type(exc_info.value) is error
+        assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 3), (1, 2), (2, 3), (1, 3)])
+    def test_earlier_check_wins_within_a_sample(self, pair):
+        first, second = (VALIDATION_KINDS[k] for k in pair)
+        samples = corrupted(corrupted(synthetic_two_label(n=10), second, 4), first, 4)
+        error, message = validation_error(first, 4)
+        with pytest.raises(error) as exc_info:
+            self.run(samples)
+        assert str(exc_info.value) == message
+
+    def test_feature_count_is_taken_from_sample_zero(self):
+        samples = corrupted(synthetic_two_label(n=10), "feature count", 0)
+        with pytest.raises(DataError) as exc_info:
+            self.run(samples)
+        assert str(exc_info.value) == "sample 1 has 8 features, expected 5"
+
+    def test_empty_dataset(self):
+        with pytest.raises(DataError, match="empty dataset"):
+            self.run([])
 
 
 class TestLearningRate:

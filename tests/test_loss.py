@@ -7,8 +7,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
+import icshash.loss
 from icshash import (
     LossConfig,
     assignment_for_labels,
@@ -23,7 +26,7 @@ from icshash import (
     total_loss,
     weighted_distance,
 )
-from icshash.loss import CODE_EPS, CenterAssignment
+from icshash.loss import AGGREGATIONS, CODE_EPS, CenterAssignment, _loss_and_gradient
 from icshash.weights import entropy_regularizer
 
 
@@ -374,6 +377,134 @@ class TestBatchedMatchesPerSampleReference:
             grad = loss_gradient_wrt_codes(codes, assignments, weights, cfg)
             assert grad.shape == (n, k)
             assert np.all(np.abs(grad - want_grad) <= 1e-12 * magnitude)
+
+
+def flat_batch_reference(codes, assignments, weights, cfg):
+    """Test-local copy of the loss over flat (sample, center) pairs that
+    the one-pass (B, P) core replaced: one row per pair, per-sample sums
+    by bincount and reduceat. Returns (J, parts, dJ/db)."""
+    b = np.clip(np.atleast_2d(np.asarray(codes, dtype=np.float64)), CODE_EPS, 1.0 - CODE_EPS)
+    counts = [a.centers01.shape[0] for a in assignments]
+    v = np.concatenate([a.centers01 for a in assignments])
+    rows = np.repeat(np.arange(len(assignments)), counts)
+    w = np.concatenate(weights, dtype=np.float64)
+    bp = b[rows]
+    wd = w * -np.sum(v * np.log(bp) + (1.0 - v) * np.log(1.0 - bp), axis=-1)
+    if cfg.aggregation == "per-image":
+        omega = np.bincount(rows, wd, minlength=len(assignments))
+        x, x_pair = omega, omega[rows]
+    else:
+        x = x_pair = wd
+    central = float(np.sum(np.logaddexp(0.0, cfg.beta * x)))
+    c = cfg.beta * w * expit(cfg.beta * x_pair)
+    per_pair = c[:, None] * (bp - v) / (bp * (1.0 - bp))
+    g = np.add.reduceat(per_pair, np.searchsorted(rows, np.arange(len(b))), axis=0)
+    s = 2.0 * b - 1.0
+    g += cfg.gamma * 2.0 * np.sign(s) * np.tanh(np.abs(s) - 1.0)
+    quant = float(np.sum(np.log(np.cosh(np.abs(s) - 1.0))))
+    entropy = entropy_regularizer(w, cfg.weight_floor)
+    parts = {"central": central, "quantization": quant, "entropy": entropy}
+    return central + cfg.gamma * quant + cfg.lam * entropy, parts, g
+
+
+@st.composite
+def ragged_batches(draw):
+    """A random ragged batch (codes, assignments, weights) with some bits
+    saturated at the clamp, and a loss config."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(1, 12)), draw(st.sampled_from([4, 16, 33]))
+    codes, assignments, weights = random_batch(rng, n, k, draw(st.integers(1, 8)))
+    codes = rng.uniform(0.0, 1.0, size=(n, k))
+    saturated = rng.uniform(size=(n, k)) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    codes[saturated] = rng.integers(0, 2, size=int(saturated.sum()))
+    cfg = LossConfig(
+        beta=draw(st.sampled_from([0.01, 0.1, 1.0])),
+        gamma=draw(st.sampled_from([0.0, 0.05, 1.0])),
+        lam=draw(st.sampled_from([0.0, 0.01, 4.0])),
+        aggregation=draw(st.sampled_from(AGGREGATIONS)),
+    )
+    return codes, assignments, weights, cfg
+
+
+class TestOnePassCoreMatchesFlatPairs:
+    """The ragged API lays a batch out as (B, P) rows with per-row centers
+    and runs the same one-pass core as ``train``. Against the flat-pair reference, J and
+    every part agree to rtol 1e-12 and the code gradient to rtol 1e-9 /
+    atol 1e-12 (summation order differs, so not bit for bit)."""
+
+    @given(ragged_batches())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_ragged_wrappers(self, batch):
+        codes, assignments, weights, cfg = batch
+        want, want_parts, want_grad = flat_batch_reference(codes, assignments, weights, cfg)
+        got, got_parts = total_loss(codes, assignments, weights, cfg)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        for key, value in want_parts.items():
+            assert got_parts[key] == pytest.approx(value, rel=1e-12, abs=0)
+        assert central_loss(codes, assignments, weights, cfg) == got_parts["central"]
+        grad = loss_gradient_wrt_codes(codes, assignments, weights, cfg)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-9, atol=1e-12)
+
+    @given(ragged_batches(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_dense_label_layout_of_train(self, batch, seed):
+        """train's layout: every center is a column, distances come from
+        ``distance_matrix`` on and off the mask, and weights are zero off
+        it."""
+        codes, _, _, cfg = batch
+        rng = np.random.default_rng(seed)
+        n, k, m = codes.shape[0], codes.shape[1], 8
+        center_set = generate_centers(k, m, seed=3)
+        centers01 = (center_set.centers + 1.0) / 2.0
+        mask = rng.random((n, m)) < 0.4
+        mask[np.arange(n), rng.integers(0, m, size=n)] = True
+        w = np.zeros((n, m))
+        w[mask] = rng.uniform(0.01, 1.0, size=int(mask.sum()))
+        w /= w.sum(axis=1, keepdims=True)
+        b = np.clip(codes, CODE_EPS, 1.0 - CODE_EPS)
+        got, got_parts, grad = _loss_and_gradient(
+            b, distance_matrix(b, centers01), w, mask, centers01, cfg
+        )
+        assignments = [assignment_for_labels(center_set, row) for row in mask]
+        want, want_parts, want_grad = flat_batch_reference(
+            codes, assignments, [row[r] for row, r in zip(w, mask)], cfg
+        )
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        for key, value in want_parts.items():
+            assert got_parts[key] == pytest.approx(value, rel=1e-12, abs=0)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-9, atol=1e-12)
+
+    def test_ragged_layout_is_as_wide_as_the_widest_sample(self, monkeypatch):
+        """The layout grows with the batch times its widest sample, not
+        with the batch times all of its (sample, center) pairs."""
+        shapes = []
+
+        def recording(b, d, w, mask, centers01, cfg):
+            shapes.append((d.shape, w.shape, mask.shape, centers01.shape))
+            return _loss_and_gradient(b, d, w, mask, centers01, cfg)
+
+        monkeypatch.setattr(icshash.loss, "_loss_and_gradient", recording)
+        codes, assignments, weights = random_batch(np.random.default_rng(9), 200, 16, 3)
+        widest = max(len(w) for w in weights)
+        total_loss(codes, assignments, weights, LossConfig())
+        loss_gradient_wrt_codes(codes, assignments, weights, LossConfig())
+        assert shapes == [((200, widest),) * 3 + ((200, widest, 16),)] * 2
+
+    def test_per_center_sum_skips_entries_off_the_mask(self):
+        """One center of four on the mask: the three off it hold zero
+        weight, where softplus(0) = log 2 must not be counted."""
+        cfg = LossConfig(beta=1.0, aggregation="per-center")
+        center_set = generate_centers(8, 4, seed=1)
+        centers01 = (center_set.centers + 1.0) / 2.0
+        b = np.full((1, 8), 0.3)
+        d = distance_matrix(b, centers01)
+        mask = np.array([[False, True, False, False]])
+        _, parts, _ = _loss_and_gradient(b, d, mask * 1.0, mask, centers01, cfg)
+        assert parts["central"] == pytest.approx(math.log1p(math.exp(d[0, 1])), rel=1e-12)
+        a = [assignment_for_labels(center_set, [0, 1, 1, 0]), make_assignment(centers01[:1])]
+        codes, weights = np.vstack([b, b]), [np.array([0.5, 0.5]), np.array([1.0])]
+        want = flat_batch_reference(codes, a, weights, cfg)[1]["central"]
+        assert central_loss(codes, a, weights, cfg) == pytest.approx(want, rel=1e-12)
 
 
 class TestMismatchedBatch:

@@ -26,6 +26,7 @@ from icshash import (
     SyntheticSpec,
     TrainConfig,
     WeightSolverConfig,
+    assignment_for_labels,
     distance_vector,
     entropy_regularizer,
     generate_centers,
@@ -673,7 +674,10 @@ class TestTrainSolvesEachBatch:
         state = train(samples, center_set, cfg)
         params = init_params([6, 8, 16], np.random.default_rng(4))
         codes, _ = forward_batch(params, np.array([s.features for s in samples]))
-        rows = [distance_vector(b, a) for b, a in zip(codes, state.assignments)]
+        rows = [
+            distance_vector(b, assignment_for_labels(center_set, s.labels))
+            for b, s in zip(codes, samples)
+        ]
         return state.weight_table, rows
 
     def test_exact_mode_rows_reach_the_optimum(self):
