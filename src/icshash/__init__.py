@@ -15,6 +15,7 @@ from .centers import (
     sylvester_hadamard,
 )
 from .data import (
+    Dataset,
     MultiLabelSample,
     SyntheticSpec,
     features_matrix,

@@ -25,12 +25,9 @@ import numpy as np
 from . import __version__
 from .centers import generate_centers, load_centers, min_pairwise_hamming, save_centers
 from .data import (
-    _padded_rows,
     _parse_ragged,
     _parse_rows,
     _read_nonblank,
-    features_matrix,
-    labels_matrix,
     load_dataset,
     load_dataset_csv,
     spearman_corr,
@@ -80,7 +77,7 @@ def _write_manifest(path, command, config, seed, outputs, started):
         fh.write("\n")
 
 
-def _load_samples(path, data_format, m_labels):
+def _load_dataset(path, data_format, m_labels):
     if data_format == "csv":
         return load_dataset_csv(path, m_labels)
     return load_dataset(path)
@@ -120,7 +117,7 @@ def _cmd_solve_weights(args) -> int:
     lines, numbers = _read_nonblank(args.distances)
     if not lines:
         raise DataError(f"no distance vectors in {args.distances}")
-    d, mask = _padded_rows(_parse_ragged(lines, numbers, [len(ln.split()) for ln in lines]))
+    d, mask = _parse_ragged(lines, numbers, [len(ln.split()) for ln in lines])
     bad = ~np.where(mask, np.isfinite(d) & (d >= 0), True).all(axis=1)
     if bad.any():
         raise ParseError("distances must be finite and nonnegative", line=numbers[np.argmax(bad)])
@@ -152,12 +149,10 @@ def _cmd_train(args) -> int:
     started = time.perf_counter()
     seed = args.seed if args.seed is not None else _default_seed()
     center_set = load_centers(args.centers)
-    samples = _load_samples(args.data, args.data_format, center_set.m_labels)
-    if len(samples[0].labels) != center_set.m_labels:
-        raise ConfigError(
-            f"dataset has M={len(samples[0].labels)} labels but the centers "
-            f"file defines M={center_set.m_labels}"
-        )
+    data = _load_dataset(args.data, args.data_format, center_set.m_labels)
+    m, want = data.labels.shape[1], center_set.m_labels
+    if m != want:
+        raise ConfigError(f"dataset has M={m} labels but the centers file defines M={want}")
     hidden = tuple(int(h) for h in args.hidden.split(",") if h)
     loss_cfg = LossConfig(beta=args.beta, gamma=args.gamma, lam=args.lam)
     solver_cfg = WeightSolverConfig(
@@ -173,7 +168,7 @@ def _cmd_train(args) -> int:
         weight_mode=args.weight_mode,
         seed=seed,
     )
-    state = train(samples, center_set, cfg)
+    state = train(data, center_set, cfg)
 
     ckpt_path = f"{args.out_prefix}.ckpt"
     weights_path = f"{args.out_prefix}.weights.csv"
@@ -228,26 +223,19 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     started = time.perf_counter()
     params, meta = load_checkpoint(args.checkpoint)
-    m_labels = meta["m_labels"]
-    queries = _load_samples(args.queries, args.data_format, m_labels)
-    database = _load_samples(args.database, args.data_format, m_labels)
-    for name, samples in (("queries", queries), ("database", database)):
-        if len(samples[0].features) != params.sizes[0]:
-            raise ConfigError(
-                f"{name} have D={len(samples[0].features)} features but the "
-                f"checkpoint expects D={params.sizes[0]}"
-            )
-        if len(samples[0].labels) != m_labels:
-            raise ConfigError(
-                f"{name} have M={len(samples[0].labels)} labels but the "
-                f"checkpoint expects M={m_labels}"
-            )
-    query_codes = pack_database(encode_binary(params, features_matrix(queries)))
-    db_codes = pack_database(encode_binary(params, features_matrix(database)))
-    query_labels = labels_matrix(queries)
-    db_labels = labels_matrix(database)
+    d_in, m_labels = params.sizes[0], meta["m_labels"]
+    queries = _load_dataset(args.queries, args.data_format, m_labels)
+    database = _load_dataset(args.database, args.data_format, m_labels)
+    for name, data in (("queries", queries), ("database", database)):
+        (_, d), (_, m) = data.features.shape, data.labels.shape
+        if d != d_in:
+            raise ConfigError(f"{name} have D={d} features but the checkpoint expects D={d_in}")
+        if m != m_labels:
+            raise ConfigError(f"{name} have M={m} labels but the checkpoint expects M={m_labels}")
+    query_codes = pack_database(encode_binary(params, queries.features))
+    db_codes = pack_database(encode_binary(params, database.features))
     metrics = {
-        **retrieval_metrics(query_codes, query_labels, db_codes, db_labels, args.k),
+        **retrieval_metrics(query_codes, queries.labels, db_codes, database.labels, args.k),
         "k": args.k,
         "n_queries": len(queries),
         "n_database": len(database),
@@ -277,77 +265,80 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _read_weights_csv(path):
-    """Per-sample (c, 2) arrays of label and weight, ordered by label,
-    from the weights CSV written by ``train``; blank lines are skipped."""
+def _read_weights_csv(path, shape):
+    """The (N, M) weight matrix of the weights CSV written by ``train``
+    and the (N, M) mask of the entries it gives; blank lines are
+    skipped. Each row names a sample in [0, N) and a label in [0, M),
+    no pair twice, and gives a finite weight."""
     lines, numbers = _read_nonblank(path)
     columns = lines[0].split(",") if lines else None
     if columns != ["sample", "label", "weight"]:
         raise DataError(f"{path}: expected columns sample,label,weight, found {columns}")
     values = _parse_rows(lines[1:], numbers[1:], 3, np.float64, delimiter=",")
-    ids = values[:, :2]
-    bad = ~(np.isfinite(ids) & (ids == np.floor(ids))).all(axis=1)
-    if bad.any():
-        raise ParseError("sample and label must be integers", line=numbers[1 + int(np.argmax(bad))])
-    values = values[np.lexsort(values.T[::-1])]
-    ids, starts = np.unique(values[:, 0], return_index=True)
-    return dict(zip(ids.astype(np.int64).tolist(), np.split(values[:, 1:], starts[1:])))
+    ids, w = values[:, :2], values[:, 2]
+    valid = (ids == np.floor(ids)) & (ids >= 0) & (ids < shape)  # nan and inf fail
+    rows, labels = np.where(valid, ids, 0).astype(np.int64).T
+    # an invalid row gets a key of its own, so it never repeats a valid one
+    keys = np.where(valid.all(axis=1), rows * shape[1] + labels, -1 - np.arange(len(ids)))
+    repeated = np.ones(len(ids), dtype=bool)
+    repeated[np.unique(keys, return_index=True)[1]] = False
+    failed = np.column_stack([~valid, ~np.isfinite(w), repeated])
+    if failed.any():
+        r, kind = np.argwhere(failed)[0]
+        messages = [
+            f"sample must be an integer in [0, {shape[0]})",
+            f"label must be an integer in [0, {shape[1]})",
+            "weight must be finite",
+            "sample and label repeat an earlier row",
+        ]
+        raise ParseError(messages[kind], line=numbers[1 + r])
+    weights, given = np.zeros(shape), np.zeros(shape, dtype=bool)
+    weights[rows, labels], given[rows, labels] = w, True
+    return weights, given
 
 
 def _cmd_weight_report(args) -> int:
     started = time.perf_counter()
-    samples = load_dataset(args.data)
-    if all(s.proportions is None for s in samples):
+    data = load_dataset(args.data)
+    if not data.has_proportions.any():
         raise DataError(f"{args.data} carries no ground-truth proportions")
-    weight_rows = _read_weights_csv(args.weights)
+    mask = data.labels != 0
+    weights, given = _read_weights_csv(args.weights, mask.shape)
+    wrong = (given != mask).any(axis=1)
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        if not given[i].any():
+            raise DataError(f"weights file has no rows for sample {i}")
+        raise DataError(
+            f"sample {i}: weights for labels {np.flatnonzero(given[i]).tolist()}, "
+            f"but its positive labels are {np.flatnonzero(mask[i]).tolist()}"
+        )
+    n_labels = mask.sum(axis=1)
+    scores, rho_text, n_excluded = [], [""] * len(data), 0
+    for i in np.flatnonzero(data.has_proportions & (n_labels >= 2)):
+        try:
+            rho = spearman_corr(weights[i, mask[i]], data.proportions[i, mask[i]])
+        except EvaluationError:
+            n_excluded += 1
+        else:
+            scores.append(rho)
+            rho_text[i] = "%.9g" % rho
     report_path = f"{args.out_prefix}.csv"
     summary_path = f"{args.out_prefix}.summary.json"
-    scores = []
-    n_excluded = 0
-    n_single = 0
-    all_weights = []
     with open(report_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["sample", "n_labels", "weights", "proportions", "spearman"]
-        )
-        for i, sample in enumerate(samples):
-            if i not in weight_rows:
-                raise DataError(f"weights file has no rows for sample {i}")
-            labels, w = weight_rows[i].T
-            positives = np.flatnonzero(sample.labels)
-            if not np.array_equal(labels, positives):
-                raise DataError(
-                    f"sample {i}: weights for labels {labels.astype(np.int64).tolist()}, "
-                    f"but its positive labels are {positives.tolist()}"
-                )
-            c = positives.size
-            all_weights.extend(w.tolist())
-            props = sample.proportions
-            prop_text = (
-                ";".join("%.9g" % v for v in props) if props is not None else "-"
-            )
-            rho_text = ""
-            if props is not None and c >= 2:
-                try:
-                    rho = spearman_corr(w, props)
-                except EvaluationError:
-                    n_excluded += 1
-                else:
-                    scores.append(rho)
-                    rho_text = "%.9g" % rho
-            elif c < 2:
-                n_single += 1
-            writer.writerow(
-                [i, c, ";".join("%.9g" % v for v in w), prop_text, rho_text]
-            )
+        writer.writerow(["sample", "n_labels", "weights", "proportions", "spearman"])
+        for i, (row, has) in enumerate(zip(mask, data.has_proportions)):
+            props = ";".join("%.9g" % v for v in data.proportions[i, row]) if has else "-"
+            w = ";".join("%.9g" % v for v in weights[i, row])
+            writer.writerow([i, n_labels[i], w, props, rho_text[i]])
     summary = {
         "mean_spearman": float(np.mean(scores)) if scores else None,
-        "weight_variance": float(np.var(all_weights)),
-        "n_samples": len(samples),
+        "weight_variance": float(np.var(weights[mask])),
+        "n_samples": len(data),
         "n_scored": len(scores),
         "n_excluded": n_excluded,
-        "n_single_label": n_single,
+        "n_single_label": int(np.sum(n_labels < 2)),
     }
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EvaluationError, InternalInvariantError, ParseError
+from .errors import ConfigError, DataError, EvaluationError, InternalInvariantError, ParseError
 
 
 @dataclass
@@ -34,6 +34,30 @@ class MultiLabelSample:
 
     def n_labels(self) -> int:
         return int(np.sum(self.labels))
+
+
+@dataclass
+class Dataset:
+    """N samples as columns: features (N, D) float64; labels (N, M) int8,
+    0/1 with a positive in every row; proportions (N, M) float64, zero
+    off the label mask and in rows without proportions; has_proportions
+    (N,) bool. An integer index (and so iteration) gives a
+    MultiLabelSample, a slice or an index array a Dataset."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    proportions: np.ndarray
+    has_proportions: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.features)
+
+    def __getitem__(self, i):
+        if not isinstance(i, (int, np.integer)):
+            return Dataset(*(column[i] for column in vars(self).values()))
+        given = self.has_proportions[i]
+        proportions = self.proportions[i, self.labels[i] != 0] if given else None
+        return MultiLabelSample(self.features[i], self.labels[i], proportions)
 
 
 @dataclass
@@ -66,7 +90,7 @@ class SyntheticSpec:
             raise ValueError("noise_sigma must be nonnegative")
 
 
-def generate_synthetic(spec: SyntheticSpec) -> list[MultiLabelSample]:
+def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministic given the spec (seed included).
 
     Anchors are unit-norm Gaussian directions, one per label; features
@@ -76,50 +100,93 @@ def generate_synthetic(spec: SyntheticSpec) -> list[MultiLabelSample]:
     anchors = rng.normal(size=(spec.m_labels, spec.d_features))
     anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
     lo, hi = spec.labels_per_sample
-    samples = []
-    for _ in range(spec.n_samples):
+    n, m = spec.n_samples, spec.m_labels
+    features = np.empty((n, spec.d_features))
+    labels = np.zeros((n, m), dtype=np.int8)
+    proportions = np.zeros((n, m))
+    for i in range(n):
         c = int(rng.integers(lo, hi + 1))
-        chosen = np.sort(rng.choice(spec.m_labels, size=c, replace=False))
+        chosen = np.sort(rng.choice(m, size=c, replace=False))
         if c == 1:
-            proportions = np.ones(1)
+            mix = np.ones(1)
         else:
-            proportions = rng.dirichlet(np.full(c, spec.dirichlet_alpha))
-        features = proportions @ anchors[chosen]
+            mix = rng.dirichlet(np.full(c, spec.dirichlet_alpha))
+        features[i] = mix @ anchors[chosen]
         if spec.noise_sigma > 0:
-            features = features + spec.noise_sigma * rng.normal(
-                size=spec.d_features
-            )
-        labels = np.zeros(spec.m_labels, dtype=np.int8)
-        labels[chosen] = 1
-        samples.append(MultiLabelSample(features, labels, proportions))
-    return samples
+            features[i] += spec.noise_sigma * rng.normal(size=spec.d_features)
+        labels[i, chosen] = 1
+        proportions[i, chosen] = mix
+    return Dataset(features, labels, proportions, np.ones(n, dtype=bool))
+
+
+def _as_dataset(samples, m_labels=None) -> Dataset:
+    """A Dataset as it is, or a list of MultiLabelSamples stacked into
+    one. Raises for the first sample, in index order, that fails a check
+    and names the first it fails: ``m_labels`` labels (sample 0's count
+    when None), a positive label, sample 0's feature count, finite
+    features; then for the first whose proportions do not fit its labels."""
+    if len(samples) == 0:
+        raise DataError("empty dataset")
+    if isinstance(samples, Dataset):
+        features, labels = samples.features, samples.labels
+        n_features, n_labels = (np.full(len(samples), a.shape[1]) for a in (features, labels))
+    else:
+        labels, label_slots = _padded_rows([s.labels for s in samples])
+        features, feature_slots = _padded_rows([s.features for s in samples])
+        n_labels, n_features = label_slots.sum(axis=1), feature_slots.sum(axis=1)
+    centers = m_labels is not None
+    m = m_labels if centers else n_labels[0]
+    no_positive, non_finite = labels.sum(axis=1) == 0, ~np.isfinite(features).all(axis=1)
+    failed = np.stack([n_labels != m, no_positive, n_features != n_features[0], non_finite], 1)
+    if failed.any():
+        i = int(np.argmax(failed.any(axis=1)))
+        kind = int(np.argmax(failed[i]))
+        messages = [
+            f"sample {i} has {n_labels[i]} labels but "
+            f"{'the centers define' if centers else 'sample 0 has'} M={m}",
+            f"sample {i} has no positive label",
+            f"sample {i} has {n_features[i]} features, expected {n_features[0]}",
+            f"sample {i} has a non-finite feature",
+        ]
+        raise (ConfigError if kind == 0 and centers else DataError)(messages[kind])
+    if isinstance(samples, Dataset):
+        return samples
+    mask, proportions = labels != 0, np.zeros(labels.shape)
+    has_proportions = np.array([s.proportions is not None for s in samples])
+    for i in np.flatnonzero(has_proportions):
+        p, c = samples[i].proportions, mask[i].sum()
+        if p.shape != (c,):
+            raise DataError(f"sample {i} has proportions of shape {p.shape} for {c} labels")
+        proportions[i, mask[i]] = p
+    return Dataset(features, labels, proportions, has_proportions)
 
 
 def features_matrix(samples) -> np.ndarray:
-    return np.asarray([s.features for s in samples], dtype=np.float64)
+    """The (N, D) feature column of a Dataset or of a list of samples."""
+    return _as_dataset(samples).features
 
 
 def labels_matrix(samples) -> np.ndarray:
-    return np.asarray([s.labels for s in samples], dtype=np.int8)
+    """The (N, M) label column of a Dataset or of a list of samples."""
+    return _as_dataset(samples).labels
 
 
-def save_dataset(path, samples: list[MultiLabelSample]) -> None:
+def save_dataset(path, samples: "Dataset | list[MultiLabelSample]") -> None:
     """Three lines per sample after a ``N D M`` header: features (9
     significant digits), the 0/1 label string, and the proportions
     (full precision) or ``-`` when absent."""
     if not samples:
         raise ValueError("refusing to save an empty dataset")
-    n = len(samples)
-    d = samples[0].features.size
-    m = samples[0].labels.size
-    lines = [f"{n} {d} {m}"]
-    for s in samples:
-        lines.append(" ".join(f"{v:.9g}" for v in s.features))
-        lines.append("".join(str(int(v)) for v in s.labels))
-        if s.proportions is None:
-            lines.append("-")
+    data = _as_dataset(samples)
+    lines = ["{} {} {}".format(*data.features.shape, data.labels.shape[1])]
+    rows = zip(data.features, data.labels, data.proportions, data.has_proportions)
+    for features, labels, proportions, given in rows:
+        lines.append(" ".join(f"{v:.9g}" for v in features.tolist()))
+        lines.append("".join(map(str, labels.tolist())))
+        if given:
+            lines.append(" ".join(f"{v:.17g}" for v in proportions[labels != 0].tolist()))
         else:
-            lines.append(" ".join(f"{v:.17g}" for v in s.proportions))
+            lines.append("-")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -203,17 +270,16 @@ def _parse_bits(lines, line_numbers, width) -> np.ndarray:
     raise ParseError(f"expected a 0/1 string of {width} characters", line=int(line_numbers[0]))
 
 
-def _parse_ragged(lines, line_numbers, widths) -> list[np.ndarray]:
-    """Float rows of differing widths, in line order: one _parse_rows
-    block per width."""
-    widths = np.asarray(widths)
-    rows = [None] * len(lines)
+def _parse_ragged(lines, line_numbers, widths) -> tuple[np.ndarray, np.ndarray]:
+    """Float rows of differing widths, zero-padded to the widest, and the
+    mask of the entries they fill: one _parse_rows block per width."""
+    widths, numbers = np.asarray(widths, dtype=np.int64), np.asarray(line_numbers)
+    mask = np.arange(widths.max(initial=0)) < widths[:, None]
+    rows = np.zeros(mask.shape)
     for width in np.unique(widths):
         at = np.flatnonzero(widths == width)
-        block = _parse_rows([lines[i] for i in at], np.asarray(line_numbers)[at], width, np.float64)
-        for i, row in zip(at, block):
-            rows[i] = row
-    return rows
+        rows[at, :width] = _parse_rows([lines[i] for i in at], numbers[at], width, np.float64)
+    return rows, mask
 
 
 def _padded_rows(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +293,7 @@ def _padded_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     return padded, mask
 
 
-def load_dataset(path) -> list[MultiLabelSample]:
+def load_dataset(path) -> Dataset:
     (n, d, m), body = _read_table(path, "N D M", {"N": 1, "D": 1, "M": 1}, "N", 3)
     first = 3 * np.arange(n) + 2  # line of sample i's features; labels, proportions follow
     features = _parse_rows(body[0::3], first, d, np.float64)
@@ -236,18 +302,20 @@ def load_dataset(path) -> list[MultiLabelSample]:
     if np.any(counts == 0):
         i = int(np.argmin(counts))
         raise DataError(f"sample {i} (line {first[i] + 1}) has no positive label")
-    given = [i for i, text in enumerate(body[2::3]) if text.strip() != "-"]
-    parsed = _parse_ragged([body[3 * i + 2] for i in given], first[given] + 2, counts[given])
-    proportions = [None] * n
-    for i, row in zip(given, parsed):
-        proportions[i] = row
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:
-        raise ParseError("non-finite feature value", line=int(first[bad[0]]))
-    return [MultiLabelSample(*sample) for sample in zip(features, labels, proportions)]
+    given = np.array([text.strip() != "-" for text in body[2::3]])
+    lines = [body[3 * i + 2] for i in np.flatnonzero(given)]
+    rows, slots = _parse_ragged(lines, first[given] + 2, counts[given])
+    proportions = np.zeros((n, m))
+    proportions[(labels != 0) & given[:, None]] = rows[slots]
+    non_finite = ~np.stack([np.isfinite(a).all(axis=1) for a in (features, proportions)], 1)
+    if non_finite.any():
+        i, kind = np.argwhere(non_finite)[0]  # the first in file order
+        what = ("feature", "proportion")[kind]
+        raise ParseError(f"non-finite {what} value", line=int(first[i] + 2 * kind))
+    return Dataset(features, labels, proportions, given)
 
 
-def load_dataset_csv(path, m_labels: int) -> list[MultiLabelSample]:
+def load_dataset_csv(path, m_labels: int) -> Dataset:
     """Headerless CSV fallback: each row is D feature values followed
     by M 0/1 label values; no proportions. Blank lines are skipped.
 
@@ -279,7 +347,7 @@ def load_dataset_csv(path, m_labels: int) -> list[MultiLabelSample]:
     if empty.any():
         i = int(np.argmax(empty))
         raise DataError(f"sample {i} (line {numbers[i]}) has no positive label")
-    return [MultiLabelSample(f, l, None) for f, l in zip(features, labels)]
+    return Dataset(features, labels, np.zeros(labels.shape), np.zeros(len(labels), dtype=bool))
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .centers import HashCenterSet
-from .data import MultiLabelSample, _padded_rows, _parse_rows
-from .errors import ConfigError, DataError, ParseError
+from .data import _as_dataset, _parse_rows
+from .errors import ParseError
 from .loss import (
     CODE_EPS,
     LossConfig,
@@ -238,38 +238,9 @@ class TrainState:
         return np.split(flat, np.cumsum(self.label_mask.sum(axis=1))[:-1])
 
 
-def _validate_dataset(samples, center_set: HashCenterSet):
-    """The stacked (N, D) features and (N, M) label mask of a training
-    set. Raises for the first sample, in index order, that fails a check
-    and names the first it fails: M labels, a positive label, sample 0's
-    feature count, finite features."""
-    if len(samples) == 0:
-        raise DataError("empty dataset")
-    m = center_set.m_labels
-    labels, label_slots = _padded_rows([s.labels for s in samples])
-    features, feature_slots = _padded_rows([s.features for s in samples])
-    n_labels, n_features = label_slots.sum(axis=1), feature_slots.sum(axis=1)
-    no_positive, non_finite = labels.sum(axis=1) == 0, ~np.isfinite(features).all(axis=1)
-    failed = np.stack([n_labels != m, no_positive, n_features != n_features[0], non_finite], 1)
-    if failed.any():
-        i = int(np.argmax(failed.any(axis=1)))
-        kind = int(np.argmax(failed[i]))
-        messages = [
-            f"sample {i} has {n_labels[i]} labels but the centers define M={m}",
-            f"sample {i} has no positive label",
-            f"sample {i} has {n_features[i]} features, expected {n_features[0]}",
-            f"sample {i} has a non-finite feature",
-        ]
-        raise (ConfigError if kind == 0 else DataError)(messages[kind])
-    return features, labels != 0
-
-
-def train(
-    samples: list[MultiLabelSample],
-    center_set: HashCenterSet,
-    cfg: TrainConfig,
-) -> TrainState:
-    """Two-step alternating optimization.
+def train(samples, center_set: HashCenterSet, cfg: TrainConfig) -> TrainState:
+    """Two-step alternating optimization on ``samples``, a Dataset or a
+    list of MultiLabelSamples, which is stacked into one first.
 
     Per batch: freeze the encoder, compute the batch's (B, M) code-to-
     center distances in one pass and re-solve all of its weight rows
@@ -283,7 +254,8 @@ def train(
     the (N, M) label mask; no per-sample object is built. The loss
     decomposition is recorded per epoch. Deterministic for a fixed seed.
     """
-    features, mask = _validate_dataset(samples, center_set)
+    data = _as_dataset(samples, center_set.m_labels)
+    features, mask = data.features, data.labels != 0
     rng = np.random.default_rng(cfg.seed)
     sizes = [features.shape[1], *cfg.hidden, center_set.k_bits]
     params = init_params(sizes, rng)
@@ -291,7 +263,7 @@ def train(
     weights = mask / mask.sum(axis=1, keepdims=True)
     centers01 = (center_set.centers.astype(np.float64) + 1.0) / 2.0
     solver_cfg = cfg.resolved_solver()
-    n = len(samples)
+    n = len(data)
     history: list[dict] = []
     for epoch in range(cfg.epochs):
         lr = learning_rate(cfg, epoch)

@@ -30,6 +30,7 @@ from icshash import (
     solve_weights,
 )
 from icshash.cli import main
+from icshash.data import load_dataset_csv
 from icshash.encoder import init_params
 
 
@@ -513,6 +514,49 @@ class TestWeightReportCommand:
             f"but its positive labels are {positives}\n"
         )
 
+    def test_sample_without_rows_is_a_data_error(self, workdir, capsys):
+        tmp_path, data, _ = workdir
+        samples = load_dataset(data)
+        weights_csv = tmp_path / "w.csv"
+        self.make_weights_csv(weights_csv, samples, lambda s, j: 0.5)
+        kept = [ln for ln in weights_csv.read_text().splitlines() if not ln.startswith("7,")]
+        weights_csv.write_text("\n".join(kept) + "\n")
+        code = run(["weight-report", "--weights", weights_csv, "--data", data,
+                    "--out-prefix", tmp_path / "r"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: weights file has no rows for sample 7\n"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,0,0.5", "sample must be an integer in [0, 2)"),
+            ("-1,0,0.5", "sample must be an integer in [0, 2)"),
+            ("1,3,0.5", "label must be an integer in [0, 3)"),
+            ("1,-1,0.5", "label must be an integer in [0, 3)"),
+            ("1,2,nan", "weight must be finite"),
+            ("0,0,0.5", "sample and label repeat an earlier row"),
+        ],
+    )
+    def test_out_of_range_non_finite_or_repeated_row_names_its_line(
+        self, tmp_path, capsys, row, message
+    ):
+        samples = [
+            MultiLabelSample(np.zeros(2), np.array([1, 1, 0]), np.array([0.7, 0.3])),
+            MultiLabelSample(np.ones(2), np.array([0, 1, 1]), np.array([0.2, 0.8])),
+        ]
+        data = tmp_path / "d.txt"
+        save_dataset(data, samples)
+        weights_csv = tmp_path / "w.csv"
+        self.make_weights_csv(weights_csv, samples, lambda s, j: 0.5)
+        lines = weights_csv.read_text().splitlines()
+        lines.insert(3, row)  # after the rows of sample 0
+        weights_csv.write_text("\n".join(lines) + "\n")
+        code = run(["weight-report", "--weights", weights_csv, "--data", data,
+                    "--out-prefix", tmp_path / "r"])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: line 4: {message}\n"
+        assert not (tmp_path / "r.summary.json").exists()
+
     def test_dataset_without_proportions_is_data_error(self, tmp_path):
         samples = [MultiLabelSample(np.zeros(3), np.array([1, 0]))]
         data = tmp_path / "d.txt"
@@ -522,6 +566,37 @@ class TestWeightReportCommand:
         code = run(["weight-report", "--weights", weights_csv, "--data", data,
                     "--out-prefix", tmp_path / "r"])
         assert code == 3
+
+
+class TestNoPerSampleObjects:
+    """Loaders, the generator and the commands work on columns: they run
+    with MultiLabelSample construction disabled."""
+
+    @pytest.fixture
+    def refuse_samples(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a MultiLabelSample")
+
+        monkeypatch.setattr(MultiLabelSample, "__init__", refuse)
+
+    def test_loaders_and_generator(self, workdir, refuse_samples):
+        tmp_path, data, _ = workdir
+        assert len(load_dataset(data)) == 60
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("0.5,1.5,1,0\n-0.25,0.75,0,1\n")
+        assert load_dataset_csv(csv_path, 2).labels.shape == (2, 2)
+        assert len(generate_synthetic(SyntheticSpec(30, 4, 3, seed=1))) == 30
+
+    def test_train_eval_and_weight_report(self, workdir, refuse_samples):
+        tmp_path, data, centers = workdir
+        prefix = tmp_path / "model"
+        assert run(["train", "--data", data, "--centers", centers, "--out-prefix", prefix,
+                    "--epochs", 1, "--hidden", "8"]) == 0
+        assert run(["eval", "--checkpoint", f"{prefix}.ckpt", "--queries", data,
+                    "--database", data, "--k", 5, "--out", tmp_path / "m.json",
+                    "--dump-codes", tmp_path / "codes"]) == 0
+        assert run(["weight-report", "--weights", f"{prefix}.weights.csv", "--data", data,
+                    "--out-prefix", tmp_path / "r"]) == 0
 
 
 def src_env():

@@ -7,6 +7,7 @@ from scipy.stats import rankdata
 
 from icshash import (
     DataError,
+    Dataset,
     EvaluationError,
     MultiLabelSample,
     ParseError,
@@ -134,6 +135,22 @@ class TestDatasetFile:
             load_dataset(path)
         assert exc_info.value.line == 5
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_proportion_reports_line(self, tmp_path, bad):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2 2 2\n0.1 0.2\n10\n1\n0.3 0.4\n11\n0.5 {bad}\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_dataset(path)
+        assert exc_info.value.line == 7
+        assert "non-finite proportion value" in str(exc_info.value)
+
+    def test_first_non_finite_value_in_file_order_is_named(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2 2\n0.1 0.2\n11\n0.5 nan\n0.3 inf\n01\n-\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_dataset(path)
+        assert exc_info.value.line == 4
+
     @pytest.mark.parametrize("header", ["0 8 4", "1 0 4", "1 2 0"])
     def test_header_counts_must_be_positive(self, tmp_path, header):
         path = tmp_path / "empty.txt"
@@ -193,6 +210,114 @@ class TestDatasetFile:
         path.write_text("0.5,1.5,2,0\n")
         with pytest.raises(ParseError):
             load_dataset_csv(path, m_labels=2)
+
+
+def per_sample_synthetic(spec):
+    """The generator as a loop that builds one MultiLabelSample per
+    sample, in the draw order generate_synthetic keeps."""
+    rng = np.random.default_rng(spec.seed)
+    anchors = rng.normal(size=(spec.m_labels, spec.d_features))
+    anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
+    lo, hi = spec.labels_per_sample
+    samples = []
+    for _ in range(spec.n_samples):
+        c = int(rng.integers(lo, hi + 1))
+        chosen = np.sort(rng.choice(spec.m_labels, size=c, replace=False))
+        if c == 1:
+            proportions = np.ones(1)
+        else:
+            proportions = rng.dirichlet(np.full(c, spec.dirichlet_alpha))
+        features = proportions @ anchors[chosen]
+        if spec.noise_sigma > 0:
+            features = features + spec.noise_sigma * rng.normal(size=spec.d_features)
+        labels = np.zeros(spec.m_labels, dtype=np.int8)
+        labels[chosen] = 1
+        samples.append(MultiLabelSample(features, labels, proportions))
+    return samples
+
+
+def assert_same_sample(a, b):
+    for name in ("features", "labels", "proportions"):
+        x, y = getattr(a, name), getattr(b, name)
+        if x is None or y is None:
+            assert x is None and y is None, name
+        else:
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            np.testing.assert_array_equal(x, y)
+
+
+class TestDataset:
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.1])
+    def test_generated_samples_equal_the_per_sample_generator(self, noise_sigma):
+        spec = SyntheticSpec(300, 9, 7, labels_per_sample=(1, 4), noise_sigma=noise_sigma, seed=4)
+        data = generate_synthetic(spec)
+        assert isinstance(data, Dataset)
+        reference = per_sample_synthetic(spec)
+        assert len(data) == len(reference)
+        for a, b in zip(data, reference):
+            assert_same_sample(a, b)
+
+    def test_columns(self):
+        data = generate_synthetic(SyntheticSpec(50, 6, 5, seed=2))
+        assert data.features.shape == (50, 6) and data.features.dtype == np.float64
+        assert data.labels.shape == (50, 5) and data.labels.dtype == np.int8
+        assert data.proportions.shape == (50, 5)
+        np.testing.assert_array_equal(data.proportions[data.labels == 0], 0.0)
+        np.testing.assert_allclose(data.proportions.sum(axis=1), 1.0)
+        assert data.has_proportions.dtype == bool and data.has_proportions.all()
+
+    def test_loaded_items_equal_the_saved_samples(self, tmp_path):
+        rng = np.random.default_rng(8)
+        samples = []
+        for i in range(12):
+            labels = np.zeros(5, dtype=np.int8)
+            labels[rng.choice(5, size=1 + i % 3, replace=False)] = 1
+            props = rng.dirichlet(np.ones(labels.sum())) if i % 4 else None
+            samples.append(MultiLabelSample(np.round(rng.normal(size=3), 3), labels, props))
+        path = tmp_path / "data.txt"
+        save_dataset(path, samples)
+        data = load_dataset(path)
+        assert len(data) == 12
+        for i, sample in enumerate(samples):
+            assert_same_sample(data[i], sample)
+        assert_same_sample(data[-1], samples[-1])
+        np.testing.assert_array_equal(data.has_proportions, [i % 4 != 0 for i in range(12)])
+
+    def test_slices_and_index_arrays_are_datasets(self):
+        data = generate_synthetic(SyntheticSpec(20, 4, 3, seed=1))
+        for index in (slice(5, 12), slice(None, None, 3), np.array([7, 2, 2]), data.labels[:, 0] == 1):
+            part = data[index]
+            assert isinstance(part, Dataset)
+            rows = np.arange(20)[index]
+            assert len(part) == len(rows)
+            for sample, i in zip(part, rows):
+                assert_same_sample(sample, data[int(i)])
+        with pytest.raises(IndexError):
+            data[20]
+
+    def test_saving_the_samples_or_the_dataset_writes_the_same_bytes(self, tmp_path):
+        data = generate_synthetic(SyntheticSpec(40, 5, 6, seed=9))
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_dataset(a, data)
+        save_dataset(b, list(data))
+        assert a.read_bytes() == b.read_bytes()
+        loaded = load_dataset(a)
+        save_dataset(b, list(loaded))
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_sample_list_whose_proportions_do_not_fit_its_labels(self, tmp_path):
+        samples = [
+            MultiLabelSample(np.zeros(2), np.array([1, 1, 0]), np.array([0.5, 0.5])),
+            MultiLabelSample(np.zeros(2), np.array([1, 0, 1]), np.array([1.0])),
+        ]
+        with pytest.raises(DataError, match="sample 1 has proportions of shape"):
+            save_dataset(tmp_path / "data.txt", samples)
+
+    def test_sample_list_with_a_ragged_label_row(self, tmp_path):
+        samples = [MultiLabelSample(np.zeros(2), np.array([1, 0])) for _ in range(3)]
+        samples[2] = MultiLabelSample(np.zeros(2), np.array([1, 0, 1]))
+        with pytest.raises(DataError, match="sample 2 has 3 labels but sample 0 has M=2"):
+            save_dataset(tmp_path / "data.txt", samples)
 
 
 class TestSpearman:

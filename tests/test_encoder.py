@@ -20,6 +20,7 @@ from icshash import (
     LossConfig,
     MultiLabelSample,
     ParseError,
+    SyntheticSpec,
     TrainConfig,
     WeightSolverConfig,
     adam_step,
@@ -28,6 +29,7 @@ from icshash import (
     binarize,
     forward,
     generate_centers,
+    generate_synthetic,
     init_params,
     load_checkpoint,
     loss_gradient_wrt_codes,
@@ -296,6 +298,24 @@ class TestTrainBuildsNoPerSampleObjects:
         assert len(state.loss_history) == 2
         assert state.label_mask.shape == state.weight_matrix.shape == (40, 2)
         np.testing.assert_array_equal(state.weight_matrix[~state.label_mask], 0.0)
+
+
+class TestTrainOnDataset:
+    @pytest.mark.parametrize("weight_mode", ["learned", "equal"])
+    def test_a_dataset_and_its_sample_list_train_alike(self, weight_mode):
+        data = generate_synthetic(SyntheticSpec(90, 6, 4, seed=3))[10:]
+        center_set = generate_centers(16, 4, seed=1)
+        cfg = TrainConfig(epochs=2, batch_size=16, lr0=1e-3, hidden=(8,), weight_mode=weight_mode)
+        a, b = train(data, center_set, cfg), train(list(data), center_set, cfg)
+        for wa, wb in zip(a.params.weights + a.params.biases, b.params.weights + b.params.biases):
+            np.testing.assert_array_equal(wa, wb)
+        np.testing.assert_array_equal(a.weight_matrix, b.weight_matrix)
+        assert a.loss_history == b.loss_history
+
+    def test_label_count_is_checked_against_the_centers(self):
+        data = generate_synthetic(SyntheticSpec(10, 6, 3, seed=3))
+        with pytest.raises(ConfigError, match="sample 0 has 3 labels but the centers define M=2"):
+            train(data, generate_centers(16, 2, seed=0), TrainConfig(epochs=1))
 
 
 def corrupted(samples, kind, i):

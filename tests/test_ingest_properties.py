@@ -1,11 +1,15 @@
 """Property tests for text ingest, one set per file format (dataset,
-CSV, centers, codes, checkpoint): a valid file with one corrupted line
-fails with a ParseError naming that physical 1-based line, and
-save -> load -> save is byte-identical.
+CSV, centers, codes, checkpoint, the distances file of
+``solve-weights`` and the weights CSV of ``weight-report``): a valid
+file with one corrupted line fails with a ParseError naming that
+physical 1-based line, and save -> load -> save is byte-identical.
 
 Every test is pinned (derandomized, fixed example count, no deadline)
 so that the suite is deterministic and its run time does not depend on
 the host."""
+
+import contextlib
+import io
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from icshash import (
     save_codes,
     save_dataset,
 )
+from icshash.cli import _read_weights_csv, main
 from icshash.data import load_dataset_csv
 
 PINNED = settings(derandomize=True, deadline=None, max_examples=40)
@@ -232,3 +237,86 @@ def test_csv_values_equal_per_line_float_reference(workdir, seed, n, width):
     for sample, line in zip(loaded, lines):
         reference = [float(p) for p in line.split(",")[:-1]]
         assert sample.features.tolist() == reference
+
+
+# Tokens that parse as numbers but are not a finite, nonnegative distance.
+BAD_DISTANCES = ["-1", "-0.5", "nan", "inf", "-inf"]
+
+
+@PINNED
+@given(seed=SEEDS, n=COUNTS, width=st.integers(1, 12), data=st.data())
+def test_corrupted_distances_line_is_named(workdir, seed, n, width, data):
+    rng = np.random.default_rng(seed)
+    lines = [
+        " ".join(repr(float(v)) for v in rng.exponential(5.0, size=rng.integers(1, width + 1)))
+        for _ in range(n)
+    ]
+    for _ in range(data.draw(st.integers(0, 3), label="blank lines")):
+        lines.insert(data.draw(st.integers(0, len(lines))), "")
+    path, out = workdir / "distances.txt", workdir / "weights.csv"
+    argv = ["solve-weights", "--distances", str(path), "--out", str(out)]
+    path.write_text("\n".join(lines) + "\n")
+    assert main(argv) == 0
+    j = data.draw(st.sampled_from([i for i, ln in enumerate(lines) if ln]), label="line")
+    tokens = lines[j].split()
+    bad = data.draw(st.sampled_from(NOT_A_NUMBER + ["1_0"] + BAD_DISTANCES), label="token")
+    tokens[data.draw(st.integers(0, len(tokens) - 1), label="position")] = bad
+    lines[j] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(argv) == 3
+    assert err.getvalue().startswith(f"error: line {j + 1}: ")
+
+
+def write_weights_csv(path, weights, mask):
+    """The weights CSV as ``train`` writes it: a header, then one row per
+    (sample, label) pair of the mask in row-major order."""
+    rows, labels = np.nonzero(mask)
+    lines = ["sample,label,weight"] + [
+        f"{r},{c},{weights[r, c]:.17g}" for r, c in zip(rows.tolist(), labels.tolist())
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    return lines
+
+
+# Corruptions of one row of a weights CSV; "repeat" copies an earlier row.
+WEIGHT_ROW_CORRUPTIONS = [
+    "drop", "add", "token", "sample", "label", "fraction", "weight", "repeat",
+]  # fmt: skip
+
+
+@PINNED
+@given(seed=SEEDS, n=COUNTS, m=st.integers(1, 8), data=st.data())
+def test_weights_csv_round_trip_and_corrupted_row(workdir, seed, n, m, data):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, m)) < 0.5
+    mask[np.arange(n), rng.integers(m, size=n)] = True
+    weights = np.where(mask, rng.random((n, m)), 0.0)
+    path = workdir / "weights_in.csv"
+    lines = write_weights_csv(path, weights, mask)
+    read, read_mask = _read_weights_csv(path, (n, m))
+    np.testing.assert_array_equal(read_mask, mask)
+    np.testing.assert_array_equal(read, weights)
+
+    j = data.draw(st.integers(1, len(lines) - 1), label="row")
+    kinds = WEIGHT_ROW_CORRUPTIONS if j > 1 else WEIGHT_ROW_CORRUPTIONS[:-1]
+    how = data.draw(st.sampled_from(kinds), label="corruption")
+    fields = lines[j].split(",")
+    if how == "repeat":
+        fields = lines[data.draw(st.integers(1, j - 1), label="earlier row")].split(",")
+    elif how in ("drop", "add", "token"):
+        fields = corrupt(lines[j], "csv", how, data.draw).split(",")
+    elif how == "sample":
+        fields[0] = data.draw(st.sampled_from([str(n), "-1", str(n + 10**6)]))
+    elif how == "label":
+        fields[1] = data.draw(st.sampled_from([str(m), "-1", "inf"]))
+    elif how == "fraction":
+        fields[data.draw(st.integers(0, 1))] = "0.5"
+    else:
+        fields[2] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+    lines[j] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc_info:
+        _read_weights_csv(path, (n, m))
+    assert exc_info.value.line == j + 1
