@@ -31,10 +31,8 @@ from .encoder import (
     TrainConfig,
     TrainState,
     adam_step,
-    backward,
     binarize,
     encode_binary,
-    forward,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -55,13 +53,11 @@ from .loss import (
     assignment_for_labels,
     bce_distance,
     central_likelihood,
-    central_loss,
     distance_matrix,
     distance_vector,
     loss_gradient_wrt_codes,
     quantization_loss,
     total_loss,
-    weighted_distance,
 )
 from .retrieval import (
     BinaryCode,
@@ -74,7 +70,6 @@ from .retrieval import (
     pack_database,
     precision_at_k,
     rank_database,
-    relevant,
     retrieval_metrics,
     save_codes,
     unpack_database,

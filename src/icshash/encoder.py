@@ -8,6 +8,7 @@ encoder frozen, then backpropagate the total loss with the weights
 frozen and apply an Adam update.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,20 +90,17 @@ def forward_batch(params: EncoderParams, x: np.ndarray):
     return codes, (inputs, sig)
 
 
-def forward(params: EncoderParams, x) -> np.ndarray:
-    """Relaxed code for a single feature vector."""
-    codes, _ = forward_batch(params, np.asarray(x, dtype=np.float64)[None, :])
-    return codes[0]
-
-
 def backward_batch(params: EncoderParams, cache, grad_codes: np.ndarray):
     """Reverse-mode gradients for every weight and bias.
 
-    grad_codes is dLoss/dcode, (N, K). Samples are accumulated in index
-    order. Where the output clamp is active the derivative is zero.
+    grad_codes is dLoss/dcode, (N, K), the shape of the cached codes.
+    Samples are accumulated in index order. Where the output clamp is
+    active the derivative is zero.
     """
     inputs, sig = cache
-    grad_codes = np.atleast_2d(np.asarray(grad_codes, dtype=np.float64))
+    grad_codes = np.asarray(grad_codes, dtype=np.float64)
+    if grad_codes.shape != sig.shape:
+        raise ValueError(f"gradient shape {grad_codes.shape} does not match codes {sig.shape}")
     pass_through = (sig > CODE_EPS) & (sig < 1.0 - CODE_EPS)
     delta = grad_codes * sig * (1.0 - sig) * pass_through
     grads_w = [None] * params.n_layers()
@@ -115,17 +113,6 @@ def backward_batch(params: EncoderParams, cache, grad_codes: np.ndarray):
             da = delta @ params.weights[l].T
             delta = da * (a > 0.0)
     return grads_w, grads_b
-
-
-def backward(params: EncoderParams, x, grad_wrt_code):
-    """Single-sample gradients given dLoss/dcode of length K."""
-    grad_wrt_code = np.asarray(grad_wrt_code, dtype=np.float64)
-    if grad_wrt_code.shape != (params.sizes[-1],):
-        raise ValueError(
-            f"gradient length {grad_wrt_code.shape} does not match K={params.sizes[-1]}"
-        )
-    _, cache = forward_batch(params, np.asarray(x, dtype=np.float64)[None, :])
-    return backward_batch(params, cache, grad_wrt_code[None, :])
 
 
 @dataclass
@@ -203,6 +190,12 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
+        if not 0 < self.lr0 < math.inf:
+            raise ValueError("lr0 must be finite and positive")
+        if not self.lr_decay_every >= 1:
+            raise ValueError("lr_decay_every must be at least 1")
+        if not 0 < self.lr_decay_factor < math.inf:
+            raise ValueError("lr_decay_factor must be finite and positive")
 
     def resolved_solver(self) -> WeightSolverConfig:
         """The weight-solver configuration actually used in training;

@@ -14,6 +14,7 @@ an adaptive sigmoid, the quantization term pushes relaxed bits toward
 optimized, reported for completeness).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,12 +49,14 @@ class LossConfig:
     def __post_init__(self):
         if not 0 < self.beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and nonnegative")
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
+        if not 0 < self.weight_floor < 1:
+            raise ValueError("weight_floor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -125,15 +128,6 @@ def distance_matrix(codes, centers01) -> np.ndarray:
     return -(log_1mb.sum(axis=1, keepdims=True) + (np.log(b) - log_1mb) @ v.T)
 
 
-def weighted_distance(b, assignment: CenterAssignment, w) -> float:
-    """Convex combination of per-center BCE distances under w."""
-    w = np.asarray(w, dtype=np.float64)
-    d = distance_vector(b, assignment)
-    if w.shape != d.shape:
-        raise ValueError(f"weights {w.shape} do not match {d.shape[0]} centers")
-    return float(np.dot(w, d))
-
-
 def central_likelihood(omega: float, beta: float) -> float:
     """1 / (1 + exp(beta * omega)); strictly decreasing in omega,
     overflow-safe for large arguments."""
@@ -193,15 +187,6 @@ def _loss_and_gradient(b, d, w, mask, centers01, cfg: LossConfig):
     return total, {"central": j_central, "quantization": j_quant, "entropy": entropy}, grad
 
 
-def central_loss(codes, assignments, weights, cfg: LossConfig) -> float:
-    """Negative log-likelihood of the batch's weighted distances.
-
-    per-image: sum_i softplus(beta * omega_i);
-    per-center: sum_i sum_j softplus(beta * w_ij * d_ij).
-    """
-    return total_loss(codes, assignments, weights, cfg)[1]["central"]
-
-
 def quantization_loss(codes) -> float:
     """sum over bits of log cosh(|2b - 1| - 1); zero exactly when every
     bit sits at 0 or 1, maximal at b = 0.5."""
@@ -216,7 +201,9 @@ def total_loss(codes, assignments, weights, cfg: LossConfig):
     """Full objective and its decomposition.
 
     Returns (J, parts) with parts keyed "central", "quantization",
-    "entropy"; J recombines them exactly.
+    "entropy"; J recombines them exactly. The central part is
+    sum_i softplus(beta * omega_i) per image, or
+    sum_i sum_j softplus(beta * w_ij * d_ij) per center.
     """
     return _loss_and_gradient(*_ragged_rows(codes, assignments, weights), cfg)[:2]
 

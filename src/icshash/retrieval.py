@@ -105,27 +105,14 @@ def _hamming_rows(k_bits: int, query_words: np.ndarray, db: CodeDatabase) -> np.
     return dist
 
 
-def hamming_to_all(query: BinaryCode, db: CodeDatabase) -> np.ndarray:
-    """Distances from one query to every database code."""
-    return _hamming_rows(query.k_bits, query.words[None, :], db)[0].astype(np.int64)
-
-
 def rank_database(query: BinaryCode, db: CodeDatabase, query_index: int = -1) -> RankedResult:
-    """Stable sort of the database by (distance, index)."""
+    """Stable sort of the database by (distance, index); the distances
+    are int64."""
     if len(db) == 0:
         raise ValueError("empty database")
-    dist = hamming_to_all(query, db)
+    dist = _hamming_rows(query.k_bits, query.words[None, :], db)[0].astype(np.int64)
     order = np.argsort(dist, kind="stable")
     return RankedResult(query_index, order, dist[order])
-
-
-def relevant(query_labels, db_labels) -> bool:
-    """True iff the two label vectors share a positive label."""
-    a = np.asarray(query_labels)
-    b = np.asarray(db_labels)
-    if a.shape != b.shape:
-        raise ValueError("label dimension mismatch")
-    return bool(np.any((a > 0) & (b > 0)))
 
 
 def _top_k_relevance(query_codes, query_labels, db_codes, db_labels, k):

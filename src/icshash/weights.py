@@ -40,6 +40,7 @@ split uniformly over each row's tied minimal distances, the limit as
 lam goes to 0, in one iteration.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -94,16 +95,16 @@ class WeightSolverConfig:
     weight_floor: float = 1e-8
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and nonnegative")
+        if not 0 < self.eta < math.inf:
+            raise ValueError("eta must be finite and positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         if self.gradient_mode not in GRADIENT_MODES:
             raise ValueError(f"gradient_mode must be one of {GRADIENT_MODES}")
         if not 0 < self.weight_floor < 1:

@@ -130,6 +130,27 @@ class TestSolveWeightsCommand:
         assert "line 3" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--tol", "nan", "tol"),
+            ("--tol", "inf", "tol"),
+            ("--lambda", "nan", "lam"),
+            ("--lambda", "inf", "lam"),
+            ("--eta", "nan", "eta"),
+            ("--eta", "inf", "eta"),
+            ("--beta", "nan", "beta"),
+            ("--beta", "inf", "beta"),
+        ],
+    )
+    def test_non_finite_setting_is_usage_error(self, tmp_path, capsys, flag, value, field):
+        distances = tmp_path / "d.txt"
+        distances.write_text("1 2 3\n")
+        out = tmp_path / "w.csv"
+        assert run(["solve-weights", "--distances", distances, "--out", out, flag, value]) == 2
+        assert f"error: {field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["paper", "exact"])
     def test_one_batch_solve_writes_the_per_line_rows(self, tmp_path, mode):
         """The command solves all lines in one call on rows zero-padded to
@@ -200,6 +221,32 @@ class TestTrainCommand:
         )
         assert code == 3
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--lr", "-1", "lr0"),
+            ("--lr", "0", "lr0"),
+            ("--lr", "nan", "lr0"),
+            ("--lr", "inf", "lr0"),
+            ("--gamma", "nan", "gamma"),
+            ("--gamma", "inf", "gamma"),
+            ("--lambda", "nan", "lam"),
+            ("--lambda", "inf", "lam"),
+            ("--eta", "nan", "eta"),
+            ("--beta", "nan", "beta"),
+        ],
+    )
+    def test_bad_setting_is_usage_error(self, workdir, capsys, flag, value, field):
+        tmp_path, data, centers = workdir
+        prefix = tmp_path / "bad"
+        code = run(
+            ["train", "--data", data, "--centers", centers, "--out-prefix", prefix,
+             "--epochs", 1, "--hidden", "8", "--seed", 1, flag, value]
+        )
+        assert code == 2
+        assert f"error: {field} must " in capsys.readouterr().err
+        assert not (tmp_path / "bad.ckpt").exists()
 
     def test_zero_epochs_checkpoint_equals_seeded_init(self, workdir):
         tmp_path, data, centers = workdir

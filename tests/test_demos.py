@@ -1,6 +1,8 @@
-"""Every script in demos/ runs to completion against the library in src/."""
+"""Every script in demos/ and every fenced ``python`` block of README.md
+runs to completion against the library in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,20 +11,39 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S
+)
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
+def run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    result = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    result = run_python([str(demo)], tmp_path)
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_has_python_blocks():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize(
+    "block", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))]
+)
+def test_readme_block_runs(block, tmp_path):
+    result = run_python(["-c", block], tmp_path)
     assert result.returncode == 0, result.stderr

@@ -25,9 +25,7 @@ from icshash import (
     WeightSolverConfig,
     adam_step,
     assignment_for_labels,
-    backward,
     binarize,
-    forward,
     generate_centers,
     generate_synthetic,
     init_params,
@@ -49,6 +47,13 @@ def loss_of_params(params, x_batch, assignments, weights, cfg):
     return total_loss(codes, assignments, weights, cfg)[0]
 
 
+def forward_one(params, x):
+    """The code of one feature vector, as a one-row batch."""
+    codes, _ = forward_batch(params, np.asarray(x, dtype=np.float64)[None, :])
+    assert codes.shape == (1, params.sizes[-1])
+    return codes[0]
+
+
 class TestForward:
     def test_zero_parameters_give_half(self):
         params = EncoderParams(
@@ -56,24 +61,24 @@ class TestForward:
             [np.zeros((3, 4)), np.zeros((4, 6))],
             [np.zeros(4), np.zeros(6)],
         )
-        np.testing.assert_allclose(forward(params, np.array([1.0, -2.0, 0.5])), 0.5)
+        np.testing.assert_allclose(forward_one(params, np.array([1.0, -2.0, 0.5])), 0.5)
 
     def test_deterministic_given_seed(self):
         x = np.array([0.3, -1.2, 0.7, 2.0])
-        a = forward(tiny_net(seed=5), x)
-        b = forward(tiny_net(seed=5), x)
+        a = forward_one(tiny_net(seed=5), x)
+        b = forward_one(tiny_net(seed=5), x)
         np.testing.assert_array_equal(a, b)
 
     def test_output_strictly_inside_unit_interval(self):
         params = tiny_net(seed=1)
         rng = np.random.default_rng(2)
         for _ in range(1000):
-            code = forward(params, rng.normal(scale=50.0, size=4))
+            code = forward_one(params, rng.normal(scale=50.0, size=4))
             assert np.all(code > 0.0) and np.all(code < 1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            forward(tiny_net(), np.ones(7))
+            forward_one(tiny_net(), np.ones(7))
 
 
 class TestBackward:
@@ -114,22 +119,32 @@ class TestBackward:
 
     def test_zero_code_gradient_gives_zero_parameter_gradients(self):
         params = tiny_net(seed=6)
-        gw, gb = backward(params, np.ones(4), np.zeros(8))
+        _, cache = forward_batch(params, np.ones((1, 4)))
+        gw, gb = backward_batch(params, cache, np.zeros((1, 8)))
         for g in gw + gb:
             np.testing.assert_array_equal(g, 0.0)
 
     def test_linear_in_code_gradient(self):
         params = tiny_net(seed=7)
-        x = np.array([0.2, -0.4, 1.0, 0.3])
-        g = np.linspace(-1, 1, 8)
-        gw1, gb1 = backward(params, x, g)
-        gw2, gb2 = backward(params, x, 2 * g)
+        x = np.array([[0.2, -0.4, 1.0, 0.3]])
+        g = np.linspace(-1, 1, 8)[None, :]
+        _, cache = forward_batch(params, x)
+        gw1, gb1 = backward_batch(params, cache, g)
+        gw2, gb2 = backward_batch(params, cache, 2 * g)
         for a, b in zip(gw1 + gb1, gw2 + gb2):
             np.testing.assert_allclose(2 * a, b, rtol=1e-12)
 
     def test_gradient_length_checked(self):
-        with pytest.raises(ValueError):
-            backward(tiny_net(), np.ones(4), np.ones(5))
+        # the gradient must have the codes' (N, K) shape; a (N, 1) column,
+        # a bare (K,) row or a wrong K would broadcast into the parameters
+        params = init_params([4, 6, 8], np.random.default_rng(0))
+        _, cache = forward_batch(params, np.ones((3, 4)))
+        for shape in ((3, 5), (3, 1), (8,), (1, 8), (2, 8), (3, 8, 1)):
+            with pytest.raises(ValueError, match="gradient shape"):
+                backward_batch(params, cache, np.ones(shape))
+        _, one_row = forward_batch(params, np.ones((1, 4)))
+        with pytest.raises(ValueError, match="gradient shape"):
+            backward_batch(params, one_row, np.ones(8))
 
 
 class TestAdamStep:
@@ -403,6 +418,33 @@ class TestLearningRate:
         assert [learning_rate(cfg, e) for e in range(5)] == [
             1.0, 1.0, 0.25, 0.25, 0.0625,
         ]
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr0", -1.0),
+            ("lr0", 0.0),
+            ("lr0", math.nan),
+            ("lr0", math.inf),
+            ("lr_decay_every", 0),
+            ("lr_decay_every", -3),
+            ("lr_decay_factor", 0.0),
+            ("lr_decay_factor", -10.0),
+            ("lr_decay_factor", math.nan),
+            ("lr_decay_factor", math.inf),
+        ],
+    )
+    def test_bad_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_edge_values_accepted(self):
+        from icshash.encoder import learning_rate
+
+        cfg = TrainConfig(lr0=1e-300, lr_decay_every=1, lr_decay_factor=0.5)
+        assert learning_rate(cfg, 3) == pytest.approx(8e-300)
 
 
 class TestBinarize:

@@ -17,14 +17,12 @@ from icshash import (
     assignment_for_labels,
     bce_distance,
     central_likelihood,
-    central_loss,
     distance_matrix,
     distance_vector,
     generate_centers,
     loss_gradient_wrt_codes,
     quantization_loss,
     total_loss,
-    weighted_distance,
 )
 from icshash.loss import AGGREGATIONS, CODE_EPS, CenterAssignment, _loss_and_gradient
 from icshash.weights import entropy_regularizer
@@ -33,6 +31,12 @@ from icshash.weights import entropy_regularizer
 def make_assignment(centers01):
     centers01 = np.atleast_2d(np.asarray(centers01, dtype=np.float64))
     return CenterAssignment(np.arange(centers01.shape[0]), centers01)
+
+
+def weighted_distance(b, assignment, w):
+    """Test-local convex combination w @ d of a code's distances to its
+    centers."""
+    return float(np.asarray(w, dtype=np.float64) @ distance_vector(b, assignment))
 
 
 def random_batch(rng, n, k, c_max, m=8):
@@ -169,7 +173,7 @@ class TestCentralLoss:
         codes = np.tile(center, (3, 1))
         assignments = [make_assignment(center)] * 3
         weights = [np.array([1.0])] * 3
-        value = central_loss(codes, assignments, weights, cfg)
+        value = total_loss(codes, assignments, weights, cfg)[1]["central"]
         assert value == pytest.approx(3 * math.log(2), rel=1e-4)
 
     def test_single_sample_log_three(self):
@@ -178,20 +182,20 @@ class TestCentralLoss:
         codes = np.array([[1.0 / 3.0]])
         assignments = [make_assignment([[1.0]])]
         weights = [np.array([1.0])]
-        value = central_loss(codes, assignments, weights, cfg)
+        value = total_loss(codes, assignments, weights, cfg)[1]["central"]
         assert value == pytest.approx(math.log(4), rel=1e-9)
 
     def test_monotone_in_distance(self):
         cfg = LossConfig(beta=0.5)
         a = [make_assignment([[1.0, 1.0]])]
         w = [np.array([1.0])]
-        worse = central_loss(np.array([[0.6, 0.6]]), a, w, cfg)
-        better = central_loss(np.array([[0.9, 0.9]]), a, w, cfg)
+        worse = total_loss(np.array([[0.6, 0.6]]), a, w, cfg)[1]["central"]
+        better = total_loss(np.array([[0.9, 0.9]]), a, w, cfg)[1]["central"]
         assert worse > better
 
     def test_empty_batch(self):
         with pytest.raises(ValueError):
-            central_loss(np.empty((0, 4)), [], [], LossConfig())
+            total_loss(np.empty((0, 4)), [], [], LossConfig())
 
 
 class TestQuantizationLoss:
@@ -373,7 +377,6 @@ class TestBatchedMatchesPerSampleReference:
             assert got == pytest.approx(want, rel=1e-12, abs=0)
             for key, value in want_parts.items():
                 assert got_parts[key] == pytest.approx(value, rel=1e-12, abs=0)
-            assert central_loss(codes, assignments, weights, cfg) == got_parts["central"]
             grad = loss_gradient_wrt_codes(codes, assignments, weights, cfg)
             assert grad.shape == (n, k)
             assert np.all(np.abs(grad - want_grad) <= 1e-12 * magnitude)
@@ -441,7 +444,6 @@ class TestOnePassCoreMatchesFlatPairs:
         assert got == pytest.approx(want, rel=1e-12, abs=0)
         for key, value in want_parts.items():
             assert got_parts[key] == pytest.approx(value, rel=1e-12, abs=0)
-        assert central_loss(codes, assignments, weights, cfg) == got_parts["central"]
         grad = loss_gradient_wrt_codes(codes, assignments, weights, cfg)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-9, atol=1e-12)
 
@@ -504,7 +506,7 @@ class TestOnePassCoreMatchesFlatPairs:
         a = [assignment_for_labels(center_set, [0, 1, 1, 0]), make_assignment(centers01[:1])]
         codes, weights = np.vstack([b, b]), [np.array([0.5, 0.5]), np.array([1.0])]
         want = flat_batch_reference(codes, a, weights, cfg)[1]["central"]
-        assert central_loss(codes, a, weights, cfg) == pytest.approx(want, rel=1e-12)
+        assert total_loss(codes, a, weights, cfg)[1]["central"] == pytest.approx(want, rel=1e-12)
 
 
 class TestMismatchedBatch:
@@ -524,7 +526,7 @@ class TestMismatchedBatch:
         ]
         cfg = LossConfig(aggregation=aggregation)
         for case in cases:
-            for fn in (central_loss, total_loss, loss_gradient_wrt_codes):
+            for fn in (total_loss, loss_gradient_wrt_codes):
                 with pytest.raises(ValueError):
                     fn(*case, cfg)
 
@@ -550,3 +552,21 @@ class TestLossConfig:
     def test_unknown_aggregation(self):
         with pytest.raises(ValueError):
             LossConfig(aggregation="per-bit")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("beta", math.nan),
+            ("gamma", math.nan),
+            ("gamma", math.inf),
+            ("lam", math.nan),
+            ("lam", math.inf),
+            ("weight_floor", 0.0),
+            ("weight_floor", -1e-8),
+            ("weight_floor", 1.0),
+            ("weight_floor", math.nan),
+        ],
+    )
+    def test_bad_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LossConfig(**{field: value})

@@ -18,12 +18,10 @@ from icshash import (
     pack_database,
     precision_at_k,
     rank_database,
-    relevant,
     retrieval_metrics,
     save_codes,
     unpack_database,
 )
-from icshash.retrieval import hamming_to_all
 
 
 def naive_hamming(a, b):
@@ -147,31 +145,46 @@ class TestRankDatabase:
         db = pack_database(codes)
         query = pack_code(codes[0])
         naive = np.array([naive_hamming(codes[0], c) for c in codes])
-        dist = hamming_to_all(query, db)
         ranking = rank_database(query, db)
-        assert dist.dtype == np.int64
         assert ranking.distances.dtype == np.int64
-        np.testing.assert_array_equal(dist, naive)
         np.testing.assert_array_equal(ranking.distances, np.sort(naive))
+        dist = np.empty_like(ranking.distances)  # back in database order
+        dist[ranking.indices] = ranking.distances
+        np.testing.assert_array_equal(dist, naive)
 
 
 class TestRelevant:
+    """Relevance is sharing a positive label, read off retrieval_metrics:
+    database item 0 sits at distance 0 from the query, item 1 at
+    distance 1, and k = 2."""
+
+    @staticmethod
+    def metrics(query_labels, db_labels):
+        query = pack_database([[1, 1]])
+        db = pack_database([[1, 1], [1, -1]])
+        return retrieval_metrics(query, [query_labels], db, db_labels, k=2)
+
     def test_identical_single_label(self):
-        assert relevant([0, 1, 0], [0, 1, 0])
+        got = self.metrics([0, 1, 0], [[0, 1, 0], [1, 0, 0]])
+        assert got == {"map_at_k": 1.0, "precision_at_k": 0.5}
 
     def test_disjoint(self):
-        assert not relevant([1, 0, 0], [0, 1, 1])
+        with pytest.raises(EvaluationError, match="no query has a relevant"):
+            self.metrics([1, 0, 0], [[0, 1, 1], [0, 1, 0]])
 
     def test_single_overlap_in_many(self):
-        a = np.zeros(80, dtype=int)
-        b = np.zeros(80, dtype=int)
+        # item 1 shares only label 17 of 80 and counts; the nearer item 0
+        # shares none and does not
+        a, near, far = np.zeros((3, 80), dtype=int)
         a[[3, 17]] = 1
-        b[[17, 60]] = 1
-        assert relevant(a, b)
+        near[[5, 60]] = 1
+        far[[17, 60]] = 1
+        got = self.metrics(a, [near, far])
+        assert got == {"map_at_k": 0.5, "precision_at_k": 0.5}
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            relevant([1, 0], [1, 0, 0])
+        with pytest.raises(ValueError, match="label dimension"):
+            self.metrics([1, 0], [[1, 0, 0], [0, 1, 0]])
 
 
 def identity_setup(k=8, n=6):

@@ -541,10 +541,18 @@ class TestConfigValidation:
             {"max_iters": 0},
             {"gradient_mode": "newton"},
             {"weight_floor": 0.0},
+            {"lam": math.nan},
+            {"lam": math.inf},
+            {"eta": math.nan},
+            {"eta": math.inf},
+            {"beta": math.nan},
+            {"beta": math.inf},
+            {"tol": math.nan},
+            {"tol": math.inf},
         ],
     )
     def test_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             WeightSolverConfig(**kwargs)
 
 
