@@ -4,10 +4,16 @@ Subcommands: ``centers`` (write a hash-center file), ``solve-weights``
 (run the weight solver over a file of distance vectors), ``train``
 (fit the encoder on a dataset), ``eval`` (retrieval metrics for a
 checkpoint), ``weight-report`` (compare learned weights against
-ground-truth proportions). Every command writes a JSON run manifest
-listing its resolved configuration and output files. Exit codes:
-0 success, 2 usage or configuration error, 3 data error, 4 violated
-internal invariant.
+ground-truth proportions). Exit codes: 0 success, 2 usage or
+configuration error, 3 data error, 4 violated internal invariant.
+
+Every command writes a JSON run manifest, ``<out>.manifest.json`` (or
+``<out-prefix>.manifest.json``), listing its seed, output files and
+``config``: every flag as parsed except ``--seed`` and the output path
+(``--lambda`` as ``"lambda"``), plus the values a handler works out
+itself, ``centers``' strategy and ``train``'s ``--hidden`` as a list
+of sizes. Each ``_cmd_*`` handler returns ``(outputs, seed, those
+values)`` and ``main`` writes the manifest.
 
 When ``--seed`` is omitted the environment variable ``ICS_SEED`` is
 used as the default seed.
@@ -51,6 +57,8 @@ from .retrieval import (
 from .weights import WeightSolverConfig, _solve_rows
 
 _FLOAT_FMT = "%.17g"
+# parsed attributes that are not recorded in a manifest's config
+_NOT_CONFIG = ("command", "func", "seed", "out", "out_prefix")
 
 
 def _default_seed() -> int:
@@ -63,17 +71,9 @@ def _default_seed() -> int:
         raise ConfigError(f"ICS_SEED must be an integer, got {raw!r}") from None
 
 
-def _write_manifest(path, command, config, seed, outputs, started):
-    manifest = {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "version": __version__,
-        "wall_clock_seconds": round(time.perf_counter() - started, 6),
-        "outputs": sorted(str(p) for p in outputs),
-    }
+def _write_json(path, value):
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(value, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -83,8 +83,7 @@ def _load_dataset(path, data_format, m_labels):
     return load_dataset(path)
 
 
-def _cmd_centers(args) -> int:
-    started = time.perf_counter()
+def _cmd_centers(args) -> tuple[list, int, dict]:
     seed = args.seed if args.seed is not None else _default_seed()
     center_set = generate_centers(args.bits, args.labels, seed)
     save_centers(args.out, center_set)
@@ -92,20 +91,10 @@ def _cmd_centers(args) -> int:
         print(f"min-pairwise-hamming {min_pairwise_hamming(center_set)}")
     else:
         print("min-pairwise-hamming n/a")
-    config = {
-        "bits": args.bits,
-        "labels": args.labels,
-        "strategy": center_set.strategy,
-        "threads": args.threads,
-    }
-    _write_manifest(
-        f"{args.out}.manifest.json", "centers", config, seed, [args.out], started
-    )
-    return 0
+    return [args.out], seed, {"strategy": center_set.strategy}
 
 
-def _cmd_solve_weights(args) -> int:
-    started = time.perf_counter()
+def _cmd_solve_weights(args) -> tuple[list, int, dict]:
     cfg = WeightSolverConfig(
         lam=args.lam,
         eta=args.eta,
@@ -129,24 +118,10 @@ def _cmd_solve_weights(args) -> int:
         writer.writerow(["sample", "iterations", "weights"])
         for i, (row, row_mask, n_iter) in enumerate(zip(w, mask, iterations.tolist())):
             writer.writerow([i, n_iter, ";".join(_FLOAT_FMT % v for v in row[row_mask])])
-    config = {
-        "distances": args.distances,
-        "lambda": args.lam,
-        "eta": args.eta,
-        "beta": args.beta,
-        "max_iters": args.max_iters,
-        "tol": args.tol,
-        "gradient_mode": args.gradient_mode,
-        "threads": args.threads,
-    }
-    _write_manifest(
-        f"{args.out}.manifest.json", "solve-weights", config, 0, [args.out], started
-    )
-    return 0
+    return [args.out], 0, {}
 
 
-def _cmd_train(args) -> int:
-    started = time.perf_counter()
+def _cmd_train(args) -> tuple[list, int, dict]:
     seed = args.seed if args.seed is not None else _default_seed()
     center_set = load_centers(args.centers)
     data = _load_dataset(args.data, args.data_format, center_set.m_labels)
@@ -193,35 +168,10 @@ def _cmd_train(args) -> int:
                     for key in ("total", "central", "quantization", "entropy")
                 ]
             )
-    config = {
-        "data": args.data,
-        "data_format": args.data_format,
-        "centers": args.centers,
-        "epochs": args.epochs,
-        "batch": args.batch,
-        "lr": args.lr,
-        "hidden": list(hidden),
-        "beta": args.beta,
-        "lambda": args.lam,
-        "gamma": args.gamma,
-        "eta": args.eta,
-        "weight_mode": args.weight_mode,
-        "gradient_mode": args.gradient_mode,
-        "threads": args.threads,
-    }
-    _write_manifest(
-        f"{args.out_prefix}.manifest.json",
-        "train",
-        config,
-        seed,
-        [ckpt_path, weights_path, loss_path],
-        started,
-    )
-    return 0
+    return [ckpt_path, weights_path, loss_path], seed, {"hidden": list(hidden)}
 
 
-def _cmd_eval(args) -> int:
-    started = time.perf_counter()
+def _cmd_eval(args) -> tuple[list, int, dict]:
     params, meta = load_checkpoint(args.checkpoint)
     d_in, m_labels = params.sizes[0], meta["m_labels"]
     queries = _load_dataset(args.queries, args.data_format, m_labels)
@@ -240,9 +190,7 @@ def _cmd_eval(args) -> int:
         "n_queries": len(queries),
         "n_database": len(database),
     }
-    with open(args.out, "w") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out, metrics)
     outputs = [args.out]
     if args.dump_codes:
         db_path = f"{args.dump_codes}.database.txt"
@@ -250,19 +198,7 @@ def _cmd_eval(args) -> int:
         save_codes(db_path, db_codes)
         save_codes(q_path, query_codes)
         outputs += [db_path, q_path]
-    config = {
-        "checkpoint": args.checkpoint,
-        "queries": args.queries,
-        "database": args.database,
-        "data_format": args.data_format,
-        "k": args.k,
-        "dump_codes": args.dump_codes,
-        "threads": args.threads,
-    }
-    _write_manifest(
-        f"{args.out}.manifest.json", "eval", config, meta["seed"], outputs, started
-    )
-    return 0
+    return outputs, meta["seed"], {}
 
 
 def _read_weights_csv(path, shape):
@@ -297,8 +233,7 @@ def _read_weights_csv(path, shape):
     return weights, given
 
 
-def _cmd_weight_report(args) -> int:
-    started = time.perf_counter()
+def _cmd_weight_report(args) -> tuple[list, int, dict]:
     data = load_dataset(args.data)
     if not data.has_proportions.any():
         raise DataError(f"{args.data} carries no ground-truth proportions")
@@ -340,19 +275,8 @@ def _cmd_weight_report(args) -> int:
         "n_excluded": n_excluded,
         "n_single_label": int(np.sum(n_labels < 2)),
     }
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    config = {"weights": args.weights, "data": args.data, "threads": args.threads}
-    _write_manifest(
-        f"{args.out_prefix}.manifest.json",
-        "weight-report",
-        config,
-        0,
-        [report_path, summary_path],
-        started,
-    )
-    return 0
+    _write_json(summary_path, summary)
+    return [report_path, summary_path], 0, {}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -445,10 +369,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        outputs, seed, computed = args.func(args)
+        config = {
+            "lambda" if k == "lam" else k: v
+            for k, v in vars(args).items()
+            if k not in _NOT_CONFIG
+        }
+        manifest = {
+            "command": args.command,
+            "config": {**config, **computed},
+            "seed": seed,
+            "version": __version__,
+            "wall_clock_seconds": round(time.perf_counter() - started, 6),
+            "outputs": sorted(str(p) for p in outputs),
+        }
+        out = args.out if "out" in vars(args) else args.out_prefix
+        _write_json(f"{out}.manifest.json", manifest)
+        return 0
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

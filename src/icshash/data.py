@@ -195,7 +195,8 @@ def _read_table(path, header, minimums, count_field, lines_per_row=1):
     """The fields of line 1 of a text file, named by ``header`` (those in
     ``minimums`` are integers no smaller than their entry), and the
     ``lines_per_row`` lines per row that follow; the header field
-    ``count_field`` holds the row count."""
+    ``count_field`` holds the row count. Only blank lines may follow
+    the rows."""
     with open(path) as fh:
         raw = fh.read().splitlines()
     fields = raw[0].split() if raw else []
@@ -213,6 +214,9 @@ def _read_table(path, header, minimums, count_field, lines_per_row=1):
     count = lines_per_row * fields[names.index(count_field)]
     if len(raw) < 1 + count:
         raise ParseError(f"expected {count} more lines, found {len(raw) - 1}", line=len(raw))
+    extra = next((i for i in range(1 + count, len(raw)) if raw[i].strip()), None)
+    if extra is not None:
+        raise ParseError(f"more rows than header field {count_field} declares", line=extra + 1)
     return fields, raw[1 : 1 + count]
 
 

@@ -178,8 +178,9 @@ def retrieval_metrics(
     flags, n_relevant, k = _top_k_relevance(
         query_codes, query_labels, db_codes, db_labels, k
     )
-    precision = np.cumsum(flags, axis=1) / np.arange(1, flags.shape[1] + 1)
-    ap = np.sum(precision * flags, axis=1) / np.minimum(k, n_relevant)
+    top = flags.shape[1]  # min(k, N), and n_relevant <= N
+    precision = np.cumsum(flags, axis=1) / np.arange(1, top + 1)
+    ap = np.sum(precision * flags, axis=1) / np.minimum(top, n_relevant)
     return {
         "map_at_k": float(np.mean(ap)),
         "precision_at_k": float(np.mean(flags.sum(axis=1) / k)),

@@ -8,6 +8,7 @@ import pytest
 from icshash import (
     CapacityError,
     HashCenterSet,
+    ParseError,
     generate_centers,
     load_centers,
     min_pairwise_hamming,
@@ -178,6 +179,15 @@ class TestCentersFile:
         with pytest.raises(Exception) as exc_info:
             load_centers(path)
         assert "line 1" in str(exc_info.value)
+
+    def test_rows_past_the_header_count_are_a_parse_error(self, tmp_path):
+        path = tmp_path / "centers.txt"
+        save_centers(path, generate_centers(8, 4, seed=1))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(["8 3 " + lines[0].split(maxsplit=2)[2], *lines[1:]]))
+        with pytest.raises(ParseError) as exc_info:
+            load_centers(path)
+        assert exc_info.value.line == 5
 
     def test_bad_row_value(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -1,6 +1,7 @@
 """Command-line driver tests: file outputs, stdout, exit codes, and
 byte-identical reruns."""
 
+import argparse
 import csv
 import importlib
 import importlib.util
@@ -29,7 +30,7 @@ from icshash import (
     save_dataset,
     solve_weights,
 )
-from icshash.cli import main
+from icshash.cli import _build_parser, main
 from icshash.data import load_dataset_csv
 from icshash.encoder import init_params
 
@@ -362,6 +363,20 @@ class TestEvalCommand:
         codes_file = (tmp_path / "codes.database.txt").read_text().splitlines()
         assert codes_file[0] == "60 16"
 
+    def test_k_past_int64_is_the_whole_database(self, workdir):
+        tmp_path, data, centers = workdir
+        prefix = tmp_path / "model"
+        run(["train", "--data", data, "--centers", centers, "--out-prefix", prefix,
+             "--epochs", 1, "--hidden", "8", "--seed", 3])
+        found = {}
+        for k in (60, 10**20):
+            out = tmp_path / f"m{k}.json"
+            assert run(["eval", "--checkpoint", f"{prefix}.ckpt", "--queries", data,
+                        "--database", data, "--k", k, "--out", out]) == 0
+            found[k] = json.loads(out.read_text())
+        assert found[10**20]["map_at_k"] == found[60]["map_at_k"]
+        assert found[10**20]["k"] == 10**20
+
     def test_deterministic_metrics(self, workdir):
         tmp_path, data, centers = workdir
         prefix = tmp_path / "model"
@@ -613,6 +628,110 @@ class TestWeightReportCommand:
         code = run(["weight-report", "--weights", weights_csv, "--data", data,
                     "--out-prefix", tmp_path / "r"])
         assert code == 3
+
+
+@pytest.fixture(scope="module")
+def manifests(tmp_path_factory):
+    """Each command's manifest, without ``wall_clock_seconds``, from one
+    centers -> solve-weights -> train -> eval -> weight-report run."""
+    tmp = tmp_path_factory.mktemp("manifests")
+    save_dataset(tmp / "data.txt", generate_synthetic(SyntheticSpec(40, 6, 4, seed=2)))
+    (tmp / "d.txt").write_text("5 5 5\n1 4\n")
+    commands = {
+        "centers": ["--bits", 16, "--labels", 4, "--seed", 5, "--out", tmp / "centers.txt"],
+        "solve-weights": ["--distances", tmp / "d.txt", "--out", tmp / "solved.csv",
+                          "--lambda", 0.5, "--gradient-mode", "exact"],
+        "train": ["--data", tmp / "data.txt", "--centers", tmp / "centers.txt",
+                  "--out-prefix", tmp / "model", "--epochs", 2, "--batch", 16,
+                  "--hidden", "8,4", "--seed", 3],
+        "eval": ["--checkpoint", tmp / "model.ckpt", "--queries", tmp / "data.txt",
+                 "--database", tmp / "data.txt", "--k", 10, "--out", tmp / "metrics.json",
+                 "--dump-codes", tmp / "codes"],
+        "weight-report": ["--weights", tmp / "model.weights.csv", "--data", tmp / "data.txt",
+                          "--out-prefix", tmp / "report"],
+    }
+    found = {}
+    for command, argv in commands.items():
+        assert run([command, *argv]) == 0, command
+        out = argv[argv.index("--out" if "--out" in argv else "--out-prefix") + 1]
+        found[command] = manifest_of(out)
+        del found[command]["wall_clock_seconds"]
+    return tmp, found
+
+
+class TestManifests:
+    def test_each_command_writes_its_pinned_manifest(self, manifests):
+        tmp, found = manifests
+        p = {name: str(tmp / name) for name in (
+            "centers.txt", "d.txt", "solved.csv", "data.txt", "model", "model.ckpt",
+            "model.weights.csv", "model.loss.csv", "metrics.json", "codes",
+            "codes.database.txt", "codes.queries.txt", "report.csv", "report.summary.json",
+        )}
+        common = {"version": "0.1.0"}
+        assert found == {
+            "centers": {
+                **common,
+                "command": "centers",
+                "config": {"bits": 16, "labels": 4, "strategy": "hadamard-rows", "threads": 1},
+                "outputs": [p["centers.txt"]],
+                "seed": 5,
+            },
+            "solve-weights": {
+                **common,
+                "command": "solve-weights",
+                "config": {
+                    "distances": p["d.txt"], "lambda": 0.5, "eta": 0.1, "beta": 1.0,
+                    "max_iters": 50, "tol": 1e-6, "gradient_mode": "exact", "threads": 1,
+                },
+                "outputs": [p["solved.csv"]],
+                "seed": 0,
+            },
+            "train": {
+                **common,
+                "command": "train",
+                "config": {
+                    "data": p["data.txt"], "data_format": "text", "centers": p["centers.txt"],
+                    "epochs": 2, "batch": 16, "lr": 1e-4, "hidden": [8, 4], "beta": 0.1,
+                    "lambda": 0.01, "gamma": 0.05, "eta": 0.1, "weight_mode": "learned",
+                    "gradient_mode": "paper", "threads": 1,
+                },
+                "outputs": sorted([p["model.ckpt"], p["model.weights.csv"], p["model.loss.csv"]]),
+                "seed": 3,
+            },
+            "eval": {
+                **common,
+                "command": "eval",
+                "config": {
+                    "checkpoint": p["model.ckpt"], "queries": p["data.txt"],
+                    "database": p["data.txt"], "data_format": "text", "k": 10,
+                    "dump_codes": p["codes"], "threads": 1,
+                },
+                "outputs": sorted(
+                    [p["metrics.json"], p["codes.database.txt"], p["codes.queries.txt"]]
+                ),
+                "seed": 3,
+            },
+            "weight-report": {
+                **common,
+                "command": "weight-report",
+                "config": {"weights": p["model.weights.csv"], "data": p["data.txt"], "threads": 1},
+                "outputs": sorted([p["report.csv"], p["report.summary.json"]]),
+                "seed": 0,
+            },
+        }
+
+    def test_config_records_every_flag(self, manifests):
+        # a flag missing from the manifest would drop out of the run record
+        _, found = manifests
+        parser = _build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == sorted(found)
+        for command, subparser in sub.choices.items():
+            dests = {a.dest for a in subparser._actions} - {"help", "seed", "out", "out_prefix"}
+            expected = {"lambda" if d == "lam" else d for d in dests}
+            if command == "centers":
+                expected.add("strategy")
+            assert set(found[command]["config"]) == expected, command
 
 
 class TestNoPerSampleObjects:

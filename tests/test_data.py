@@ -159,6 +159,17 @@ class TestDatasetFile:
             load_dataset(path)
         assert exc_info.value.line == 1
 
+    def test_rows_past_the_header_count_are_a_parse_error(self, tmp_path):
+        path = tmp_path / "data.txt"
+        save_dataset(path, generate_synthetic(SyntheticSpec(50, 3, 4, seed=1)))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(["49 3 4", *lines[1:], "", ""]))
+        with pytest.raises(ParseError) as exc_info:
+            load_dataset(path)
+        assert exc_info.value.line == 2 + 3 * 49  # sample 49's features
+        path.write_text("\n".join([*lines, "", " "]))
+        assert len(load_dataset(path)) == 50
+
     def test_label_string_message_names_its_width(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("1 2 2\n0.1 0.2\n1x\n-\n")

@@ -314,6 +314,19 @@ class TestPrecisionAtK:
         assert precision_at_k(query_codes, query_labels, db, db_labels, k=4) == 0.5
 
 
+class TestHugeK:
+    def test_k_past_int64_ranks_the_whole_database(self):
+        # np.minimum(k, n_relevant) raised OverflowError for k >= 2**63
+        query_codes = pack_database([[1, 1, 1, 1]])
+        query_labels = np.array([[1, 0]])
+        db = pack_database([[1, 1, 1, 1], [1, 1, 1, -1], [1, 1, -1, -1], [1, -1, -1, -1]])
+        db_labels = np.array([[1, 0], [0, 1], [1, 0], [0, 1]])
+        args = (query_codes, query_labels, db, db_labels)
+        got = retrieval_metrics(*args, k=2**64)
+        assert got["map_at_k"] == map_at_k(*args, k=4)
+        assert got["precision_at_k"] == 2 / 2**64
+
+
 def reference_metrics(query_codes, query_labels, db_codes, db_labels, k):
     """(mAP@k, P@k) from one stable sort per query of its per-bit
     distances to the unpacked database codes and the per-query AP@k /
@@ -451,6 +464,15 @@ class TestCodesFile:
         with pytest.raises(ParseError) as exc_info:
             load_codes(path)
         assert "line 1" in str(exc_info.value)
+
+    def test_rows_past_the_header_count_are_a_parse_error(self, tmp_path):
+        path = tmp_path / "codes.txt"
+        save_codes(path, pack_database(random_codes(np.random.default_rng(2), 50, 12)))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(["45 12", *lines[1:46], "", *lines[46:]]))
+        with pytest.raises(ParseError) as exc_info:
+            load_codes(path)
+        assert exc_info.value.line == 48  # the blank line 47 is skipped
 
     def test_malformed(self, tmp_path):
         path = tmp_path / "bad.txt"
