@@ -125,10 +125,11 @@ def _cmd_train(args) -> tuple[list, int, dict]:
     seed = args.seed if args.seed is not None else _default_seed()
     center_set = load_centers(args.centers)
     data = _load_dataset(args.data, args.data_format, center_set.m_labels)
-    m, want = data.labels.shape[1], center_set.m_labels
-    if m != want:
-        raise ConfigError(f"dataset has M={m} labels but the centers file defines M={want}")
-    hidden = tuple(int(h) for h in args.hidden.split(",") if h)
+    try:  # the empty string means no hidden layer
+        hidden = tuple(int(h) for h in args.hidden.split(",")) if args.hidden else ()
+    except ValueError:
+        message = f"--hidden must be comma-separated integers, got {args.hidden!r}"
+        raise ConfigError(message) from None
     loss_cfg = LossConfig(beta=args.beta, gamma=args.gamma, lam=args.lam)
     solver_cfg = WeightSolverConfig(
         lam=args.lam, eta=args.eta, beta=args.beta, gradient_mode=args.gradient_mode

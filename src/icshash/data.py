@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EvaluationError, InternalInvariantError, ParseError
+from .errors import DataError, EvaluationError, InternalInvariantError, ParseError
 
 
 @dataclass
@@ -42,12 +42,41 @@ class Dataset:
     0/1 with a positive in every row; proportions (N, M) float64, zero
     off the label mask and in rows without proportions; has_proportions
     (N,) bool. An integer index (and so iteration) gives a
-    MultiLabelSample, a slice or an index array a Dataset."""
+    MultiLabelSample, a slice or an index array a Dataset.
+
+    The columns are checked when the Dataset is built: ValueError when
+    their shapes disagree on N or M, and DataError for the first sample,
+    in index order, without a positive label or, failing that, with a
+    non-finite feature. They are kept as read-only views, so that a write
+    through the Dataset cannot undo a check before train reads them (the
+    arrays a caller passed in stay writable under the caller's names)."""
 
     features: np.ndarray
     labels: np.ndarray
     proportions: np.ndarray
     has_proportions: np.ndarray
+
+    def __post_init__(self):
+        self.features = np.asarray(self.features, dtype=np.float64)
+        self.labels = np.asarray(self.labels, dtype=np.int8)
+        self.proportions = np.asarray(self.proportions, dtype=np.float64)
+        self.has_proportions = np.asarray(self.has_proportions, dtype=bool)
+        f, l, p, g = shapes = [column.shape for column in vars(self).values()]
+        if not (len(f) == len(l) == 2 and p == l and f[:1] == l[:1] == g):
+            raise ValueError(
+                "Dataset columns must be features (N, D), labels and proportions "
+                f"(N, M) and has_proportions (N,); got shapes {shapes}"
+            )
+        no_positive = self.labels.sum(axis=1) == 0
+        failed = no_positive | ~np.isfinite(self.features).all(axis=1)
+        if failed.any():
+            i = int(np.argmax(failed))
+            problem = "no positive label" if no_positive[i] else "a non-finite feature"
+            raise DataError(f"sample {i} has {problem}")
+        for name, column in list(vars(self).items()):
+            view = column.view()
+            view.flags.writeable = False
+            setattr(self, name, view)
 
     def __len__(self) -> int:
         return len(self.features)
@@ -119,65 +148,22 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(features, labels, proportions, np.ones(n, dtype=bool))
 
 
-def _as_dataset(samples, m_labels=None) -> Dataset:
-    """A Dataset as it is, or a list of MultiLabelSamples stacked into
-    one. Raises for the first sample, in index order, that fails a check
-    and names the first it fails: ``m_labels`` labels (sample 0's count
-    when None), a positive label, sample 0's feature count, finite
-    features; then for the first whose proportions do not fit its labels."""
-    if len(samples) == 0:
-        raise DataError("empty dataset")
-    if isinstance(samples, Dataset):
-        features, labels = samples.features, samples.labels
-        n_features, n_labels = (np.full(len(samples), a.shape[1]) for a in (features, labels))
-    else:
-        labels, label_slots = _padded_rows([s.labels for s in samples])
-        features, feature_slots = _padded_rows([s.features for s in samples])
-        n_labels, n_features = label_slots.sum(axis=1), feature_slots.sum(axis=1)
-    centers = m_labels is not None
-    m = m_labels if centers else n_labels[0]
-    no_positive, non_finite = labels.sum(axis=1) == 0, ~np.isfinite(features).all(axis=1)
-    failed = np.stack([n_labels != m, no_positive, n_features != n_features[0], non_finite], 1)
-    if failed.any():
-        i = int(np.argmax(failed.any(axis=1)))
-        kind = int(np.argmax(failed[i]))
-        messages = [
-            f"sample {i} has {n_labels[i]} labels but "
-            f"{'the centers define' if centers else 'sample 0 has'} M={m}",
-            f"sample {i} has no positive label",
-            f"sample {i} has {n_features[i]} features, expected {n_features[0]}",
-            f"sample {i} has a non-finite feature",
-        ]
-        raise (ConfigError if kind == 0 and centers else DataError)(messages[kind])
-    if isinstance(samples, Dataset):
-        return samples
-    mask, proportions = labels != 0, np.zeros(labels.shape)
-    has_proportions = np.array([s.proportions is not None for s in samples])
-    for i in np.flatnonzero(has_proportions):
-        p, c = samples[i].proportions, mask[i].sum()
-        if p.shape != (c,):
-            raise DataError(f"sample {i} has proportions of shape {p.shape} for {c} labels")
-        proportions[i, mask[i]] = p
-    return Dataset(features, labels, proportions, has_proportions)
+def features_matrix(data: Dataset) -> np.ndarray:
+    """The (N, D) feature column of a Dataset."""
+    return data.features
 
 
-def features_matrix(samples) -> np.ndarray:
-    """The (N, D) feature column of a Dataset or of a list of samples."""
-    return _as_dataset(samples).features
+def labels_matrix(data: Dataset) -> np.ndarray:
+    """The (N, M) label column of a Dataset."""
+    return data.labels
 
 
-def labels_matrix(samples) -> np.ndarray:
-    """The (N, M) label column of a Dataset or of a list of samples."""
-    return _as_dataset(samples).labels
-
-
-def save_dataset(path, samples: "Dataset | list[MultiLabelSample]") -> None:
+def save_dataset(path, data: Dataset) -> None:
     """Three lines per sample after a ``N D M`` header: features (9
     significant digits), the 0/1 label string, and the proportions
     (full precision) or ``-`` when absent."""
-    if not samples:
+    if not data:
         raise ValueError("refusing to save an empty dataset")
-    data = _as_dataset(samples)
     lines = ["{} {} {}".format(*data.features.shape, data.labels.shape[1])]
     rows = zip(data.features, data.labels, data.proportions, data.has_proportions)
     for features, labels, proportions, given in rows:
@@ -284,17 +270,6 @@ def _parse_ragged(lines, line_numbers, widths) -> tuple[np.ndarray, np.ndarray]:
         at = np.flatnonzero(widths == width)
         rows[at, :width] = _parse_rows([lines[i] for i in at], numbers[at], width, np.float64)
     return rows, mask
-
-
-def _padded_rows(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of differing lengths as one array, zero-padded to the longest
-    (N, L, ...), and the (N, L) boolean mask of the entries they fill."""
-    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    flat = np.concatenate(rows)
-    padded = np.zeros((*mask.shape, *flat.shape[1:]), dtype=flat.dtype)
-    padded[mask] = flat
-    return padded, mask
 
 
 def load_dataset(path) -> Dataset:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .centers import HashCenterSet
-from .data import _as_dataset, _parse_rows
-from .errors import ParseError
+from .data import Dataset, _parse_rows
+from .errors import ConfigError, DataError, ParseError
 from .loss import (
     CODE_EPS,
     LossConfig,
@@ -173,10 +173,6 @@ class TrainConfig:
     lr0: float = 1e-4
     lr_decay_every: int = 30
     lr_decay_factor: float = 10.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.99
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
     hidden: tuple[int, ...] = (64,)
     loss: LossConfig = field(default_factory=LossConfig)
     solver: WeightSolverConfig | None = None
@@ -231,9 +227,9 @@ class TrainState:
         return np.split(flat, np.cumsum(self.label_mask.sum(axis=1))[:-1])
 
 
-def train(samples, center_set: HashCenterSet, cfg: TrainConfig) -> TrainState:
-    """Two-step alternating optimization on ``samples``, a Dataset or a
-    list of MultiLabelSamples, which is stacked into one first.
+def train(data: Dataset, center_set: HashCenterSet, cfg: TrainConfig) -> TrainState:
+    """Two-step alternating optimization on a Dataset, whose columns
+    were checked when it was built; its M must match the centers'.
 
     Per batch: freeze the encoder, compute the batch's (B, M) code-to-
     center distances in one pass and re-solve all of its weight rows
@@ -247,7 +243,11 @@ def train(samples, center_set: HashCenterSet, cfg: TrainConfig) -> TrainState:
     the (N, M) label mask; no per-sample object is built. The loss
     decomposition is recorded per epoch. Deterministic for a fixed seed.
     """
-    data = _as_dataset(samples, center_set.m_labels)
+    if len(data) == 0:
+        raise DataError("empty dataset")
+    m, want = data.labels.shape[1], center_set.m_labels
+    if m != want:
+        raise ConfigError(f"sample 0 has {m} labels but the centers define M={want}")
     features, mask = data.features, data.labels != 0
     rng = np.random.default_rng(cfg.seed)
     sizes = [features.shape[1], *cfg.hidden, center_set.k_bits]
@@ -274,16 +274,7 @@ def train(samples, center_set: HashCenterSet, cfg: TrainConfig) -> TrainState:
                 codes, d, w, batch_mask, centers01, cfg.loss
             )
             grads = backward_batch(params, cache, grad_codes)
-            adam_step(
-                params,
-                adam,
-                grads,
-                lr,
-                beta1=cfg.adam_beta1,
-                beta2=cfg.adam_beta2,
-                eps=cfg.adam_eps,
-                weight_decay=cfg.weight_decay,
-            )
+            adam_step(params, adam, grads, lr)
             for key, part in {"total": value, **parts}.items():
                 sums[key] += part
         history.append(sums)

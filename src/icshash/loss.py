@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .centers import HashCenterSet
-from .data import _padded_rows
 from .errors import ConfigError
 from .weights import _sigmoid, entropy_regularizer
 
@@ -134,6 +133,17 @@ def central_likelihood(omega: float, beta: float) -> float:
     if beta <= 0:
         raise ValueError("beta must be positive")
     return float(_sigmoid(-beta * omega))
+
+
+def _padded_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of differing lengths as one array, zero-padded to the longest
+    (N, L, ...), and the (N, L) boolean mask of the entries they fill."""
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    flat = np.concatenate(rows)
+    padded = np.zeros((*mask.shape, *flat.shape[1:]), dtype=flat.dtype)
+    padded[mask] = flat
+    return padded, mask
 
 
 def _ragged_rows(codes, assignments, weights):

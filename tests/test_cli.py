@@ -15,9 +15,12 @@ import numpy as np
 import pytest
 
 from icshash import (
+    Dataset,
     MultiLabelSample,
     SyntheticSpec,
+    TrainConfig,
     WeightSolverConfig,
+    features_matrix,
     generate_centers,
     generate_synthetic,
     labels_matrix,
@@ -29,6 +32,7 @@ from icshash import (
     save_centers,
     save_dataset,
     solve_weights,
+    train,
 )
 from icshash.cli import _build_parser, main
 from icshash.data import load_dataset_csv
@@ -248,6 +252,29 @@ class TestTrainCommand:
         assert code == 2
         assert f"error: {field} must " in capsys.readouterr().err
         assert not (tmp_path / "bad.ckpt").exists()
+
+    @pytest.mark.parametrize("hidden", ["8,,4", "8,", ",4"])
+    def test_empty_hidden_item_is_usage_error(self, workdir, capsys, hidden):
+        tmp_path, data, centers = workdir
+        code = run(
+            ["train", "--data", data, "--centers", centers, "--out-prefix",
+             tmp_path / "gap", "--epochs", 1, "--hidden", hidden, "--seed", 1]
+        )
+        assert code == 2
+        assert "error: --hidden must be comma-separated integers" in capsys.readouterr().err
+        assert not (tmp_path / "gap.ckpt").exists()
+
+    def test_empty_hidden_list_means_no_hidden_layer(self, workdir):
+        tmp_path, data, centers = workdir
+        prefix = tmp_path / "flat"
+        code = run(
+            ["train", "--data", data, "--centers", centers, "--out-prefix", prefix,
+             "--epochs", 1, "--hidden", "", "--seed", 1]
+        )
+        assert code == 0
+        params, _ = load_checkpoint(f"{prefix}.ckpt")
+        assert params.sizes == [8, 16]
+        assert manifest_of(prefix)["config"]["hidden"] == []
 
     def test_zero_epochs_checkpoint_equals_seeded_init(self, workdir):
         tmp_path, data, centers = workdir
@@ -522,12 +549,10 @@ class TestWeightReportCommand:
         assert summary["mean_spearman"] is None
 
     def test_uniform_two_label_weights_have_zero_variance(self, tmp_path):
-        samples = [
-            MultiLabelSample(
-                np.zeros(4), np.array([1, 1, 0]), np.array([0.6, 0.4])
-            )
-            for _ in range(5)
-        ]
+        samples = Dataset(
+            np.zeros((5, 4)), np.tile([1, 1, 0], (5, 1)), np.tile([0.6, 0.4, 0.0], (5, 1)),
+            np.ones(5, dtype=bool),
+        )
         data = tmp_path / "d.txt"
         save_dataset(data, samples)
         weights_csv = tmp_path / "w.csv"
@@ -602,10 +627,10 @@ class TestWeightReportCommand:
     def test_out_of_range_non_finite_or_repeated_row_names_its_line(
         self, tmp_path, capsys, row, message
     ):
-        samples = [
-            MultiLabelSample(np.zeros(2), np.array([1, 1, 0]), np.array([0.7, 0.3])),
-            MultiLabelSample(np.ones(2), np.array([0, 1, 1]), np.array([0.2, 0.8])),
-        ]
+        samples = Dataset(
+            [[0.0, 0.0], [1.0, 1.0]], [[1, 1, 0], [0, 1, 1]], [[0.7, 0.3, 0], [0, 0.2, 0.8]],
+            [True, True],
+        )
         data = tmp_path / "d.txt"
         save_dataset(data, samples)
         weights_csv = tmp_path / "w.csv"
@@ -620,7 +645,7 @@ class TestWeightReportCommand:
         assert not (tmp_path / "r.summary.json").exists()
 
     def test_dataset_without_proportions_is_data_error(self, tmp_path):
-        samples = [MultiLabelSample(np.zeros(3), np.array([1, 0]))]
+        samples = Dataset(np.zeros((1, 3)), [[1, 0]], np.zeros((1, 2)), [False])
         data = tmp_path / "d.txt"
         save_dataset(data, samples)
         weights_csv = tmp_path / "w.csv"
@@ -763,6 +788,16 @@ class TestNoPerSampleObjects:
                     "--dump-codes", tmp_path / "codes"]) == 0
         assert run(["weight-report", "--weights", f"{prefix}.weights.csv", "--data", data,
                     "--out-prefix", tmp_path / "r"]) == 0
+
+    def test_library_round_trip(self, tmp_path, refuse_samples):
+        data = generate_synthetic(SyntheticSpec(30, 4, 3, seed=1))
+        save_dataset(tmp_path / "data.txt", data)
+        loaded = load_dataset(tmp_path / "data.txt")
+        cfg = TrainConfig(epochs=1, batch_size=8, hidden=(8,))
+        state = train(loaded, generate_centers(16, 3, seed=1), cfg)
+        assert state.weight_matrix.shape == (30, 3)
+        np.testing.assert_allclose(features_matrix(loaded), data.features, rtol=1e-8)
+        np.testing.assert_array_equal(labels_matrix(loaded), data.labels)
 
 
 def src_env():

@@ -97,9 +97,7 @@ class TestDatasetFile:
         assert again.read_bytes() == third.read_bytes()
 
     def test_missing_proportions_marker(self, tmp_path):
-        samples = [
-            MultiLabelSample(np.array([0.5, -1.0]), np.array([1, 0, 1])),
-        ]
+        samples = Dataset([[0.5, -1.0]], [[1, 0, 1]], np.zeros((1, 3)), [False])
         path = tmp_path / "noprops.txt"
         save_dataset(path, samples)
         assert path.read_text().splitlines()[3] == "-"
@@ -279,12 +277,14 @@ class TestDataset:
 
     def test_loaded_items_equal_the_saved_samples(self, tmp_path):
         rng = np.random.default_rng(8)
-        samples = []
+        features, labels = np.empty((12, 3)), np.zeros((12, 5), dtype=np.int8)
+        proportions = np.zeros((12, 5))
         for i in range(12):
-            labels = np.zeros(5, dtype=np.int8)
-            labels[rng.choice(5, size=1 + i % 3, replace=False)] = 1
-            props = rng.dirichlet(np.ones(labels.sum())) if i % 4 else None
-            samples.append(MultiLabelSample(np.round(rng.normal(size=3), 3), labels, props))
+            labels[i, rng.choice(5, size=1 + i % 3, replace=False)] = 1
+            if i % 4:
+                proportions[i, labels[i] != 0] = rng.dirichlet(np.ones(labels[i].sum()))
+            features[i] = np.round(rng.normal(size=3), 3)
+        samples = Dataset(features, labels, proportions, np.arange(12) % 4 != 0)
         path = tmp_path / "data.txt"
         save_dataset(path, samples)
         data = load_dataset(path)
@@ -306,29 +306,39 @@ class TestDataset:
         with pytest.raises(IndexError):
             data[20]
 
-    def test_saving_the_samples_or_the_dataset_writes_the_same_bytes(self, tmp_path):
+    def test_saving_a_loaded_dataset_writes_the_same_bytes(self, tmp_path):
         data = generate_synthetic(SyntheticSpec(40, 5, 6, seed=9))
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         save_dataset(a, data)
-        save_dataset(b, list(data))
-        assert a.read_bytes() == b.read_bytes()
-        loaded = load_dataset(a)
-        save_dataset(b, list(loaded))
+        save_dataset(b, load_dataset(a))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_sample_list_whose_proportions_do_not_fit_its_labels(self, tmp_path):
-        samples = [
-            MultiLabelSample(np.zeros(2), np.array([1, 1, 0]), np.array([0.5, 0.5])),
-            MultiLabelSample(np.zeros(2), np.array([1, 0, 1]), np.array([1.0])),
-        ]
-        with pytest.raises(DataError, match="sample 1 has proportions of shape"):
-            save_dataset(tmp_path / "data.txt", samples)
+    def test_columns_are_read_only_views(self):
+        features = np.zeros((3, 2))
+        data = Dataset(features, np.ones((3, 2)), np.zeros((3, 2)), np.zeros(3, dtype=bool))
+        for column in (data.features, data.labels, data.proportions, data.has_proportions):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+        features[0, 0] = 1.0  # the caller's own array stays writable
+        assert data.features[0, 0] == 1.0
 
-    def test_sample_list_with_a_ragged_label_row(self, tmp_path):
-        samples = [MultiLabelSample(np.zeros(2), np.array([1, 0])) for _ in range(3)]
-        samples[2] = MultiLabelSample(np.zeros(2), np.array([1, 0, 1]))
-        with pytest.raises(DataError, match="sample 2 has 3 labels but sample 0 has M=2"):
-            save_dataset(tmp_path / "data.txt", samples)
+    def test_columns_that_disagree_on_n_or_m_are_refused(self):
+        n, m = 4, 3
+        columns = [np.zeros((n, 2)), np.ones((n, m)), np.zeros((n, m)), np.zeros(n, dtype=bool)]
+        assert len(Dataset(*columns)) == n
+        for at, column in [
+            (0, np.zeros((n + 1, 2))),
+            (0, np.zeros(n)),
+            (1, np.ones((n + 1, m))),
+            (1, np.ones(n)),
+            (2, np.zeros((n, m + 1))),
+            (2, np.zeros((n - 1, m))),
+            (3, np.zeros(n + 1, dtype=bool)),
+        ]:
+            bad = list(columns)
+            bad[at] = column
+            with pytest.raises(ValueError, match="Dataset columns must be"):
+                Dataset(*bad)
 
 
 class TestSpearman:

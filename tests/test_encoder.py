@@ -16,9 +16,9 @@ from icshash import (
     AdamState,
     ConfigError,
     DataError,
+    Dataset,
     EncoderParams,
     LossConfig,
-    MultiLabelSample,
     ParseError,
     SyntheticSpec,
     TrainConfig,
@@ -195,16 +195,14 @@ class TestAdamStep:
 def synthetic_two_label(n=200, d=8, k=16, seed=0):
     rng = np.random.default_rng(seed)
     anchor0 = np.concatenate([np.ones(d // 2), -np.ones(d // 2)])
-    anchor1 = -anchor0
-    samples = []
-    for i in range(n):
-        label = i % 2
-        base = anchor0 if label == 0 else anchor1
-        features = base + 0.1 * rng.normal(size=d)
-        labels = np.zeros(2, dtype=np.int8)
-        labels[label] = 1
-        samples.append(MultiLabelSample(features, labels))
-    return samples
+    labels = np.eye(2, dtype=np.int8)[np.arange(n) % 2]
+    features = np.where(labels[:, :1] == 1, anchor0, -anchor0) + 0.1 * rng.normal(size=(n, d))
+    return without_proportions(features, labels)
+
+
+def without_proportions(features, labels) -> Dataset:
+    n, m = labels.shape
+    return Dataset(features, labels, np.zeros((n, m)), np.zeros(n, dtype=bool))
 
 
 class TestTrain:
@@ -251,11 +249,11 @@ class TestTrain:
 
     def test_learned_weights_satisfy_min_distance_bound(self):
         rng = np.random.default_rng(12)
-        samples = []
-        for _ in range(30):
-            labels = np.zeros(4, dtype=np.int8)
-            labels[rng.choice(4, size=2, replace=False)] = 1
-            samples.append(MultiLabelSample(rng.normal(size=6), labels))
+        features, labels = np.empty((30, 6)), np.zeros((30, 4), dtype=np.int8)
+        for i in range(30):
+            labels[i, rng.choice(4, size=2, replace=False)] = 1
+            features[i] = rng.normal(size=6)
+        samples = without_proportions(features, labels)
         center_set = generate_centers(16, 4, seed=2)
         cfg = TrainConfig(
             epochs=2,
@@ -278,20 +276,20 @@ class TestTrain:
 
     def test_non_finite_feature_rejected_with_index(self):
         samples = synthetic_two_label(n=10)
-        features = samples[4].features.copy()
-        features[0] = np.nan
-        samples[4] = MultiLabelSample(features, samples[4].labels)
+        features = samples.features.copy()
+        features[4, 0] = np.nan
         center_set = generate_centers(16, 2, seed=0)
         with pytest.raises(DataError) as exc_info:
-            train(samples, center_set, TrainConfig(epochs=1))
+            train(without_proportions(features, samples.labels), center_set, TrainConfig(epochs=1))
         assert "sample 4" in str(exc_info.value)
 
     def test_zero_label_sample_rejected_with_index(self):
         samples = synthetic_two_label(n=10)
-        samples[7] = MultiLabelSample(samples[7].features, np.zeros(2, dtype=np.int8))
+        labels = samples.labels.copy()
+        labels[7] = 0
         center_set = generate_centers(16, 2, seed=0)
         with pytest.raises(DataError) as exc_info:
-            train(samples, center_set, TrainConfig(epochs=1))
+            train(without_proportions(samples.features, labels), center_set, TrainConfig(epochs=1))
         assert "7" in str(exc_info.value)
 
 
@@ -316,89 +314,73 @@ class TestTrainBuildsNoPerSampleObjects:
 
 
 class TestTrainOnDataset:
-    @pytest.mark.parametrize("weight_mode", ["learned", "equal"])
-    def test_a_dataset_and_its_sample_list_train_alike(self, weight_mode):
-        data = generate_synthetic(SyntheticSpec(90, 6, 4, seed=3))[10:]
-        center_set = generate_centers(16, 4, seed=1)
-        cfg = TrainConfig(epochs=2, batch_size=16, lr0=1e-3, hidden=(8,), weight_mode=weight_mode)
-        a, b = train(data, center_set, cfg), train(list(data), center_set, cfg)
-        for wa, wb in zip(a.params.weights + a.params.biases, b.params.weights + b.params.biases):
-            np.testing.assert_array_equal(wa, wb)
-        np.testing.assert_array_equal(a.weight_matrix, b.weight_matrix)
-        assert a.loss_history == b.loss_history
-
     def test_label_count_is_checked_against_the_centers(self):
         data = generate_synthetic(SyntheticSpec(10, 6, 3, seed=3))
         with pytest.raises(ConfigError, match="sample 0 has 3 labels but the centers define M=2"):
             train(data, generate_centers(16, 2, seed=0), TrainConfig(epochs=1))
 
 
-def corrupted(samples, kind, i):
-    """samples with sample i made to fail one check of train's input
-    validation; the checks run in this order for each sample."""
-    s = samples[i]
-    features, labels = s.features.copy(), s.labels
-    if kind == "label count":
-        labels = np.append(labels, 1).astype(np.int8)
-    elif kind == "no positive":
-        labels = np.zeros_like(labels)
-    elif kind == "feature count":
-        features = features[:5]
+def corrupted(columns, kind, i):
+    """(features, labels) columns with sample i made to fail one of the
+    checks a Dataset runs when it is built; the checks run in this order
+    for each sample."""
+    features, labels = (column.copy() for column in columns)
+    if kind == "no positive":
+        labels[i] = 0
     else:
-        features[2] = np.inf
-    samples = list(samples)
-    samples[i] = MultiLabelSample(features, labels)
-    return samples
+        features[i, 2] = np.inf
+    return features, labels
 
 
-VALIDATION_KINDS = ["label count", "no positive", "feature count", "non-finite"]
+VALIDATION_KINDS = ["no positive", "non-finite"]
 
 
 def validation_error(kind, i):
     return {
-        "label count": (ConfigError, f"sample {i} has 3 labels but the centers define M=2"),
-        "no positive": (DataError, f"sample {i} has no positive label"),
-        "feature count": (DataError, f"sample {i} has 5 features, expected 8"),
-        "non-finite": (DataError, f"sample {i} has a non-finite feature"),
+        "no positive": f"sample {i} has no positive label",
+        "non-finite": f"sample {i} has a non-finite feature",
     }[kind]
 
 
 class TestTrainInputValidation:
-    """The checks run on the stacked dataset at once, but report what a
-    loop over the samples would: the first failing sample in index
-    order, and for it the first failing check."""
+    """A Dataset checks its rows at once when it is built, but reports
+    what a loop over the samples would: the first failing sample in index
+    order, and for it the first failing check. train then checks what
+    depends on its other arguments: a non-empty dataset, and M against
+    the centers."""
 
-    def run(self, samples):
-        train(samples, generate_centers(16, 2, seed=0), TrainConfig(epochs=1, hidden=(4,)))
+    def run(self, data):
+        train(data, generate_centers(16, 2, seed=0), TrainConfig(epochs=1, hidden=(4,)))
+
+    def columns(self):
+        data = synthetic_two_label(n=10)
+        return data.features, data.labels
 
     @pytest.mark.parametrize("first", VALIDATION_KINDS)
     @pytest.mark.parametrize("second", VALIDATION_KINDS)
     def test_first_failing_sample_is_named(self, first, second):
-        samples = corrupted(corrupted(synthetic_two_label(n=10), second, 6), first, 3)
-        error, message = validation_error(first, 3)
-        with pytest.raises(error) as exc_info:
-            self.run(samples)
-        assert type(exc_info.value) is error
-        assert str(exc_info.value) == message
-
-    @pytest.mark.parametrize("pair", [(0, 1), (0, 3), (1, 2), (2, 3), (1, 3)])
-    def test_earlier_check_wins_within_a_sample(self, pair):
-        first, second = (VALIDATION_KINDS[k] for k in pair)
-        samples = corrupted(corrupted(synthetic_two_label(n=10), second, 4), first, 4)
-        error, message = validation_error(first, 4)
-        with pytest.raises(error) as exc_info:
-            self.run(samples)
-        assert str(exc_info.value) == message
-
-    def test_feature_count_is_taken_from_sample_zero(self):
-        samples = corrupted(synthetic_two_label(n=10), "feature count", 0)
+        columns = corrupted(corrupted(self.columns(), second, 6), first, 3)
         with pytest.raises(DataError) as exc_info:
-            self.run(samples)
-        assert str(exc_info.value) == "sample 1 has 8 features, expected 5"
+            self.run(without_proportions(*columns))
+        assert type(exc_info.value) is DataError
+        assert str(exc_info.value) == validation_error(first, 3)
+
+    def test_earlier_check_wins_within_a_sample(self):
+        columns = corrupted(corrupted(self.columns(), "non-finite", 4), "no positive", 4)
+        with pytest.raises(DataError) as exc_info:
+            self.run(without_proportions(*columns))
+        assert str(exc_info.value) == validation_error("no positive", 4)
+
+    def test_label_count_must_match_the_centers(self):
+        features, _ = self.columns()
+        with pytest.raises(ConfigError) as exc_info:
+            self.run(without_proportions(features, np.ones((10, 1), dtype=np.int8)))
+        assert type(exc_info.value) is ConfigError
+        assert str(exc_info.value) == "sample 0 has 1 labels but the centers define M=2"
 
     def test_empty_dataset(self):
         with pytest.raises(DataError, match="empty dataset"):
-            self.run([])
+            self.run(synthetic_two_label(n=10)[:0])
 
 
 class TestLearningRate:

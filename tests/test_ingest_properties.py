@@ -17,8 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icshash import (
+    Dataset,
     HashCenterSet,
-    MultiLabelSample,
     ParseError,
     init_params,
     load_centers,
@@ -72,24 +72,26 @@ def write_csv(path, samples):
 
 def make_dataset(rng, path, n, width):
     m = int(rng.integers(1, 9))
-    samples = []
-    for _ in range(n):
-        labels = np.zeros(m, dtype=np.int8)
-        labels[rng.choice(m, size=rng.integers(1, m + 1), replace=False)] = 1
-        props = rng.dirichlet(np.ones(labels.sum())) if rng.random() < 0.7 else None
-        samples.append(MultiLabelSample(rng.normal(size=width), labels, props))
-    save_dataset(path, samples)
+    features, labels = np.empty((n, width)), np.zeros((n, m), dtype=np.int8)
+    proportions, given = np.zeros((n, m)), np.zeros(n, dtype=bool)
+    for i in range(n):
+        labels[i, rng.choice(m, size=rng.integers(1, m + 1), replace=False)] = 1
+        given[i] = rng.random() < 0.7
+        if given[i]:
+            proportions[i, labels[i] != 0] = rng.dirichlet(np.ones(labels[i].sum()))
+        features[i] = rng.normal(size=width)
+    save_dataset(path, Dataset(features, labels, proportions, given))
     return ["header"] + ["values", "bits", "values"] * n, lambda: load_dataset(path)
 
 
 def make_csv(rng, path, n, width):
     m = int(rng.integers(1, 5))
-    samples = []
-    for _ in range(n):
-        labels = (rng.random(m) < 0.5).astype(np.int8)
-        labels[rng.integers(m)] = 1
-        samples.append(MultiLabelSample(rng.normal(size=width), labels))
-    write_csv(path, samples)
+    features, labels = np.empty((n, width)), np.empty((n, m), dtype=np.int8)
+    for i in range(n):
+        labels[i] = rng.random(m) < 0.5
+        labels[i, rng.integers(m)] = 1
+        features[i] = rng.normal(size=width)
+    write_csv(path, Dataset(features, labels, np.zeros((n, m)), np.zeros(n, dtype=bool)))
     first = "csv" if n >= 3 else "csv_first"
     return [first] + ["csv"] * (n - 1), lambda: load_dataset_csv(path, m)
 
