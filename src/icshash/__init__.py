@@ -52,7 +52,6 @@ from .loss import (
     LossConfig,
     assignment_for_labels,
     bce_distance,
-    central_likelihood,
     distance_matrix,
     distance_vector,
     loss_gradient_wrt_codes,

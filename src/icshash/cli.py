@@ -123,8 +123,6 @@ def _cmd_solve_weights(args) -> tuple[list, int, dict]:
 
 def _cmd_train(args) -> tuple[list, int, dict]:
     seed = args.seed if args.seed is not None else _default_seed()
-    center_set = load_centers(args.centers)
-    data = _load_dataset(args.data, args.data_format, center_set.m_labels)
     try:  # the empty string means no hidden layer
         hidden = tuple(int(h) for h in args.hidden.split(",")) if args.hidden else ()
     except ValueError:
@@ -144,6 +142,8 @@ def _cmd_train(args) -> tuple[list, int, dict]:
         weight_mode=args.weight_mode,
         seed=seed,
     )
+    center_set = load_centers(args.centers)
+    data = _load_dataset(args.data, args.data_format, center_set.m_labels)
     state = train(data, center_set, cfg)
 
     ckpt_path = f"{args.out_prefix}.ckpt"

@@ -15,7 +15,7 @@ import numpy as np
 
 from .centers import HashCenterSet
 from .data import Dataset, _parse_rows
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, ParseError, check_int
 from .loss import (
     CODE_EPS,
     LossConfig,
@@ -33,6 +33,10 @@ from .weights import (
 )
 
 WEIGHT_MODES = ("learned", "equal")
+
+# Adam's moment decay rates and denominator guard.
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.99, 1e-8
+_LR_DECAY_EVERY, _LR_DECAY_FACTOR = 30, 10.0
 
 
 @dataclass
@@ -135,35 +139,24 @@ class AdamState:
         )
 
 
-def adam_step(
-    params: EncoderParams,
-    state: AdamState,
-    grads,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.99,
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-) -> None:
-    """In-place Adam update with bias correction; decoupled weight
-    decay is applied to the weight matrices only."""
+def adam_step(params: EncoderParams, state: AdamState, grads, lr: float) -> None:
+    """In-place Adam update with bias correction, moment decay rates
+    0.9 and 0.99 and denominator guard 1e-8; no weight decay."""
     grads_w, grads_b = grads
     state.t += 1
     t = state.t
-    corr1 = 1.0 - beta1**t
-    corr2 = 1.0 - beta2**t
+    corr1 = 1.0 - _ADAM_BETA1**t
+    corr2 = 1.0 - _ADAM_BETA2**t
     for l in range(params.n_layers()):
         for value, grad, m, v in (
             (params.weights[l], grads_w[l], state.m_w[l], state.v_w[l]),
             (params.biases[l], grads_b[l], state.m_b[l], state.v_b[l]),
         ):
-            m *= beta1
-            m += (1.0 - beta1) * grad
-            v *= beta2
-            v += (1.0 - beta2) * grad**2
-            value -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
-        if weight_decay:
-            params.weights[l] -= lr * weight_decay * params.weights[l]
+            m *= _ADAM_BETA1
+            m += (1.0 - _ADAM_BETA1) * grad
+            v *= _ADAM_BETA2
+            v += (1.0 - _ADAM_BETA2) * grad**2
+            value -= lr * (m / corr1) / (np.sqrt(v / corr2) + _ADAM_EPS)
 
 
 @dataclass
@@ -171,8 +164,6 @@ class TrainConfig:
     epochs: int = 90
     batch_size: int = 64
     lr0: float = 1e-4
-    lr_decay_every: int = 30
-    lr_decay_factor: float = 10.0
     hidden: tuple[int, ...] = (64,)
     loss: LossConfig = field(default_factory=LossConfig)
     solver: WeightSolverConfig | None = None
@@ -180,18 +171,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        check_int("epochs", self.epochs, 0)
+        check_int("batch_size", self.batch_size, 1)
+        for i, h in enumerate(self.hidden):
+            check_int(f"hidden[{i}]", h, 1)
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
         if not 0 < self.lr0 < math.inf:
             raise ValueError("lr0 must be finite and positive")
-        if not self.lr_decay_every >= 1:
-            raise ValueError("lr_decay_every must be at least 1")
-        if not 0 < self.lr_decay_factor < math.inf:
-            raise ValueError("lr_decay_factor must be finite and positive")
 
     def resolved_solver(self) -> WeightSolverConfig:
         """The weight-solver configuration actually used in training;
@@ -202,9 +189,8 @@ class TrainConfig:
 
 
 def learning_rate(cfg: TrainConfig, epoch: int) -> float:
-    """Step-decayed rate: lr0 divided by the decay factor once per
-    decay interval."""
-    return cfg.lr0 / (cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every))
+    """Step-decayed rate: lr0 divided by 10 once every 30 epochs."""
+    return cfg.lr0 / (_LR_DECAY_FACTOR ** (epoch // _LR_DECAY_EVERY))
 
 
 @dataclass

@@ -7,6 +7,8 @@ programming-level argument errors (shape or domain mismatches) and is
 also surfaced as a usage error (exit 2) by the CLI.
 """
 
+import operator
+
 
 class ToolkitError(Exception):
     exit_code = 1
@@ -48,3 +50,16 @@ class InternalInvariantError(ToolkitError):
     """A state that the implementation promises can never occur."""
 
     exit_code = 4
+
+
+def check_int(name: str, value, minimum: int) -> int:
+    """``value`` as an int; a ``ValueError`` naming ``name`` when it is
+    not an integer (a float such as 2.0 or nan included) or is below
+    ``minimum``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+    return value

@@ -8,10 +8,14 @@ vector. The total objective is
 
     J = J_central + gamma * J_quantization + lam * sum_i R(w_i)
 
-where J_central turns weighted distances into a log-likelihood through
-an adaptive sigmoid, the quantization term pushes relaxed bits toward
-0/1, and R is the entropy of the weights (a constant while codes are
-optimized, reported for completeness).
+where J_central = sum_i softplus(beta * omega_i) is the negative
+log-likelihood of each sample's weighted distance omega_i, the
+quantization term pushes relaxed bits toward 0/1, and R is the entropy
+of the weights (a constant while codes are optimized, reported for
+completeness). For the same beta and lam, J_central + lam * sum_i R(w_i)
+is the sum over samples of the weight objective F that exact-mode
+``weights.solve_weights`` minimizes, so the two alternating steps work
+on one objective.
 """
 
 import math
@@ -28,22 +32,16 @@ from .weights import _sigmoid, entropy_regularizer
 # log; encoder squashing can saturate all the way to 0/1.
 CODE_EPS = 1e-7
 
-AGGREGATIONS = ("per-image", "per-center")
-
 
 @dataclass
 class LossConfig:
     """beta: sigmoid bandwidth (<= 1 keeps gradients alive);
-    gamma: quantization weight; lam: entropy weight;
-    aggregation: apply the sigmoid to each sample's total weighted
-    distance ("per-image") or to each weighted per-center distance
-    separately ("per-center")."""
+    gamma: quantization weight; lam: entropy weight. Weights are
+    clamped at ``weights.WEIGHT_FLOOR`` before their logs are taken."""
 
     beta: float = 0.1
     gamma: float = 0.05
     lam: float = 0.01
-    aggregation: str = "per-image"
-    weight_floor: float = 1e-8
 
     def __post_init__(self):
         if not 0 < self.beta <= 1:
@@ -52,10 +50,6 @@ class LossConfig:
             raise ValueError("gamma must be finite and nonnegative")
         if not 0 <= self.lam < math.inf:
             raise ValueError("lam must be finite and nonnegative")
-        if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
-        if not 0 < self.weight_floor < 1:
-            raise ValueError("weight_floor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -127,14 +121,6 @@ def distance_matrix(codes, centers01) -> np.ndarray:
     return -(log_1mb.sum(axis=1, keepdims=True) + (np.log(b) - log_1mb) @ v.T)
 
 
-def central_likelihood(omega: float, beta: float) -> float:
-    """1 / (1 + exp(beta * omega)); strictly decreasing in omega,
-    overflow-safe for large arguments."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    return float(_sigmoid(-beta * omega))
-
-
 def _padded_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     """Rows of differing lengths as one array, zero-padded to the longest
     (N, L, ...), and the (N, L) boolean mask of the entries they fill."""
@@ -180,16 +166,12 @@ def _loss_and_gradient(b, d, w, mask, centers01, cfg: LossConfig):
     (c (1 - V))_i / (1 - b_i) - (c V)_i / b_i, which spares a code at the
     clamp a cancellation of two near terms.
     """
-    per_image = cfg.aggregation == "per-image"
-    wd = w * d
-    x = wd.sum(axis=1, keepdims=True) if per_image else wd
-    softplus = np.logaddexp(0.0, cfg.beta * x)
-    # off the mask a per-center term would add softplus(0) = log 2
-    j_central = float(np.sum(softplus if per_image else softplus[mask]))
+    omega = (w * d).sum(axis=1, keepdims=True)
+    j_central = float(np.sum(np.logaddexp(0.0, cfg.beta * omega)))
     j_quant = quantization_loss(b)
-    entropy = entropy_regularizer(w[mask], cfg.weight_floor)
+    entropy = entropy_regularizer(w[mask])
     # (B, 1, P): each row of c against the (P, K) centers, shared or its own
-    c = (cfg.beta * w * _sigmoid(cfg.beta * x))[:, None]
+    c = (cfg.beta * w * _sigmoid(cfg.beta * omega))[:, None]
     s = 2.0 * b - 1.0
     grad = (c @ (1.0 - centers01))[:, 0] / (1.0 - b) - (c @ centers01)[:, 0] / b
     grad += cfg.gamma * 2.0 * np.sign(s) * np.tanh(np.abs(s) - 1.0)
@@ -212,8 +194,7 @@ def total_loss(codes, assignments, weights, cfg: LossConfig):
 
     Returns (J, parts) with parts keyed "central", "quantization",
     "entropy"; J recombines them exactly. The central part is
-    sum_i softplus(beta * omega_i) per image, or
-    sum_i sum_j softplus(beta * w_ij * d_ij) per center.
+    sum_i softplus(beta * omega_i), omega_i = sum_j w_ij d_ij.
     """
     return _loss_and_gradient(*_ragged_rows(codes, assignments, weights), cfg)[:2]
 
@@ -221,8 +202,9 @@ def total_loss(codes, assignments, weights, cfg: LossConfig):
 def loss_gradient_wrt_codes(codes, assignments, weights, cfg: LossConfig) -> np.ndarray:
     """Analytic dJ/db for every sample, weights held fixed.
 
-    Per pair, d/db of softplus(beta * x) is c_ij (b_i - v_ij) / (b_i (1 - b_i))
-    with c_ij = beta * w_ij * sigmoid(beta * x); the quantization term
+    Per pair, d/db of softplus(beta * omega_i) is
+    c_ij (b_i - v_ij) / (b_i (1 - b_i)) with
+    c_ij = beta * w_ij * sigmoid(beta * omega_i); the quantization term
     uses subgradient 0 at the kink b = 0.5.
     """
     return _loss_and_gradient(*_ragged_rows(codes, assignments, weights), cfg)[2]

@@ -8,13 +8,12 @@ relevant database items), and queries with no relevant item are
 excluded from the mean.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import _parse_bits, _read_table
-from .errors import EvaluationError
+from .errors import EvaluationError, check_int
 
 # Queries ranked per block by the metrics: memory is O(_QUERY_CHUNK * N).
 _QUERY_CHUNK = 64
@@ -121,12 +120,7 @@ def _top_k_relevance(query_codes, query_labels, db_codes, db_labels, k):
     without a relevant item are dropped; also ``k`` as an int. The key
     ``dist * N + index`` is unique, so sorting only the partitioned top k
     keys keeps that order."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"k must be an integer, got {k!r}") from None
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = check_int("k", k, 1)
     n = len(db_codes)
     if n == 0:
         raise ValueError("empty database")

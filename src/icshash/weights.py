@@ -46,9 +46,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, check_int
 
 GRADIENT_MODES = ("paper", "exact")
+
+# Weights are clamped here before their logs are taken, in the solver
+# and in the loss's entropy term alike.
+WEIGHT_FLOOR = 1e-8
 
 # A point whose coordinates are nonnegative and sum to 1 within this
 # tolerance is treated as already feasible; the projection returns it
@@ -80,10 +84,10 @@ class WeightSolverConfig:
         gradient formula has no bandwidth).
     tol: relative objective-change stopping threshold.
     gradient_mode: "paper" or "exact".
-    weight_floor: weights are clamped here before logs are taken.
 
     eta, max_iters and tol apply to paper mode only: exact mode solves
     its optimality root to machine precision (see the module docstring).
+    Weights are clamped at WEIGHT_FLOOR before their logs are taken.
     """
 
     lam: float = 0.01
@@ -92,7 +96,6 @@ class WeightSolverConfig:
     max_iters: int = 50
     tol: float = 1e-6
     gradient_mode: str = "paper"
-    weight_floor: float = 1e-8
 
     def __post_init__(self):
         if not 0 <= self.lam < math.inf:
@@ -101,14 +104,11 @@ class WeightSolverConfig:
             raise ValueError("eta must be finite and positive")
         if not 0 < self.beta < math.inf:
             raise ValueError("beta must be finite and positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        check_int("max_iters", self.max_iters, 1)
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be finite and positive")
         if self.gradient_mode not in GRADIENT_MODES:
             raise ValueError(f"gradient_mode must be one of {GRADIENT_MODES}")
-        if not 0 < self.weight_floor < 1:
-            raise ValueError("weight_floor must lie in (0, 1)")
 
 
 class WeightSolveResult(NamedTuple):
@@ -163,24 +163,24 @@ def project_to_simplex(v: Sequence[float]) -> np.ndarray:
     return project_rows_to_simplex(v[None, :], True)[0]
 
 
-def _entropy_terms(w, weight_floor):
-    wc = np.maximum(w, weight_floor)
+def _entropy_terms(w):
+    wc = np.maximum(w, WEIGHT_FLOOR)
     return wc * np.log(wc)
 
 
-def entropy_regularizer(w: Sequence[float], weight_floor: float = 1e-8) -> float:
-    """sum_j w_j log w_j with coordinates clamped to the floor.
+def entropy_regularizer(w: Sequence[float]) -> float:
+    """sum_j w_j log w_j with coordinates clamped to WEIGHT_FLOOR.
 
     Always lies in [-log c, ~0]; uniform weights attain the minimum.
     """
-    return float(np.sum(_entropy_terms(np.asarray(w, dtype=np.float64), weight_floor)))
+    return float(np.sum(_entropy_terms(np.asarray(w, dtype=np.float64))))
 
 
 def _row_objectives(w, d, mask, cfg: WeightSolverConfig):
     """F of every row of w against d (last axis: centers); entries off
     ``mask`` must hold zero weight and finite distance, and add no
     entropy."""
-    entropy = np.sum(np.where(mask, _entropy_terms(w, cfg.weight_floor), 0.0), axis=-1)
+    entropy = np.sum(np.where(mask, _entropy_terms(w), 0.0), axis=-1)
     return np.logaddexp(0.0, cfg.beta * np.sum(w * d, axis=-1)) + cfg.lam * entropy
 
 
@@ -202,7 +202,7 @@ def weight_gradient(
     d = np.asarray(d, dtype=np.float64)
     if w.shape != d.shape:
         raise ValueError(f"weight/distance shape mismatch: {w.shape} vs {d.shape}")
-    wc = np.maximum(w, cfg.weight_floor)
+    wc = np.maximum(w, WEIGHT_FLOOR)
     if np.any(wc <= 0):
         raise InternalInvariantError("weights nonpositive after floor clamping")
     entropy_grad = cfg.lam * (1.0 + np.log(wc))

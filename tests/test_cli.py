@@ -240,6 +240,8 @@ class TestTrainCommand:
             ("--lambda", "inf", "lam"),
             ("--eta", "nan", "eta"),
             ("--beta", "nan", "beta"),
+            ("--batch", "0", "batch_size"),
+            ("--hidden", "8,0", "hidden[1]"),
         ],
     )
     def test_bad_setting_is_usage_error(self, workdir, capsys, flag, value, field):
@@ -252,6 +254,15 @@ class TestTrainCommand:
         assert code == 2
         assert f"error: {field} must " in capsys.readouterr().err
         assert not (tmp_path / "bad.ckpt").exists()
+
+    def test_bad_setting_is_reported_before_the_data_is_read(self, workdir, capsys):
+        tmp_path, _, centers = workdir
+        code = run(
+            ["train", "--data", tmp_path / "missing.txt", "--centers", centers,
+             "--out-prefix", tmp_path / "bad", "--epochs", 1, "--hidden", "0"]
+        )
+        assert code == 2
+        assert "error: hidden[0] must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("hidden", ["8,,4", "8,", ",4"])
     def test_empty_hidden_item_is_usage_error(self, workdir, capsys, hidden):

@@ -1,7 +1,8 @@
-"""Objective tests: hand-evaluated distances and likelihoods, analytic
-closed forms at symmetric points, decomposition identities, a central
-finite-difference oracle for the code gradient, and the batched loss and
-gradient against a per-sample reference."""
+"""Objective tests: hand-evaluated distances and central losses,
+analytic closed forms at symmetric points, decomposition identities, the
+weight solver's objective as the loss's central and entropy parts, a
+central finite-difference oracle for the code gradient, and the batched
+loss and gradient against a per-sample reference."""
 
 import math
 
@@ -16,16 +17,16 @@ from icshash import (
     LossConfig,
     assignment_for_labels,
     bce_distance,
-    central_likelihood,
     distance_matrix,
     distance_vector,
     generate_centers,
     loss_gradient_wrt_codes,
     quantization_loss,
     total_loss,
+    weight_objective,
 )
-from icshash.loss import AGGREGATIONS, CODE_EPS, CenterAssignment, _loss_and_gradient
-from icshash.weights import entropy_regularizer
+from icshash.loss import CODE_EPS, CenterAssignment, _loss_and_gradient
+from icshash.weights import WEIGHT_FLOOR, WeightSolverConfig
 
 
 def make_assignment(centers01):
@@ -143,27 +144,6 @@ class TestWeightedDistance:
             weighted_distance([0.5, 0.5], a, [0.5, 0.5])
 
 
-class TestCentralLikelihood:
-    def test_midpoint(self):
-        assert central_likelihood(0.0, beta=0.3) == pytest.approx(0.5)
-
-    def test_log_three(self):
-        assert central_likelihood(math.log(3), beta=1.0) == pytest.approx(0.25)
-
-    def test_saturation_no_overflow(self):
-        value = central_likelihood(1e9, beta=1.0)
-        assert 0.0 <= value < 1e-300 or value == 0.0
-
-    def test_strictly_decreasing(self):
-        omegas = np.linspace(-5, 40, 50)
-        values = [central_likelihood(o, beta=0.5) for o in omegas]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_requires_positive_beta(self):
-        with pytest.raises(ValueError):
-            central_likelihood(1.0, beta=0.0)
-
-
 class TestCentralLoss:
     def test_zero_distance_batch(self):
         # b equal to the center: omega ~ 0, each sample contributes log 2
@@ -266,9 +246,36 @@ class TestTotalLoss:
         assert np.all(np.isfinite(grad))
 
 
+class TestOneObjectiveForBothSteps:
+    def test_central_and_entropy_parts_sum_the_weight_objective(self):
+        """The code step and the weight step minimize one objective: per
+        sample, softplus(beta * w.d) + lam * sum_j w_j log w_j is the F
+        that the weight solver minimizes, floor clamp included."""
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n, k = int(rng.integers(1, 9)), int(rng.choice([4, 16, 33]))
+            codes, assignments, weights = random_batch(rng, n, k, 6)
+            codes = rng.uniform(0.0, 1.0, size=(n, k))
+            saturated = rng.uniform(size=(n, k)) < 0.1
+            codes[saturated] = rng.integers(0, 2, size=int(saturated.sum()))
+            for w in weights:
+                if w.size > 1 and rng.uniform() < 0.3:
+                    w[0] = 0.0
+                    w /= w.sum()
+            beta = float(rng.choice([0.01, 0.1, 1.0]))
+            lam = float(rng.choice([0.0, 0.01, 4.0]))
+            _, parts = total_loss(codes, assignments, weights, LossConfig(beta=beta, lam=lam))
+            solver = WeightSolverConfig(lam=lam, beta=beta)
+            want = sum(
+                weight_objective(w, distance_matrix(b[None], a.centers01)[0], solver)
+                for b, a, w in zip(codes, assignments, weights)
+            )
+            got = parts["central"] + lam * parts["entropy"]
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
 class TestLossGradient:
-    @pytest.mark.parametrize("aggregation", ["per-image", "per-center"])
-    def test_matches_finite_differences(self, aggregation):
+    def test_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         step = 1e-6
         for trial in range(8):
@@ -278,7 +285,6 @@ class TestLossGradient:
                 beta=float(rng.choice([0.01, 0.1, 1.0])),
                 gamma=0.05,
                 lam=0.01,
-                aggregation=aggregation,
             )
             grads = loss_gradient_wrt_codes(codes, assignments, weights, cfg)
             flat_idx = [
@@ -316,6 +322,12 @@ class TestLossGradient:
         np.testing.assert_array_equal(a, b)
 
 
+def reference_entropy(w):
+    """sum_j w_j log w_j with each weight clamped at the floor."""
+    wc = np.maximum(np.asarray(w, dtype=np.float64), WEIGHT_FLOOR)
+    return float(np.sum(wc * np.log(wc)))
+
+
 def reference_loss_and_gradient(codes, assignments, weights, cfg):
     """The objective and its code gradient evaluated one sample at a time,
     straight from the formulas. Returns the total, the parts, the (n, K)
@@ -329,21 +341,16 @@ def reference_loss_and_gradient(codes, assignments, weights, cfg):
         w = np.asarray(w, dtype=np.float64)
         d = -(v @ np.log(b) + (1.0 - v) @ np.log(1.0 - b))
         per_bit = (b[None, :] - v) / (b * (1.0 - b))[None, :]
-        if cfg.aggregation == "per-image":
-            omega = float(np.dot(w, d))
-            central += float(np.logaddexp(0.0, cfg.beta * omega))
-            scale = cfg.beta * expit(cfg.beta * omega)
-            coef = scale * w
-            g = scale * (w @ (b[None, :] - v)) / (b * (1.0 - b))
-        else:
-            central += float(np.sum(np.logaddexp(0.0, cfg.beta * w * d)))
-            coef = cfg.beta * w * expit(cfg.beta * w * d)
-            g = coef @ per_bit
+        omega = float(np.dot(w, d))
+        central += float(np.logaddexp(0.0, cfg.beta * omega))
+        scale = cfg.beta * expit(cfg.beta * omega)
+        coef = scale * w
+        g = scale * (w @ (b[None, :] - v)) / (b * (1.0 - b))
         s = 2.0 * b - 1.0
         quant = cfg.gamma * 2.0 * np.sign(s) * np.tanh(np.abs(s) - 1.0)
         grads[i] = g + quant
         magnitudes[i] = np.abs(coef) @ np.abs(per_bit) + np.abs(quant)
-        entropy += entropy_regularizer(w, cfg.weight_floor)
+        entropy += reference_entropy(w)
     quant = quantization_loss(codes)
     parts = {"central": central, "quantization": quant, "entropy": entropy}
     return central + cfg.gamma * quant + cfg.lam * entropy, parts, grads, magnitudes
@@ -368,7 +375,6 @@ class TestBatchedMatchesPerSampleReference:
                 beta=float(rng.choice([0.01, 0.1, 1.0])),
                 gamma=float(rng.choice([0.0, 0.05, 1.0])),
                 lam=float(rng.choice([0.0, 0.01, 4.0])),
-                aggregation=("per-image", "per-center")[trial % 2],
             )
             want, want_parts, want_grad, magnitude = reference_loss_and_gradient(
                 codes, assignments, weights, cfg
@@ -393,19 +399,15 @@ def flat_batch_reference(codes, assignments, weights, cfg):
     w = np.concatenate(weights, dtype=np.float64)
     bp = b[rows]
     wd = w * -np.sum(v * np.log(bp) + (1.0 - v) * np.log(1.0 - bp), axis=-1)
-    if cfg.aggregation == "per-image":
-        omega = np.bincount(rows, wd, minlength=len(assignments))
-        x, x_pair = omega, omega[rows]
-    else:
-        x = x_pair = wd
-    central = float(np.sum(np.logaddexp(0.0, cfg.beta * x)))
-    c = cfg.beta * w * expit(cfg.beta * x_pair)
+    omega = np.bincount(rows, wd, minlength=len(assignments))
+    central = float(np.sum(np.logaddexp(0.0, cfg.beta * omega)))
+    c = cfg.beta * w * expit(cfg.beta * omega[rows])
     per_pair = c[:, None] * (bp - v) / (bp * (1.0 - bp))
     g = np.add.reduceat(per_pair, np.searchsorted(rows, np.arange(len(b))), axis=0)
     s = 2.0 * b - 1.0
     g += cfg.gamma * 2.0 * np.sign(s) * np.tanh(np.abs(s) - 1.0)
     quant = float(np.sum(np.log(np.cosh(np.abs(s) - 1.0))))
-    entropy = entropy_regularizer(w, cfg.weight_floor)
+    entropy = reference_entropy(w)
     parts = {"central": central, "quantization": quant, "entropy": entropy}
     return central + cfg.gamma * quant + cfg.lam * entropy, parts, g
 
@@ -424,7 +426,6 @@ def ragged_batches(draw):
         beta=draw(st.sampled_from([0.01, 0.1, 1.0])),
         gamma=draw(st.sampled_from([0.0, 0.05, 1.0])),
         lam=draw(st.sampled_from([0.0, 0.01, 4.0])),
-        aggregation=draw(st.sampled_from(AGGREGATIONS)),
     )
     return codes, assignments, weights, cfg
 
@@ -492,26 +493,9 @@ class TestOnePassCoreMatchesFlatPairs:
         loss_gradient_wrt_codes(codes, assignments, weights, LossConfig())
         assert shapes == [((200, widest),) * 3 + ((200, widest, 16),)] * 2
 
-    def test_per_center_sum_skips_entries_off_the_mask(self):
-        """One center of four on the mask: the three off it hold zero
-        weight, where softplus(0) = log 2 must not be counted."""
-        cfg = LossConfig(beta=1.0, aggregation="per-center")
-        center_set = generate_centers(8, 4, seed=1)
-        centers01 = (center_set.centers + 1.0) / 2.0
-        b = np.full((1, 8), 0.3)
-        d = distance_matrix(b, centers01)
-        mask = np.array([[False, True, False, False]])
-        _, parts, _ = _loss_and_gradient(b, d, mask * 1.0, mask, centers01, cfg)
-        assert parts["central"] == pytest.approx(math.log1p(math.exp(d[0, 1])), rel=1e-12)
-        a = [assignment_for_labels(center_set, [0, 1, 1, 0]), make_assignment(centers01[:1])]
-        codes, weights = np.vstack([b, b]), [np.array([0.5, 0.5]), np.array([1.0])]
-        want = flat_batch_reference(codes, a, weights, cfg)[1]["central"]
-        assert total_loss(codes, a, weights, cfg)[1]["central"] == pytest.approx(want, rel=1e-12)
-
 
 class TestMismatchedBatch:
-    @pytest.mark.parametrize("aggregation", ["per-image", "per-center"])
-    def test_disagreeing_sizes_rejected(self, aggregation):
+    def test_disagreeing_sizes_rejected(self):
         rng = np.random.default_rng(12)
         codes, assignments, weights = random_batch(rng, 4, 8, 3)
         while len(weights[2]) == 1:
@@ -524,7 +508,7 @@ class TestMismatchedBatch:
             (codes, assignments, weights[:2] + [np.append(weights[2], 0.0)] + weights[3:]),
             (codes[:, :6], assignments, weights),  # code shorter than its centers
         ]
-        cfg = LossConfig(aggregation=aggregation)
+        cfg = LossConfig()
         for case in cases:
             for fn in (total_loss, loss_gradient_wrt_codes):
                 with pytest.raises(ValueError):
@@ -549,10 +533,6 @@ class TestLossConfig:
         with pytest.raises(ValueError):
             LossConfig(lam=-0.1)
 
-    def test_unknown_aggregation(self):
-        with pytest.raises(ValueError):
-            LossConfig(aggregation="per-bit")
-
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -561,10 +541,6 @@ class TestLossConfig:
             ("gamma", math.inf),
             ("lam", math.nan),
             ("lam", math.inf),
-            ("weight_floor", 0.0),
-            ("weight_floor", -1e-8),
-            ("weight_floor", 1.0),
-            ("weight_floor", math.nan),
         ],
     )
     def test_bad_value_names_its_field(self, field, value):

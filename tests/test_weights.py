@@ -41,7 +41,7 @@ from icshash import (
 )
 from icshash.cli import main as cli_main
 from icshash.encoder import forward_batch, init_params
-from icshash.weights import _sigmoid
+from icshash.weights import WEIGHT_FLOOR, _sigmoid
 
 
 def projection_by_bisection(v, tol=1e-13):
@@ -341,7 +341,7 @@ class TestSolveWeights:
         result = solve_weights(d, cfg)
         grid = simplex_grid(3, 1e-3)
         omegas = grid @ d
-        wc = np.maximum(grid, cfg.weight_floor)
+        wc = np.maximum(grid, WEIGHT_FLOOR)
         values = np.logaddexp(0.0, cfg.beta * omegas) + cfg.lam * np.sum(
             wc * np.log(wc), axis=1
         )
@@ -355,7 +355,7 @@ class TestSolveWeights:
         np.testing.assert_allclose(result.w, 1 / 3, atol=0.05)
         grid = simplex_grid(3, 1e-3)
         omegas = grid @ d
-        wc = np.maximum(grid, cfg.weight_floor)
+        wc = np.maximum(grid, WEIGHT_FLOOR)
         values = np.logaddexp(0.0, cfg.beta * omegas) + cfg.lam * np.sum(
             wc * np.log(wc), axis=1
         )
@@ -540,7 +540,7 @@ class TestConfigValidation:
             {"beta": 0.0},
             {"max_iters": 0},
             {"gradient_mode": "newton"},
-            {"weight_floor": 0.0},
+            {"max_iters": 2.5},
             {"lam": math.nan},
             {"lam": math.inf},
             {"eta": math.nan},
@@ -549,6 +549,7 @@ class TestConfigValidation:
             {"beta": math.inf},
             {"tol": math.nan},
             {"tol": math.inf},
+            {"max_iters": math.nan},
         ],
     )
     def test_bad_values(self, kwargs):
