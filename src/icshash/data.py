@@ -7,6 +7,9 @@ desk-scale dataset on which "does the learned weight of a center track
 how much of that label is in the sample" is a measurable question.
 """
 
+import itertools
+import os
+import stat
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -14,6 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EvaluationError, InternalInvariantError, ParseError
+
+# Samples per block of load_dataset: the line strings and parse
+# temporaries it holds are O(_LOAD_BLOCK) however long the file.
+_LOAD_BLOCK = 2048
 
 
 @dataclass
@@ -177,15 +184,11 @@ def save_dataset(path, data: Dataset) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_table(path, header, minimums, count_field, lines_per_row=1):
-    """The fields of line 1 of a text file, named by ``header`` (those in
-    ``minimums`` are integers no smaller than their entry), and the
-    ``lines_per_row`` lines per row that follow; the header field
-    ``count_field`` holds the row count. Only blank lines may follow
-    the rows."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    fields = raw[0].split() if raw else []
+def _read_header(fh, header, minimums) -> list:
+    """The fields of the next line of ``fh``, line 1 of its file, named
+    by ``header``; those in ``minimums`` are integers no smaller than
+    their entry."""
+    fields = fh.readline().split()
     names = header.split()
     if len(fields) != len(names):
         raise ParseError(f"expected header '{header}'", line=1)
@@ -197,13 +200,38 @@ def _read_table(path, header, minimums, count_field, lines_per_row=1):
                 raise ParseError(f"non-integer header field {name}", line=1) from None
             if fields[i] < minimums[name]:
                 raise ParseError(f"header needs {name} >= {minimums[name]}", line=1)
-    count = lines_per_row * fields[names.index(count_field)]
-    if len(raw) < 1 + count:
-        raise ParseError(f"expected {count} more lines, found {len(raw) - 1}", line=len(raw))
-    extra = next((i for i in range(1 + count, len(raw)) if raw[i].strip()), None)
-    if extra is not None:
-        raise ParseError(f"more rows than header field {count_field} declares", line=extra + 1)
-    return fields, raw[1 : 1 + count]
+    return fields
+
+
+def _take_lines(fh, count, taken, total) -> list[str]:
+    """The next ``count`` lines of ``fh``, newlines kept, after the header
+    and ``taken`` of the ``total`` lines that follow it; ParseError when
+    the file ends first."""
+    lines = list(itertools.islice(fh, count))
+    if len(lines) < count:
+        found = taken + len(lines)
+        raise ParseError(f"expected {total} more lines, found {found}", line=found + 1)
+    return lines
+
+
+def _check_rest_blank(fh, count_field, line) -> None:
+    """Only blank lines may follow the rows; ``line`` is the number of
+    the next line of ``fh``."""
+    for number, text in enumerate(fh, line):
+        if text.strip():
+            raise ParseError(f"more rows than header field {count_field} declares", line=number)
+
+
+def _read_table(path, header, minimums, count_field):
+    """The fields of line 1 of a text file (see _read_header) and the
+    lines that follow, one per row; the header field ``count_field``
+    holds the row count. Only blank lines may follow the rows."""
+    with open(path) as fh:
+        fields = _read_header(fh, header, minimums)
+        count = fields[header.split().index(count_field)]
+        body = _take_lines(fh, count, 0, count)
+        _check_rest_blank(fh, count_field, 2 + count)
+    return fields, body
 
 
 def _read_nonblank(path) -> tuple[list[str], list[int]]:
@@ -268,30 +296,63 @@ def _parse_ragged(lines, line_numbers, widths) -> tuple[np.ndarray, np.ndarray]:
     rows = np.zeros(mask.shape)
     for width in np.unique(widths):
         at = np.flatnonzero(widths == width)
-        rows[at, :width] = _parse_rows([lines[i] for i in at], numbers[at], width, np.float64)
+        rows[at, :width] = _parse_rows(
+            [lines[i] for i in at.tolist()], numbers[at], width, np.float64
+        )
     return rows, mask
 
 
-def load_dataset(path) -> Dataset:
-    (n, d, m), body = _read_table(path, "N D M", {"N": 1, "D": 1, "M": 1}, "N", 3)
-    first = 3 * np.arange(n) + 2  # line of sample i's features; labels, proportions follow
-    features = _parse_rows(body[0::3], first, d, np.float64)
-    labels = _parse_bits(body[1::3], first + 1, m)
+def _parse_samples(lines, start, d, m):
+    """Features, labels, proportions and has-proportions columns of the
+    samples in ``lines``, three lines each, the first of them sample
+    ``start``. Each check covers the whole block before the next runs:
+    feature rows, label strings, a positive label in every row,
+    proportion rows, then finite values in file order."""
+    first = 3 * np.arange(start, start + len(lines) // 3) + 2  # features line
+    features = _parse_rows(lines[0::3], first, d, np.float64)
+    labels = _parse_bits(lines[1::3], first + 1, m)
     counts = labels.sum(axis=1)
     if np.any(counts == 0):
         i = int(np.argmin(counts))
-        raise DataError(f"sample {i} (line {first[i] + 1}) has no positive label")
-    given = np.array([text.strip() != "-" for text in body[2::3]])
-    lines = [body[3 * i + 2] for i in np.flatnonzero(given)]
-    rows, slots = _parse_ragged(lines, first[given] + 2, counts[given])
-    proportions = np.zeros((n, m))
+        raise DataError(f"sample {start + i} (line {first[i] + 1}) has no positive label")
+    given = np.array([text.strip() != "-" for text in lines[2::3]], dtype=bool)
+    given_lines = list(itertools.compress(lines[2::3], given))
+    rows, slots = _parse_ragged(given_lines, first[given] + 2, counts[given])
+    proportions = np.zeros(labels.shape)
     proportions[(labels != 0) & given[:, None]] = rows[slots]
     non_finite = ~np.stack([np.isfinite(a).all(axis=1) for a in (features, proportions)], 1)
     if non_finite.any():
         i, kind = np.argwhere(non_finite)[0]  # the first in file order
         what = ("feature", "proportion")[kind]
         raise ParseError(f"non-finite {what} value", line=int(first[i] + 2 * kind))
-    return Dataset(features, labels, proportions, given)
+    return features, labels, proportions, given
+
+
+def load_dataset(path) -> Dataset:
+    """Read the dataset text format in blocks of _LOAD_BLOCK samples,
+    each parsed and checked whole before its rows are copied into
+    columns allocated once; the first block with a fault raises it."""
+    with open(path) as fh:
+        n, d, m = _read_header(fh, "N D M", {"N": 1, "D": 1, "M": 1})
+        # Every sample that parses takes 2D + M + 3 bytes or more (one less
+        # at the end of the file), so a regular file holds no more samples
+        # than this; a larger N is a short file, which raises before the
+        # rows past it are filled. A pipe's size is unknown: N is taken as
+        # given.
+        rows = n
+        status = os.fstat(fh.fileno())
+        if stat.S_ISREG(status.st_mode):
+            rows = min(n, (status.st_size + 1) // (2 * d + m + 2))
+        features, labels = np.empty((rows, d)), np.empty((rows, m), dtype=np.int8)
+        proportions, given = np.empty((rows, m)), np.empty(rows, dtype=bool)
+        columns = (features, labels, proportions, given)
+        for start in range(0, n, _LOAD_BLOCK):
+            lines = _take_lines(fh, 3 * min(_LOAD_BLOCK, n - start), 3 * start, 3 * n)
+            block = _parse_samples(lines, start, d, m)
+            for column, values in zip(columns, block):
+                column[start : start + len(values)] = values
+        _check_rest_blank(fh, "N", 2 + 3 * n)
+    return Dataset(*columns)
 
 
 def load_dataset_csv(path, m_labels: int) -> Dataset:

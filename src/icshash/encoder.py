@@ -38,6 +38,10 @@ WEIGHT_MODES = ("learned", "equal")
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.99, 1e-8
 _LR_DECAY_EVERY, _LR_DECAY_FACTOR = 30, 10.0
 
+# Rows per forward pass of encode_binary: its float64 activations are
+# O(_ENCODE_BLOCK) rows however large the feature matrix.
+_ENCODE_BLOCK = 1024
+
 
 @dataclass
 class EncoderParams:
@@ -61,8 +65,8 @@ class EncoderParams:
 
 def init_params(sizes, rng: np.random.Generator) -> EncoderParams:
     """Gaussian fan-in initialization; biases start at zero."""
-    sizes = [int(s) for s in sizes]
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
+    sizes = [check_int(f"sizes[{i}]", s, 1) for i, s in enumerate(sizes)]
+    if len(sizes) < 2:
         raise ValueError(f"bad layer sizes {sizes}")
     weights, biases = [], []
     for n_in, n_out in zip(sizes[:-1], sizes[1:]):
@@ -173,6 +177,7 @@ class TrainConfig:
     def __post_init__(self):
         check_int("epochs", self.epochs, 0)
         check_int("batch_size", self.batch_size, 1)
+        check_int("seed", self.seed, 0)
         for i, h in enumerate(self.hidden):
             check_int(f"hidden[{i}]", h, 1)
         if self.weight_mode not in WEIGHT_MODES:
@@ -269,14 +274,21 @@ def train(data: Dataset, center_set: HashCenterSet, cfg: TrainConfig) -> TrainSt
 
 def binarize(b) -> np.ndarray:
     """Threshold a relaxed code at 0.5 into {-1, +1}; ties go to +1."""
-    b = np.asarray(b, dtype=np.float64)
-    return np.where(b >= 0.5, 1, -1).astype(np.int8)
+    codes = np.array(np.asarray(b, dtype=np.float64) >= 0.5, dtype=np.int8)
+    codes *= 2
+    codes -= 1
+    return codes
 
 
 def encode_binary(params: EncoderParams, features) -> np.ndarray:
-    """Binarized codes, (N, K) int8, for a feature matrix."""
-    codes, _ = forward_batch(params, features)
-    return binarize(codes)
+    """Binarized codes, (N, K) int8, for a feature matrix, from one
+    forward pass per block of _ENCODE_BLOCK rows."""
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    codes = np.empty((len(x), params.sizes[-1]), dtype=np.int8)
+    for start in range(0, max(len(x), 1), _ENCODE_BLOCK):  # N = 0 still checks D
+        rows = slice(start, start + _ENCODE_BLOCK)
+        codes[rows] = binarize(forward_batch(params, x[rows])[0])
+    return codes
 
 
 _CKPT_MAGIC = "icshash-checkpoint-v1"

@@ -15,8 +15,14 @@ import numpy as np
 from .data import _parse_bits, _read_table
 from .errors import EvaluationError, check_int
 
-# Queries ranked per block by the metrics: memory is O(_QUERY_CHUNK * N).
-_QUERY_CHUNK = 64
+# Elements of each (query rows, N) block that the metrics rank at once:
+# a block has max(1, _BLOCK_ELEMENTS // N) query rows, and its key and
+# label-product buffers, 8 bytes per element in all (8 MiB), are
+# allocated once per call and reused by every block. The Hamming pass
+# XORs max(1, _XOR_ELEMENTS // N) of its rows at a time, so that its
+# uint64 scratch (512 KiB) stays in cache.
+_BLOCK_ELEMENTS = 2**20
+_XOR_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -71,8 +77,10 @@ def pack_code(bits_pm1) -> BinaryCode:
 
 def pack_database(codes_pm1) -> CodeDatabase:
     """Pack an (N, K) matrix of {-1, +1} codes."""
-    rows = np.atleast_2d(np.asarray(codes_pm1, dtype=np.int64))
-    if rows.size == 0 or not np.all(np.abs(rows) == 1):
+    rows = np.atleast_2d(np.asarray(codes_pm1))
+    if not np.issubdtype(rows.dtype, np.integer):  # integer codes are checked uncopied
+        rows = rows.astype(np.int64)
+    if rows.size == 0 or not np.all((rows == 1) | (rows == -1)):
         raise ValueError("expected a nonempty matrix of -1/+1 values")
     return CodeDatabase(rows.shape[1], _pack_rows(rows > 0))
 
@@ -84,24 +92,33 @@ def unpack_database(db: CodeDatabase) -> np.ndarray:
     return (2 * bits.astype(np.int8)) - 1
 
 
+def _check_lengths(a: int, b: int) -> None:
+    if a != b:
+        raise ValueError(f"code length mismatch: {a} vs {b}")
+
+
 def hamming(a: BinaryCode, b: BinaryCode) -> int:
     """Number of differing bits, by XOR plus population count."""
-    if a.k_bits != b.k_bits:
-        raise ValueError(f"code length mismatch: {a.k_bits} vs {b.k_bits}")
+    _check_lengths(a.k_bits, b.k_bits)
     return int(np.bitwise_count(a.words ^ b.words).sum())
 
 
-def _hamming_rows(k_bits: int, query_words: np.ndarray, db: CodeDatabase) -> np.ndarray:
-    """(Q, N) distances from Q packed K-bit query rows to every database
-    code, summed one word at a time in the narrowest unsigned type that
-    holds K (uint8 below 256 bits, uint16 below 65536)."""
-    if k_bits != db.k_bits:
-        raise ValueError(f"code length mismatch: {k_bits} vs {db.k_bits}")
-    dist = np.bitwise_count(query_words[:, 0, None] ^ db.words[:, 0])
-    dist = dist.astype(np.min_scalar_type(k_bits), copy=False)
-    for w in range(1, db.words.shape[1]):
-        dist += np.bitwise_count(query_words[:, w, None] ^ db.words[:, w])
-    return dist
+def _hamming_rows(query_words: np.ndarray, db_words: np.ndarray, dist, xor, count) -> None:
+    """Write into ``dist`` (Q, N), of an integer type that holds K, the
+    distances from Q packed query rows to N packed database codes,
+    summed one word at a time; ``xor`` (R, N) uint64 and ``count`` (R, N)
+    uint8 are scratch for R query rows at a time."""
+    step = len(xor)
+    for start in range(0, len(query_words), step):
+        rows = slice(start, start + step)
+        q, out = query_words[rows], dist[rows]
+        x, c = xor[: len(q)], count[: len(q)]
+        for w in range(db_words.shape[1]):
+            np.bitwise_xor(q[:, w, None], db_words[:, w], out=x)
+            if w == 0:
+                np.bitwise_count(x, out=out)
+            else:
+                out += np.bitwise_count(x, out=c)
 
 
 def rank_database(query: BinaryCode, db: CodeDatabase, query_index: int = -1) -> RankedResult:
@@ -109,7 +126,10 @@ def rank_database(query: BinaryCode, db: CodeDatabase, query_index: int = -1) ->
     are int64."""
     if len(db) == 0:
         raise ValueError("empty database")
-    dist = _hamming_rows(query.k_bits, query.words[None, :], db)[0].astype(np.int64)
+    _check_lengths(query.k_bits, db.k_bits)
+    dist, xor, count = (np.empty((1, len(db)), t) for t in (np.int64, np.uint64, np.uint8))
+    _hamming_rows(query.words[None, :], db.words, dist, xor, count)
+    dist = dist[0]
     order = np.argsort(dist, kind="stable")
     return RankedResult(query_index, order, dist[order])
 
@@ -119,35 +139,45 @@ def _top_k_relevance(query_codes, query_labels, db_codes, db_labels, k):
     index) order, and its count of relevant database items; queries
     without a relevant item are dropped; also ``k`` as an int. The key
     ``dist * N + index`` is unique, so sorting only the partitioned top k
-    keys keeps that order."""
+    keys keeps that order. Queries are ranked in blocks of
+    ``_BLOCK_ELEMENTS // N`` rows (at least one) through buffers
+    allocated once."""
     k = check_int("k", k, 1)
     n = len(db_codes)
     if n == 0:
         raise ValueError("empty database")
     if len(query_codes) == 0:
         raise ValueError("no queries")
-    query_positive = np.atleast_2d(np.asarray(query_labels)) > 0
-    db_positive = (np.atleast_2d(np.asarray(db_labels)) > 0).astype(np.float32)
+    query_positive = (np.atleast_2d(np.asarray(query_labels)) > 0).astype(np.float32)
+    db_positive = np.atleast_2d(np.asarray(db_labels)) > 0
     if query_positive.shape[1] != db_positive.shape[1]:
         raise ValueError("label dimension mismatch")
     if (len(query_positive), len(db_positive)) != (len(query_codes), n):
         raise ValueError("label rows do not match the number of codes")
+    db_positive = np.ascontiguousarray(db_positive.T, dtype=np.float32)  # (M, N)
+    _check_lengths(query_codes.k_bits, db_codes.k_bits)
     top = min(k, n)
     key_type = np.min_scalar_type((db_codes.k_bits + 1) * n)
     index = np.arange(n, dtype=key_type)
-    flags, counts = [], []
-    for start in range(0, len(query_codes), _QUERY_CHUNK):
-        rows = slice(start, start + _QUERY_CHUNK)
-        dist = _hamming_rows(query_codes.k_bits, query_codes.words[rows], db_codes)
-        key = dist * key_type.type(n)
+    shape = (min(max(1, _BLOCK_ELEMENTS // n), len(query_codes)), n)
+    keys, products = np.empty(shape, key_type), np.empty(shape, np.float32)
+    scratch = (min(max(1, _XOR_ELEMENTS // n), shape[0]), n)
+    xor, count = np.empty(scratch, np.uint64), np.empty(scratch, np.uint8)
+    flags = np.empty((len(query_codes), top), dtype=bool)
+    n_relevant = np.empty(len(query_codes), dtype=np.int64)
+    for start in range(0, len(query_codes), shape[0]):
+        rows = slice(start, min(start + shape[0], len(query_codes)))
+        key, product = keys[: rows.stop - start], products[: rows.stop - start]
+        _hamming_rows(query_codes.words[rows], db_codes.words, key, xor, count)
+        key *= n
         key += index
-        key = np.partition(key, top - 1, axis=1)[:, :top]
+        key.partition(top - 1, axis=1)
         # shared-label counts are at most M, so the float32 product is
-        # exact while M < 2**24
-        rel = query_positive[rows].astype(np.float32) @ db_positive.T > 0
-        flags.append(np.take_along_axis(rel, np.sort(key, axis=1) % n, axis=1))
-        counts.append(np.count_nonzero(rel, axis=1))
-    flags, n_relevant = np.concatenate(flags), np.concatenate(counts)
+        # exact while M < 2**24; clipped to 0/1 it sums to the relevant count
+        np.matmul(query_positive[rows], db_positive, out=product)
+        order = np.sort(key[:, :top], axis=1) % n
+        flags[rows] = np.take_along_axis(product, order, axis=1) > 0
+        n_relevant[rows] = np.minimum(product, 1.0, out=product).sum(axis=1, dtype=np.int64)
     keep = n_relevant > 0
     if not keep.any():
         raise EvaluationError("no query has a relevant database item")

@@ -9,11 +9,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import icshash.retrieval
 from icshash import (
     Dataset,
     MultiLabelSample,
@@ -36,7 +38,7 @@ from icshash import (
 )
 from icshash.cli import _build_parser, main
 from icshash.data import load_dataset_csv
-from icshash.encoder import init_params
+from icshash.encoder import init_params, save_checkpoint
 
 
 @pytest.fixture
@@ -508,6 +510,35 @@ class TestEvalCommand:
         )
         assert code == 0
         assert json.loads(out.read_text())["n_queries"] == len(samples)
+
+
+class TestEvalMemory:
+    def test_traced_peak_is_the_columns_plus_the_block_buffers(self, tmp_path):
+        # eval streams each stage through fixed-size blocks, so its traced
+        # peak is the loaded columns plus the ranking's block buffers; one
+        # float64 forward pass over all N rows pushes it past this bound
+        n, q, d, m, k_bits = 10_000, 200, 32, 80, 64
+        data = generate_synthetic(SyntheticSpec(n + q, d, m, seed=3))
+        save_dataset(tmp_path / "queries.txt", data[:q])
+        save_dataset(tmp_path / "database.txt", data[q:])
+        params = init_params([d, 64, k_bits], np.random.default_rng(0))
+        save_checkpoint(tmp_path / "model.ckpt", params, k_bits, m, 0)
+        argv = [
+            "eval", "--checkpoint", tmp_path / "model.ckpt", "--queries", tmp_path / "queries.txt",
+            "--database", tmp_path / "database.txt", "--k", 100, "--out", tmp_path / "m.json",
+            "--dump-codes", tmp_path / "codes",
+        ]  # fmt: skip
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = (n + q) * (8 * d + 9 * m + 1)  # features, labels, proportions, flags
+        key_and_product = 8 * icshash.retrieval._BLOCK_ELEMENTS  # uint32 keys, float32 products
+        xor_scratch = 9 * icshash.retrieval._XOR_ELEMENTS
+        db_labels = 5 * n * m  # the (M, N) float32 relevance operand and its bool mask
+        assert peak < 1.25 * (columns + key_and_product + xor_scratch + db_labels)
 
 
 class TestWeightReportCommand:

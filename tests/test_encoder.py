@@ -404,11 +404,25 @@ class TestTrainConfig:
             ("hidden", (0,)),
             ("hidden", (8, -4)),
             ("hidden", (8, 2.5)),
+            ("seed", 1.5),
+            ("seed", -1),
+            ("seed", math.nan),
         ],
     )
     def test_bad_value_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
+
+
+class TestInitParams:
+    @pytest.mark.parametrize("sizes, name", [([4, 2.5, 8], r"sizes\[1\]"), ([4, 8, 0], r"sizes\[2\]")])
+    def test_bad_layer_size_names_its_index(self, sizes, name):
+        # a size of 2.5 used to build a network of width 2
+        with pytest.raises(ValueError, match=name):
+            init_params(sizes, np.random.default_rng(0))
+
+    def test_integer_sizes_of_any_integer_type(self):
+        assert init_params([np.int64(4), 3, np.int32(2)], np.random.default_rng(0)).sizes == [4, 3, 2]
 
 
 class TestSettableValues:
@@ -437,6 +451,43 @@ class TestBinarize:
         code = binarize([0.3, 0.8, 0.5])
         relaxed = (code.astype(np.float64) + 1.0) / 2.0
         np.testing.assert_array_equal(binarize(relaxed), code)
+
+    def test_int8_of_the_input_shape(self):
+        for b in (0.7, [0.2], np.full((3, 2), 0.5)):
+            code = binarize(b)
+            assert isinstance(code, np.ndarray) and code.dtype == np.int8
+            assert code.shape == np.shape(b)
+
+
+class TestEncodeBinary:
+    def check_blocks(self, monkeypatch, n, block):
+        """Codes from one forward_batch call per block of rows equal one
+        forward pass over the whole matrix."""
+        params = tiny_net(3, sizes=(6, 9, 70))
+        x = np.random.default_rng(n).normal(size=(n, 6))
+        calls = []
+        monkeypatch.setattr(
+            icshash.encoder, "forward_batch", lambda p, b: calls.append(len(b)) or forward_batch(p, b)
+        )
+        codes = icshash.encode_binary(params, x)
+        assert codes.dtype == np.int8
+        np.testing.assert_array_equal(codes, binarize(forward_batch(params, x)[0]))
+        assert calls == [min(block, n - s) for s in range(0, n, block)]
+
+    @pytest.mark.parametrize("n", [1, 7, 30])  # 30 is not a multiple of the block
+    def test_blocks_equal_one_forward_pass(self, monkeypatch, n):
+        monkeypatch.setattr(icshash.encoder, "_ENCODE_BLOCK", 7)
+        self.check_blocks(monkeypatch, n, 7)
+
+    def test_two_full_blocks_and_five_rows(self, monkeypatch):
+        block = icshash.encoder._ENCODE_BLOCK
+        self.check_blocks(monkeypatch, 2 * block + 5, block)
+
+    def test_no_rows_still_checks_the_feature_dimension(self):
+        params = tiny_net()
+        assert icshash.encode_binary(params, np.empty((0, 4))).shape == (0, 8)
+        with pytest.raises(ValueError, match="feature dimension"):
+            icshash.encode_binary(params, np.empty((0, 3)))
 
 
 class TestCheckpoint:

@@ -3,6 +3,9 @@ CSV, centers, codes, checkpoint, the distances file of
 ``solve-weights`` and the weights CSV of ``weight-report``): a valid
 file with one corrupted line fails with a ParseError naming that
 physical 1-based line, and save -> load -> save is byte-identical.
+The dataset loader, which streams its file in blocks, is also run with
+blocks of a few samples: it must give the columns and the errors of
+one whole-file read.
 
 Every test is pinned (derandomized, fixed example count, no deadline)
 so that the suite is deterministic and its run time does not depend on
@@ -10,12 +13,14 @@ the host."""
 
 import contextlib
 import io
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import icshash.data
 from icshash import (
     Dataset,
     HashCenterSet,
@@ -322,3 +327,145 @@ def test_weights_csv_round_trip_and_corrupted_row(workdir, seed, n, m, data):
     with pytest.raises(ParseError) as exc_info:
         _read_weights_csv(path, (n, m))
     assert exc_info.value.line == j + 1
+
+
+# Samples per block of load_dataset in the streaming tests below, so that
+# files of 7 to 12 samples span three or more blocks.
+SMALL_BLOCK = 3
+
+
+@contextlib.contextmanager
+def small_load_blocks():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(icshash.data, "_LOAD_BLOCK", SMALL_BLOCK)
+        yield
+
+
+def whole_file_columns(path):
+    """The four columns of a dataset file read whole, as the loader did
+    before it streamed: the text split into lines at once, then float()
+    per value and int() per label character."""
+    lines = path.read_text().splitlines()
+    n, d, m = map(int, lines[0].split())
+    features = np.array([[float(v) for v in lines[1 + 3 * i].split()] for i in range(n)])
+    labels = np.array([[int(c) for c in lines[2 + 3 * i].strip()] for i in range(n)], np.int8)
+    proportions, given = np.zeros((n, m)), np.zeros(n, dtype=bool)
+    for i in range(n):
+        text = lines[3 + 3 * i].strip()
+        if text != "-":
+            given[i] = True
+            proportions[i, labels[i] != 0] = [float(v) for v in text.split()]
+    return features.reshape(n, d), labels.reshape(n, m), proportions, given
+
+
+def assert_columns_equal(data, columns):
+    for got, want in zip((data.features, data.labels, data.proportions, data.has_proportions), columns):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@PINNED
+@given(seed=SEEDS, n=st.integers(1, 12), width=st.integers(1, 30), blank=st.integers(0, 3))
+def test_streamed_columns_equal_the_whole_file_reader(workdir, seed, n, width, blank):
+    path = workdir / "streamed"
+    make_dataset(np.random.default_rng(seed), path, n, width)
+    path.write_text(path.read_text() + "\n" * blank)  # trailing blank lines are allowed
+    with small_load_blocks():
+        assert_columns_equal(load_dataset(path), whole_file_columns(path))
+    assert_columns_equal(load_dataset(path), whole_file_columns(path))
+
+
+@PINNED
+@given(seed=SEEDS, n=st.integers(7, 12), width=st.integers(1, 30), data=st.data())
+def test_corrupted_line_in_a_later_block_is_named(workdir, seed, n, width, data):
+    path = workdir / "later"
+    kinds, load = make_dataset(np.random.default_rng(seed), path, n, width)
+    lines = path.read_text().splitlines()
+    j = data.draw(st.integers(1 + 3 * SMALL_BLOCK, len(lines) - 1), label="line index")
+    hows = CORRUPTIONS[kinds[j]] + (["non-finite"] if kinds[j] == "values" else [])
+    how = data.draw(st.sampled_from(hows), label="corruption")
+    if how == "non-finite":
+        tokens = lines[j].split()
+        i = data.draw(st.integers(0, len(tokens) - 1), label="position")
+        tokens[i] = data.draw(st.sampled_from(["nan", "inf", "-inf"]), label="value")
+        lines[j] = " ".join(tokens)
+    else:
+        lines[j] = corrupt(lines[j], kinds[j], how, data.draw)
+    path.write_text("\n".join(lines) + "\n")
+    with small_load_blocks(), pytest.raises(ParseError) as streamed:
+        load()
+    with pytest.raises(ParseError) as one_block:
+        load()
+    assert streamed.value.line == j + 1
+    assert str(streamed.value) == str(one_block.value)
+
+
+@PINNED
+@given(seed=SEEDS, n=st.integers(7, 12), width=st.integers(1, 30), data=st.data())
+def test_truncated_file_and_rows_past_n_are_named(workdir, seed, n, width, data):
+    path = workdir / "short"
+    make_dataset(np.random.default_rng(seed), path, n, width)
+    lines = path.read_text().splitlines()
+    kept = data.draw(st.integers(1, len(lines) - 1), label="lines kept")
+    path.write_text("\n".join(lines[:kept]) + "\n")
+    with small_load_blocks(), pytest.raises(ParseError) as exc_info:
+        load_dataset(path)
+    assert exc_info.value.line == kept
+    assert f"expected {3 * n} more lines, found {kept - 1}" in str(exc_info.value)
+
+    blank = data.draw(st.integers(0, 3), label="blank lines")
+    path.write_text("\n".join(lines + [""] * blank + ["0.5"]) + "\n")
+    with small_load_blocks(), pytest.raises(ParseError) as exc_info:
+        load_dataset(path)
+    assert exc_info.value.line == len(lines) + blank + 1
+    assert "more rows than header field N declares" in str(exc_info.value)
+
+
+def test_header_count_past_what_the_file_holds_is_a_short_file(workdir):
+    # the columns are sized by what the file can hold, not by N alone
+    path = workdir / "huge_n"
+    make_dataset(np.random.default_rng(0), path, 2, 3)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([f"{10**12} {lines[0].split()[1]} {lines[0].split()[2]}", *lines[1:]]))
+    with pytest.raises(ParseError) as exc_info:
+        load_dataset(path)
+    assert exc_info.value.line == 7
+    assert f"expected {3 * 10**12} more lines, found 6" in str(exc_info.value)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_dataset_read_from_a_pipe(workdir):
+    # a pipe has no size to bound the columns by, so the header's N is used
+    path = workdir / "piped"
+    make_dataset(np.random.default_rng(2), path, 7, 5)
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as fh:
+        fh.write(path.read_bytes())  # a few KiB: fits the pipe buffer
+    try:
+        with small_load_blocks():
+            assert_columns_equal(load_dataset(f"/dev/fd/{read_end}"), whole_file_columns(path))
+    finally:
+        os.close(read_end)
+
+
+def test_only_newlines_end_a_dataset_line(workdir):
+    # str.splitlines() also breaks at \v \f \x1c-\x1e \x85 \u2028 \u2029;
+    # the loader reads lines from the file, which ends them at \n, \r\n or
+    # \r alone: those characters are whitespace inside a value line, and a
+    # fault is named at the line that the newlines count
+    path = workdir / "breaks"
+    make_dataset(np.random.default_rng(1), path, 8, 4)
+    text = path.read_text()
+    expected = load_dataset(path)
+    lines = text.splitlines()
+    for j, char in ((1, "\x0c"), (10, "\x85"), (13, "\u2028")):
+        lines[j] = lines[j].replace(" ", char, 1)
+    path.write_text("\n".join(lines) + "\n")
+    with small_load_blocks():
+        assert_columns_equal(load_dataset(path), [expected.features, expected.labels,
+                                                  expected.proportions, expected.has_proportions])
+    lines[17] = "1\x1d" + lines[17]  # inside sample 5's label string
+    path.write_text("\n".join(lines) + "\n")
+    with small_load_blocks(), pytest.raises(ParseError) as exc_info:
+        load_dataset(path)
+    assert exc_info.value.line == 18

@@ -7,6 +7,7 @@ format."""
 import numpy as np
 import pytest
 
+import icshash.retrieval
 from icshash import (
     CodeDatabase,
     EvaluationError,
@@ -427,6 +428,38 @@ class TestBatchedMetricsMatchPerQueryReference:
         for case, message in cases:
             with pytest.raises(ValueError, match=message):
                 metric(*case)
+
+
+class TestBlockedRanking:
+    """The ranking pass takes max(1, _BLOCK_ELEMENTS // N) query rows
+    per block and XORs max(1, _XOR_ELEMENTS // N) of them at a time;
+    every split gives the reference metrics exactly."""
+
+    def instance(self, seed, n_q, n_db, k_bits, m=5):
+        rng = np.random.default_rng(seed)
+        labels = [(rng.random((n, m)) < 0.3).astype(np.int8) for n in (n_q, n_db)]
+        codes = [pack_database(biased_codes(rng, n, k_bits)) for n in (n_q, n_db)]
+        return codes[0], labels[0], codes[1], labels[1]
+
+    @pytest.mark.parametrize(
+        "block_rows, xor_rows",
+        [(7, 3), (7, 7), (1, 1), (0, 1), (2, 5)],  # 0: a budget below N, one-row blocks
+    )
+    def test_any_block_split_gives_the_reference(self, monkeypatch, block_rows, xor_rows):
+        n_db = 40
+        monkeypatch.setattr(icshash.retrieval, "_BLOCK_ELEMENTS", block_rows * n_db + 3)
+        monkeypatch.setattr(icshash.retrieval, "_XOR_ELEMENTS", xor_rows * n_db)
+        for seed, (n_q, k_bits) in enumerate([(23, 16), (30, 64), (9, 130), (1, 300)]):
+            for k in (1, 10, 40, 100):
+                args = (*self.instance(seed, n_q, n_db, k_bits), k)
+                assert check_against_reference(args)
+
+    def test_real_budget_over_three_blocks(self):
+        # 150 queries against N = 20 000: blocks of 52, 52 and 46 rows
+        n_db = 20_000
+        assert icshash.retrieval._BLOCK_ELEMENTS // n_db == 52
+        args = (*self.instance(5, 150, n_db, 64, m=80), 100)
+        assert check_against_reference(args)
 
 
 class TestCodesFile:
