@@ -131,17 +131,11 @@ def generate_centers(k_bits: int, m_labels: int, seed: int) -> HashCenterSet:
             f"cannot draw {m_labels} distinct centers of {k_bits} bits"
         )
     rng = np.random.default_rng(seed)
-    if _is_power_of_two(k_bits) and m_labels <= k_bits:
+    if _is_power_of_two(k_bits) and m_labels <= 2 * k_bits:
         h = sylvester_hadamard(k_bits.bit_length() - 1)
-        order = _fisher_yates(k_bits, rng)
-        centers = h[np.sort(order[:m_labels])]
-        strategy = "hadamard-rows"
-    elif _is_power_of_two(k_bits) and m_labels <= 2 * k_bits:
-        h = sylvester_hadamard(k_bits.bit_length() - 1)
-        stacked = np.vstack([h, -h])
-        order = _fisher_yates(2 * k_bits, rng)
-        centers = stacked[np.sort(order[:m_labels])]
-        strategy = "stacked-hadamard"
+        pool = h if m_labels <= k_bits else np.vstack([h, -h])
+        centers = pool[np.sort(_fisher_yates(len(pool), rng)[:m_labels])]
+        strategy = "hadamard-rows" if m_labels <= k_bits else "stacked-hadamard"
     else:
         centers = _bernoulli_centers(k_bits, m_labels, rng)
         strategy = "bernoulli"

@@ -208,7 +208,7 @@ def _read_weights_csv(path, shape):
     skipped. Each row names a sample in [0, N) and a label in [0, M),
     no pair twice, and gives a finite weight."""
     lines, numbers = _read_nonblank(path)
-    columns = lines[0].split(",") if lines else None
+    columns = lines[0].rstrip("\n").split(",") if lines else None
     if columns != ["sample", "label", "weight"]:
         raise DataError(f"{path}: expected columns sample,label,weight, found {columns}")
     values = _parse_rows(lines[1:], numbers[1:], 3, np.float64, delimiter=",")

@@ -184,29 +184,30 @@ def save_dataset(path, data: Dataset) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_header(fh, header, minimums) -> list:
-    """The fields of the next line of ``fh``, line 1 of its file, named
-    by ``header``; those in ``minimums`` are integers no smaller than
-    their entry."""
+def _read_header(fh, header, minimums, line=1) -> list:
+    """The fields of the next line of ``fh``, line ``line`` of its file,
+    named by ``header``; those in ``minimums`` are integers no smaller
+    than their entry."""
     fields = fh.readline().split()
     names = header.split()
     if len(fields) != len(names):
-        raise ParseError(f"expected header '{header}'", line=1)
+        raise ParseError(f"expected header '{header}'", line=line)
     for i, name in enumerate(names):
         if name in minimums:
             try:
                 fields[i] = int(fields[i])
             except ValueError:
-                raise ParseError(f"non-integer header field {name}", line=1) from None
+                raise ParseError(f"non-integer header field {name}", line=line) from None
             if fields[i] < minimums[name]:
-                raise ParseError(f"header needs {name} >= {minimums[name]}", line=1)
+                raise ParseError(f"header needs {name} >= {minimums[name]}", line=line)
     return fields
 
 
 def _take_lines(fh, count, taken, total) -> list[str]:
-    """The next ``count`` lines of ``fh``, newlines kept, after the header
-    and ``taken`` of the ``total`` lines that follow it; ParseError when
-    the file ends first."""
+    """The next ``count`` lines of ``fh``, newlines kept, after ``taken``
+    of the ``total`` lines a reader expects; when the file ends first,
+    ParseError at line ``taken + 1`` plus the lines read (the table formats
+    count from their header, the checkpoint from the file's start)."""
     lines = list(itertools.islice(fh, count))
     if len(lines) < count:
         found = taken + len(lines)
@@ -214,12 +215,12 @@ def _take_lines(fh, count, taken, total) -> list[str]:
     return lines
 
 
-def _check_rest_blank(fh, count_field, line) -> None:
+def _check_rest_blank(fh, message, line) -> None:
     """Only blank lines may follow the rows; ``line`` is the number of
-    the next line of ``fh``."""
+    the next line of ``fh``, and ``message`` names the first other one."""
     for number, text in enumerate(fh, line):
         if text.strip():
-            raise ParseError(f"more rows than header field {count_field} declares", line=number)
+            raise ParseError(message, line=number)
 
 
 def _read_table(path, header, minimums, count_field):
@@ -230,16 +231,16 @@ def _read_table(path, header, minimums, count_field):
         fields = _read_header(fh, header, minimums)
         count = fields[header.split().index(count_field)]
         body = _take_lines(fh, count, 0, count)
-        _check_rest_blank(fh, count_field, 2 + count)
+        _check_rest_blank(fh, f"more rows than header field {count_field} declares", 2 + count)
     return fields, body
 
 
 def _read_nonblank(path) -> tuple[list[str], list[int]]:
-    """The non-blank lines of a text file and their 1-based line numbers."""
+    """The non-blank lines of a text file, newlines kept, and their
+    1-based line numbers."""
     with open(path) as fh:
-        raw = fh.read().splitlines()
-    numbers = [i for i, ln in enumerate(raw, 1) if ln.strip()]
-    return [raw[i - 1] for i in numbers], numbers
+        numbered = [(number, text) for number, text in enumerate(fh, 1) if text.strip()]
+    return [text for _, text in numbered], [number for number, _ in numbered]
 
 
 def _first_bad_line(parse, lines, line_numbers, *args):
@@ -351,7 +352,7 @@ def load_dataset(path) -> Dataset:
             block = _parse_samples(lines, start, d, m)
             for column, values in zip(columns, block):
                 column[start : start + len(values)] = values
-        _check_rest_blank(fh, "N", 2 + 3 * n)
+        _check_rest_blank(fh, "more rows than header field N declares", 2 + 3 * n)
     return Dataset(*columns)
 
 

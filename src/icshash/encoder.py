@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .centers import HashCenterSet
-from .data import Dataset, _parse_rows
+from .data import Dataset, _check_rest_blank, _parse_rows, _read_header, _take_lines
 from .errors import ConfigError, DataError, ParseError, check_int
 from .loss import (
     CODE_EPS,
@@ -295,7 +295,12 @@ _CKPT_MAGIC = "icshash-checkpoint-v1"
 
 
 def save_checkpoint(path, params: EncoderParams, k_bits: int, m_labels: int, seed: int) -> None:
-    """Text checkpoint that round-trips parameters bit-exactly."""
+    """Text checkpoint that round-trips parameters bit-exactly. ValueError,
+    naming the field, for a header that load_checkpoint would refuse."""
+    k_bits = check_int("k_bits", k_bits, 1)
+    if k_bits != params.sizes[-1]:
+        raise ValueError(f"k_bits {k_bits} does not match the last layer size {params.sizes[-1]}")
+    m_labels, seed = check_int("m_labels", m_labels, 1), check_int("seed", seed, 0)
     lines = [
         _CKPT_MAGIC,
         "sizes " + " ".join(str(s) for s in params.sizes),
@@ -315,46 +320,42 @@ def save_checkpoint(path, params: EncoderParams, k_bits: int, m_labels: int, see
 
 
 def load_checkpoint(path):
-    """Returns (params, meta) with meta = {k_bits, m_labels, seed}."""
+    """Returns (params, meta) with meta = {k_bits, m_labels, seed}. The
+    layer sizes, k_bits (the last size) and m_labels must be at least 1,
+    seed at least 0; only blank lines may follow the last bias row."""
     with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0] != _CKPT_MAGIC:
-        raise ParseError("not an encoder checkpoint", line=1)
-    ln = 1  # index in raw of the line being read
-    try:
-        tag, *fields = raw[1].split()
-        sizes = [int(v) for v in fields]
-        if tag != "sizes" or len(sizes) < 2:
+        if fh.readline().rstrip("\n") != _CKPT_MAGIC:
+            raise ParseError("not an encoder checkpoint", line=1)
+        tag, *fields = fh.readline().split() or [None]
+        if tag != "sizes" or len(fields) < 2:
             raise ParseError("expected 'sizes' and at least two layer sizes", line=2)
+        sizes = _parse_rows([" ".join(fields)], [2], len(fields), np.int64)[0].tolist()
+        if min(sizes) < 1:
+            raise ParseError("layer sizes must be at least 1", line=2)
         meta = {}
-        for ln, key in ((2, "k_bits"), (3, "m_labels"), (4, "seed")):
-            name, value = raw[ln].split()
+        for line, (key, minimum) in enumerate((("k_bits", 1), ("m_labels", 1), ("seed", 0)), 3):
+            name, meta[key] = _read_header(fh, f"{key} {key.upper()}", {key.upper(): minimum}, line)
             if name != key:
-                raise ParseError(f"expected '{key}'", line=ln + 1)
-            meta[key] = int(value)
+                raise ParseError(f"expected '{key}'", line=line)
         if sizes[-1] != meta["k_bits"]:
             raise ParseError(
-                f"last layer size {sizes[-1]} does not match k_bits {meta['k_bits']}",
-                line=2,
+                f"last layer size {sizes[-1]} does not match k_bits {meta['k_bits']}", line=2
             )
-        weights, biases = [], []
-        ln = 5
+        total = 5 + sum(n_in + 3 for n_in in sizes[:-1])
+
+        def read_block(header, fields, rows, line):
+            # a tag line, line ``line``, giving ``fields`` under the names
+            # ``header``, then ``rows`` lines of fields[-1] floats
+            tag, *names = header.split()
+            if _read_header(fh, header, dict.fromkeys(names, 0), line) != [tag, *fields]:
+                raise ParseError("expected '{}'".format(" ".join(map(str, [tag, *fields]))), line)
+            body = _take_lines(fh, rows, line, total)  # counted from the file's start
+            return _parse_rows(body, range(line + 1, line + 1 + rows), fields[-1], np.float64)
+
+        weights, biases, line = [], [], 6
         for l, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            tag, idx, rows, cols = raw[ln].split()
-            if tag != "weight" or [int(idx), int(rows), int(cols)] != [l, n_in, n_out]:
-                raise ParseError(f"expected 'weight {l} {n_in} {n_out}'", line=ln + 1)
-            block = raw[ln + 1 : ln + 1 + n_in]
-            weights.append(_parse_rows(block, range(ln + 2, ln + 2 + n_in), n_out, np.float64))
-            ln += 1 + n_in
-            tag, idx, n = raw[ln].split()
-            if tag != "bias" or [int(idx), int(n)] != [l, n_out]:
-                raise ParseError(f"expected 'bias {l} {n_out}'", line=ln + 1)
-            biases.append(_parse_rows(raw[ln + 1 : ln + 2], [ln + 2], n_out, np.float64)[0])
-            ln += 2
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"bad checkpoint line: {exc}", line=ln + 1) from None
-    extra = [i for i in range(ln, len(raw)) if raw[i].strip()]
-    if extra:
-        raise ParseError("unexpected line after the last bias row", line=extra[0] + 1)
-    params = EncoderParams(sizes, weights, biases)
-    return params, meta
+            weights.append(read_block("weight LAYER IN OUT", [l, n_in, n_out], n_in, line))
+            biases.append(read_block("bias LAYER OUT", [l, n_out], 1, line + 1 + n_in)[0])
+            line += n_in + 3
+        _check_rest_blank(fh, "unexpected line after the last bias row", line)
+    return EncoderParams(sizes, weights, biases), meta

@@ -68,18 +68,18 @@ def _pack_rows(bits01: np.ndarray) -> np.ndarray:
 
 
 def pack_code(bits_pm1) -> BinaryCode:
-    """Pack one {-1, +1} vector."""
-    row = np.asarray(bits_pm1, dtype=np.int64)
-    if row.ndim != 1 or row.size == 0 or not np.all(np.abs(row) == 1):
+    """Pack one {-1, +1} vector: the one-row call of pack_database."""
+    row = np.asarray(bits_pm1)
+    if row.ndim != 1:
         raise ValueError("expected a nonempty vector of -1/+1 values")
-    return BinaryCode(row.size, _pack_rows(row[None, :] > 0)[0])
+    return pack_database(row[None]).code(0)
 
 
 def pack_database(codes_pm1) -> CodeDatabase:
-    """Pack an (N, K) matrix of {-1, +1} codes."""
+    """Pack an (N, K) matrix of {-1, +1} codes. The values are checked as
+    given, so a fractional code is refused, and integer codes are read
+    uncopied."""
     rows = np.atleast_2d(np.asarray(codes_pm1))
-    if not np.issubdtype(rows.dtype, np.integer):  # integer codes are checked uncopied
-        rows = rows.astype(np.int64)
     if rows.size == 0 or not np.all((rows == 1) | (rows == -1)):
         raise ValueError("expected a nonempty matrix of -1/+1 values")
     return CodeDatabase(rows.shape[1], _pack_rows(rows > 0))

@@ -462,6 +462,23 @@ class TestEvalCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("old, new", [("m_labels 4", "m_labels -3"), ("seed 3", "seed -7")])
+    def test_checkpoint_header_out_of_range_is_a_data_error(self, workdir, capsys, old, new):
+        # m_labels -3 used to load and fail as a config error about M; seed
+        # -7 loaded and reached the manifest
+        tmp_path, data, centers = workdir
+        prefix = tmp_path / "model"
+        run(["train", "--data", data, "--centers", centers, "--out-prefix", prefix,
+             "--epochs", 1, "--hidden", "8", "--seed", 3])
+        ckpt = Path(f"{prefix}.ckpt")
+        ckpt.write_text(ckpt.read_text().replace(f"\n{old}\n", f"\n{new}\n"))
+        capsys.readouterr()
+        code = run(["eval", "--checkpoint", ckpt, "--queries", data, "--database", data,
+                    "--out", tmp_path / "m.json"])
+        assert code == 3
+        line = 4 if new.startswith("m_labels") else 5
+        assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
     def test_trained_model_beats_random_parameters(self, workdir):
         # paired runs: same data and seed, trained vs untrained encoder
         tmp_path, data, centers = workdir

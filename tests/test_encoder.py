@@ -549,11 +549,22 @@ class TestCheckpoint:
     def test_last_layer_must_match_k_bits(self, tmp_path):
         # eval would otherwise write 8-bit codes under a 16-bit checkpoint
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, tiny_net(seed=13, sizes=(4, 8)), 16, 3, 0)
+        save_checkpoint(path, tiny_net(seed=13, sizes=(4, 8)), 8, 3, 0)
+        path.write_text(path.read_text().replace("\nk_bits 8\n", "\nk_bits 16\n"))
         with pytest.raises(ParseError) as exc_info:
             load_checkpoint(path)
         assert exc_info.value.line == 2
         assert "k_bits 16" in str(exc_info.value)
+
+    @pytest.mark.parametrize(
+        "k_bits, m_labels, seed, field",
+        [(16, 3, 0, "k_bits"), (0, 3, 0, "k_bits"), (8, 0, 0, "m_labels"), (8, 3, -1, "seed")],
+    )
+    def test_save_refuses_a_header_that_would_not_load(self, tmp_path, k_bits, m_labels, seed, field):
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match=field):
+            save_checkpoint(path, tiny_net(seed=13, sizes=(4, 8)), k_bits, m_labels, seed)
+        assert not path.exists()
 
     def test_trailing_line_names_its_line(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -36,7 +36,7 @@ from icshash import (
     save_codes,
     save_dataset,
 )
-from icshash.cli import _read_weights_csv, main
+from icshash.cli import _build_parser, _read_weights_csv, main
 from icshash.data import load_dataset_csv
 
 PINNED = settings(derandomize=True, deadline=None, max_examples=40)
@@ -469,3 +469,97 @@ def test_only_newlines_end_a_dataset_line(workdir):
     with small_load_blocks(), pytest.raises(ParseError) as exc_info:
         load_dataset(path)
     assert exc_info.value.line == 18
+
+
+
+# Readers that once read a file whole split its text with str.splitlines,
+# which also breaks at these characters. Every reader takes its lines from
+# the open file, which ends one only at \n, \r\n or \r.
+SPLITLINES_ONLY = ["\x0c", "\x85", "\u2028"]
+
+
+def csv_case(rng, path):
+    lines = [",".join([*map(repr, rng.normal(size=3).tolist()), "1", "0"]) for _ in range(4)]
+    load = lambda: load_dataset_csv(path, 2)  # noqa: E731
+    return lines, ",", lambda: [load().features, load().labels]
+
+
+def distances_case(rng, path):
+    lines = [" ".join(map(repr, rng.exponential(5.0, size=3).tolist())) for _ in range(4)]
+    out = path.with_name("solved.csv")
+    args = _build_parser().parse_args(["solve-weights", "--distances", str(path), "--out", str(out)])
+
+    def solve():  # through the command's handler, which raises what main reports
+        args.func(args)
+        return out.read_text()
+
+    return lines, " ", solve
+
+
+def weights_csv_case(rng, path):
+    lines = ["sample,label,weight"] + [f"{i},{j},{rng.random()!r}" for i in range(2) for j in range(2)]
+    return lines, ",", lambda: list(_read_weights_csv(path, (2, 2)))
+
+
+def checkpoint_case(rng, path):
+    save_checkpoint(path, init_params([3, 2], rng), 2, 3, 0)
+    load = lambda: load_checkpoint(path)  # noqa: E731
+    return path.read_text().splitlines(), " ", lambda: [*load()[0].weights, *load()[0].biases]
+
+
+# Each reader's valid file, the index of a value line and of a later line.
+LINE_RULE_CASES = {
+    "csv": (csv_case, 0, 3),
+    "distances": (distances_case, 0, 3),
+    "weights_csv": (weights_csv_case, 1, 4),
+    "checkpoint": (checkpoint_case, 6, 10),  # a weight row, the bias row
+}
+
+
+@pytest.mark.parametrize("char", SPLITLINES_ONLY, ids=repr)
+@pytest.mark.parametrize("reader", sorted(LINE_RULE_CASES))
+def test_only_newlines_end_a_line_in_every_reader(workdir, reader, char):
+    # the character is whitespace inside a value line: it splits nothing,
+    # and a later fault is named at the line that the newlines count
+    make, j, later = LINE_RULE_CASES[reader]
+    path = workdir / f"rule_{reader}"
+    lines, sep, load = make(np.random.default_rng(5), path)
+    path.write_text("\n".join(lines) + "\n")
+    expected = load()
+    lines[j] = lines[j].replace(sep, char + sep, 1)
+    path.write_text("\n".join(lines) + "\n")
+    np.testing.assert_equal(load(), expected)
+    lines[later] = lines[later].rsplit(sep, 1)[0] + sep + "x"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc_info:
+        load()
+    assert exc_info.value.line == later + 1
+
+
+def test_truncated_checkpoint_names_its_first_missing_line(workdir):
+    path = workdir / "cut.ckpt"
+    save_checkpoint(path, init_params([3, 2, 2], np.random.default_rng(0)), 2, 3, 0)
+    lines = path.read_text().splitlines()
+    for kept in range(len(lines)):
+        path.write_text("".join(line + "\n" for line in lines[:kept]))
+        with pytest.raises(ParseError) as exc_info:
+            load_checkpoint(path)
+        assert exc_info.value.line == kept + 1
+
+
+@pytest.mark.parametrize(
+    "line_no, text",
+    [(2, "sizes 0 2"), (3, "k_bits 0"), (4, "m_labels 0"), (4, "m_labels -3"), (5, "seed -1")],
+)
+def test_checkpoint_header_out_of_range_is_named(workdir, line_no, text):
+    # every header field has the bounds of the other formats' headers:
+    # sizes and k_bits >= 1, m_labels >= 1, seed >= 0
+    path = workdir / "bounds.ckpt"
+    save_checkpoint(path, init_params([3, 2], np.random.default_rng(0)), 2, 3, 0)
+    lines = path.read_text().splitlines()
+    assert lines[line_no - 1].split()[0] == text.split()[0]
+    lines[line_no - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc_info:
+        load_checkpoint(path)
+    assert exc_info.value.line == line_no

@@ -22,6 +22,7 @@ from icshash import (
     generate_centers,
     loss_gradient_wrt_codes,
     quantization_loss,
+    solve_weights_batch,
     total_loss,
     weight_objective,
 )
@@ -272,6 +273,45 @@ class TestOneObjectiveForBothSteps:
             )
             got = parts["central"] + lam * parts["entropy"]
             assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+class TestEnvelope:
+    def test_code_gradient_is_the_derivative_of_the_solved_objective(self):
+        """Danskin: with exact-mode weights w*(b), the code gradient at
+        fixed w* equals the derivative of J*(b) = min_w J(b, w), so exact-
+        mode training is gradient descent on one function of the codes.
+        Each central difference re-solves the weights. Codes are sigmoids
+        of logits scaled by min(1, lam / beta), which keeps every weight
+        above WEIGHT_FLOOR: below it the clamped entropy is not smooth."""
+        rng = np.random.default_rng(17)
+        k, m, n, h = 16, 8, 4, 1e-6
+        for seed in range(50):
+            centers01 = (generate_centers(k, m, seed).centers + 1.0) / 2.0
+            mask = np.zeros((n, m), dtype=bool)
+            for row in mask:
+                row[rng.choice(m, size=int(rng.integers(1, 5)), replace=False)] = True
+            lam, beta = float(rng.choice([0.1, 1.0, 4.0])), float(rng.choice([0.1, 1.0]))
+            cfg = LossConfig(beta=beta, gamma=0.05, lam=lam)
+            solver = WeightSolverConfig(lam=lam, beta=beta, gradient_mode="exact")
+            logits = rng.uniform(0.05, 1.0, size=(n, k)) * rng.choice([-1.0, 1.0], size=(n, k))
+            codes = expit(min(1.0, lam / beta) * logits)
+
+            d = distance_matrix(codes, centers01)
+            w = solve_weights_batch(d, mask, solver)
+            grad = _loss_and_gradient(codes, d, w, mask, centers01, cfg)[2]
+            assert w[mask].min() > WEIGHT_FLOOR
+            # every entry moved by +h, then by -h: 2 n k copies of the batch,
+            # their weights solved in one call (rows are solved independently)
+            steps = h * np.eye(n * k).reshape(n * k, n, k)
+            copies = np.concatenate([codes + steps, codes - steps])
+            d = distance_matrix(copies.reshape(-1, k), centers01).reshape(-1, n, m)
+            w = solve_weights_batch(d.reshape(-1, m), np.tile(mask, (len(copies), 1)), solver)
+            j_star = [
+                _loss_and_gradient(b, d_b, w_b, mask, centers01, cfg)[0]
+                for b, d_b, w_b in zip(copies, d, w.reshape(d.shape))
+            ]
+            fd = (np.subtract(*np.split(np.array(j_star), 2)) / (2 * h)).reshape(n, k)
+            assert np.abs(grad - fd).max() <= 1e-5 * np.abs(fd).max()
 
 
 class TestLossGradient:

@@ -95,6 +95,18 @@ class TestPacking:
         with pytest.raises(ValueError):
             pack_code([1, 0, -1])
 
+    @pytest.mark.parametrize("pack", [pack_code, lambda row: pack_database([row])])
+    def test_rejects_fractional_values_instead_of_truncating(self, pack):
+        # a cast to int64 before the check packed these as [1, -1, 1]
+        with pytest.raises(ValueError):
+            pack([1.5, -1.9, 1])
+
+    def test_float_signs_pack_like_integer_signs(self):
+        want = pack_database([[1, -1, 1], [-1, -1, 1]])
+        got = pack_database(np.array([[1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]]))
+        assert (got.k_bits, got.words.tolist()) == (want.k_bits, want.words.tolist())
+        assert pack_code([1.0, -1.0, 1.0]).words.tolist() == want.code(0).words.tolist()
+
 
 class TestRankDatabase:
     def test_query_in_database_ranks_first(self):
