@@ -157,14 +157,12 @@ def min_pairwise_hamming(center_set: HashCenterSet) -> int:
 def save_centers(path, center_set: HashCenterSet) -> None:
     """Write the text format: header ``K M strategy seed``, then one
     row of space-separated +-1 values per center."""
-    lines = [
-        f"{center_set.k_bits} {center_set.m_labels} "
-        f"{center_set.strategy} {center_set.seed}"
-    ]
-    for row in center_set.centers:
-        lines.append(" ".join(str(int(v)) for v in row))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            f"{center_set.k_bits} {center_set.m_labels} "
+            f"{center_set.strategy} {center_set.seed}\n"
+        )
+        np.savetxt(fh, center_set.centers, fmt="%d")
 
 
 def load_centers(path) -> HashCenterSet:

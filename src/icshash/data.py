@@ -55,8 +55,10 @@ class Dataset:
     their shapes disagree on N or M, and DataError for the first sample,
     in index order, without a positive label or, failing that, with a
     non-finite feature. They are kept as read-only views, so that a write
-    through the Dataset cannot undo a check before train reads them (the
-    arrays a caller passed in stay writable under the caller's names)."""
+    through the Dataset cannot undo a check before train reads them. The
+    views share the caller's arrays, which are not copied and stay
+    writable under the caller's names: a caller must not write to them
+    after building the Dataset, as nothing checks such a write."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -166,22 +168,20 @@ def labels_matrix(data: Dataset) -> np.ndarray:
 
 
 def save_dataset(path, data: Dataset) -> None:
-    """Three lines per sample after a ``N D M`` header: features (9
-    significant digits), the 0/1 label string, and the proportions
-    (full precision) or ``-`` when absent."""
+    """Three lines per sample after a ``N D M`` header, written one
+    sample at a time: features (9 significant digits), the 0/1 label
+    string, and the proportions (full precision) or ``-`` when absent."""
     if not data:
         raise ValueError("refusing to save an empty dataset")
-    lines = ["{} {} {}".format(*data.features.shape, data.labels.shape[1])]
+    (n, d), m = data.features.shape, data.labels.shape[1]
+    sample_format = " ".join(["%.9g"] * d) + "\n" + "%d" * m + "\n%s\n"
     rows = zip(data.features, data.labels, data.proportions, data.has_proportions)
-    for features, labels, proportions, given in rows:
-        lines.append(" ".join(f"{v:.9g}" for v in features.tolist()))
-        lines.append("".join(map(str, labels.tolist())))
-        if given:
-            lines.append(" ".join(f"{v:.17g}" for v in proportions[labels != 0].tolist()))
-        else:
-            lines.append("-")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{n} {d} {m}\n")
+        for features, labels, proportions, given in rows:
+            shares = " ".join(f"{v:.17g}" for v in proportions[labels != 0].tolist())
+            values = (*features.tolist(), *labels.tolist(), shares if given else "-")
+            fh.write(sample_format % values)
 
 
 def _read_header(fh, header, minimums, line=1) -> list:
@@ -204,14 +204,14 @@ def _read_header(fh, header, minimums, line=1) -> list:
 
 
 def _take_lines(fh, count, taken, total) -> list[str]:
-    """The next ``count`` lines of ``fh``, newlines kept, after ``taken``
-    of the ``total`` lines a reader expects; when the file ends first,
-    ParseError at line ``taken + 1`` plus the lines read (the table formats
-    count from their header, the checkpoint from the file's start)."""
+    """The next ``count`` lines of ``fh``, newlines kept, after the
+    ``taken`` lines read from the start of its file, which a reader
+    expects to hold ``total``; when the file ends first, ParseError at
+    its first missing line."""
     lines = list(itertools.islice(fh, count))
     if len(lines) < count:
         found = taken + len(lines)
-        raise ParseError(f"expected {total} more lines, found {found}", line=found + 1)
+        raise ParseError(f"expected {total} lines, found {found}", line=found + 1)
     return lines
 
 
@@ -230,7 +230,7 @@ def _read_table(path, header, minimums, count_field):
     with open(path) as fh:
         fields = _read_header(fh, header, minimums)
         count = fields[header.split().index(count_field)]
-        body = _take_lines(fh, count, 0, count)
+        body = _take_lines(fh, count, 1, 1 + count)
         _check_rest_blank(fh, f"more rows than header field {count_field} declares", 2 + count)
     return fields, body
 
@@ -348,7 +348,7 @@ def load_dataset(path) -> Dataset:
         proportions, given = np.empty((rows, m)), np.empty(rows, dtype=bool)
         columns = (features, labels, proportions, given)
         for start in range(0, n, _LOAD_BLOCK):
-            lines = _take_lines(fh, 3 * min(_LOAD_BLOCK, n - start), 3 * start, 3 * n)
+            lines = _take_lines(fh, 3 * min(_LOAD_BLOCK, n - start), 1 + 3 * start, 1 + 3 * n)
             block = _parse_samples(lines, start, d, m)
             for column, values in zip(columns, block):
                 column[start : start + len(values)] = values

@@ -165,6 +165,10 @@ def adam_step(params: EncoderParams, state: AdamState, grads, lr: float) -> None
 
 @dataclass
 class TrainConfig:
+    """Training settings. ``solver`` left as None is built from the
+    loss's lam and beta; a given solver must have the loss's lam and
+    beta, so that both steps minimize one objective."""
+
     epochs: int = 90
     batch_size: int = 64
     lr0: float = 1e-4
@@ -184,13 +188,14 @@ class TrainConfig:
             raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
         if not 0 < self.lr0 < math.inf:
             raise ValueError("lr0 must be finite and positive")
-
-    def resolved_solver(self) -> WeightSolverConfig:
-        """The weight-solver configuration actually used in training;
-        defaults inherit the loss bandwidth and entropy strength."""
-        if self.solver is not None:
-            return self.solver
-        return WeightSolverConfig(lam=self.loss.lam, beta=self.loss.beta)
+        if self.solver is None:
+            self.solver = WeightSolverConfig(lam=self.loss.lam, beta=self.loss.beta)
+        if (self.solver.lam, self.solver.beta) != (self.loss.lam, self.loss.beta):
+            raise ValueError(
+                f"solver lam={self.solver.lam}, beta={self.solver.beta} differ from "
+                f"loss lam={self.loss.lam}, beta={self.loss.beta}: both steps must "
+                "minimize one objective"
+            )
 
 
 def learning_rate(cfg: TrainConfig, epoch: int) -> float:
@@ -246,7 +251,6 @@ def train(data: Dataset, center_set: HashCenterSet, cfg: TrainConfig) -> TrainSt
     adam = AdamState.for_params(params)
     weights = mask / mask.sum(axis=1, keepdims=True)
     centers01 = (center_set.centers.astype(np.float64) + 1.0) / 2.0
-    solver_cfg = cfg.resolved_solver()
     n = len(data)
     history: list[dict] = []
     for epoch in range(cfg.epochs):
@@ -259,7 +263,7 @@ def train(data: Dataset, center_set: HashCenterSet, cfg: TrainConfig) -> TrainSt
             d = distance_matrix(codes, centers01)
             w, batch_mask = weights[batch], mask[batch]
             if cfg.weight_mode == "learned":
-                w = solve_weights_batch(d, batch_mask, solver_cfg, w_init=w)
+                w = solve_weights_batch(d, batch_mask, cfg.solver, w_init=w)
                 weights[batch] = w
             value, parts, grad_codes = _loss_and_gradient(
                 codes, d, w, batch_mask, centers01, cfg.loss
@@ -301,22 +305,16 @@ def save_checkpoint(path, params: EncoderParams, k_bits: int, m_labels: int, see
     if k_bits != params.sizes[-1]:
         raise ValueError(f"k_bits {k_bits} does not match the last layer size {params.sizes[-1]}")
     m_labels, seed = check_int("m_labels", m_labels, 1), check_int("seed", seed, 0)
-    lines = [
-        _CKPT_MAGIC,
-        "sizes " + " ".join(str(s) for s in params.sizes),
-        f"k_bits {k_bits}",
-        f"m_labels {m_labels}",
-        f"seed {seed}",
-    ]
-    for l in range(params.n_layers()):
-        w, b = params.weights[l], params.biases[l]
-        lines.append(f"weight {l} {w.shape[0]} {w.shape[1]}")
-        for row in w:
-            lines.append(" ".join(f"{v:.17g}" for v in row))
-        lines.append(f"bias {l} {b.shape[0]}")
-        lines.append(" ".join(f"{v:.17g}" for v in b))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            f"{_CKPT_MAGIC}\nsizes {' '.join(map(str, params.sizes))}\n"
+            f"k_bits {k_bits}\nm_labels {m_labels}\nseed {seed}\n"
+        )
+        for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+            fh.write(f"weight {l} {w.shape[0]} {w.shape[1]}\n")
+            np.savetxt(fh, w, fmt="%.17g")
+            fh.write(f"bias {l} {b.shape[0]}\n")
+            np.savetxt(fh, b[None], fmt="%.17g")
 
 
 def load_checkpoint(path):
@@ -349,7 +347,7 @@ def load_checkpoint(path):
             tag, *names = header.split()
             if _read_header(fh, header, dict.fromkeys(names, 0), line) != [tag, *fields]:
                 raise ParseError("expected '{}'".format(" ".join(map(str, [tag, *fields]))), line)
-            body = _take_lines(fh, rows, line, total)  # counted from the file's start
+            body = _take_lines(fh, rows, line, total)
             return _parse_rows(body, range(line + 1, line + 1 + rows), fields[-1], np.float64)
 
         weights, biases, line = [], [], 6

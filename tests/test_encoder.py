@@ -255,6 +255,7 @@ class TestTrain:
             lr0=1e-3,
             hidden=(8,),
             seed=1,
+            loss=LossConfig(beta=1.0, lam=0.05),
             solver=WeightSolverConfig(lam=0.05, beta=1.0, gradient_mode="exact"),
         )
         state = train(samples, center_set, cfg)
@@ -412,6 +413,19 @@ class TestTrainConfig:
     def test_bad_value_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("lam, beta", [(0.5, 0.1), (0.01, 1.0), (4.0, 1.0)])
+    def test_a_solver_off_the_loss_objective_is_refused(self, lam, beta):
+        # the default loss has lam 0.01 and beta 0.1; such a solver used to
+        # be taken while the loss kept its own values
+        with pytest.raises(ValueError, match=r"solver lam=.* differ from loss lam="):
+            TrainConfig(solver=WeightSolverConfig(lam=lam, beta=beta, gradient_mode="exact"))
+
+    def test_the_default_solver_takes_the_loss_lam_and_beta(self):
+        cfg = TrainConfig(loss=LossConfig(beta=0.5, lam=2.0))
+        assert cfg.solver == WeightSolverConfig(lam=2.0, beta=0.5)
+        paper = WeightSolverConfig(lam=2.0, beta=0.5, eta=0.3)
+        assert TrainConfig(loss=LossConfig(beta=0.5, lam=2.0), solver=paper).solver is paper
 
 
 class TestInitParams:

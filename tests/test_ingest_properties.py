@@ -410,8 +410,8 @@ def test_truncated_file_and_rows_past_n_are_named(workdir, seed, n, width, data)
     path.write_text("\n".join(lines[:kept]) + "\n")
     with small_load_blocks(), pytest.raises(ParseError) as exc_info:
         load_dataset(path)
-    assert exc_info.value.line == kept
-    assert f"expected {3 * n} more lines, found {kept - 1}" in str(exc_info.value)
+    assert exc_info.value.line == kept + 1
+    assert f"expected {3 * n + 1} lines, found {kept}" in str(exc_info.value)
 
     blank = data.draw(st.integers(0, 3), label="blank lines")
     path.write_text("\n".join(lines + [""] * blank + ["0.5"]) + "\n")
@@ -429,8 +429,8 @@ def test_header_count_past_what_the_file_holds_is_a_short_file(workdir):
     path.write_text("\n".join([f"{10**12} {lines[0].split()[1]} {lines[0].split()[2]}", *lines[1:]]))
     with pytest.raises(ParseError) as exc_info:
         load_dataset(path)
-    assert exc_info.value.line == 7
-    assert f"expected {3 * 10**12} more lines, found 6" in str(exc_info.value)
+    assert exc_info.value.line == 8
+    assert f"expected {3 * 10**12 + 1} lines, found 7" in str(exc_info.value)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -545,6 +545,23 @@ def test_truncated_checkpoint_names_its_first_missing_line(workdir):
         with pytest.raises(ParseError) as exc_info:
             load_checkpoint(path)
         assert exc_info.value.line == kept + 1
+
+
+@pytest.mark.parametrize("fmt", ["centers", "codes"])
+@pytest.mark.parametrize("n, width", [(1, 1), (3, 5), (6, 70)])
+def test_cut_table_names_its_first_missing_line(workdir, fmt, n, width):
+    # as the checkpoint and the dataset do: the counts in the message are
+    # lines from the start of the file
+    path = workdir / f"cut_{fmt}"
+    _, load = MAKERS[fmt](np.random.default_rng(n), path, n, width)
+    lines = path.read_text().splitlines()
+    for kept in range(len(lines)):
+        path.write_text("".join(line + "\n" for line in lines[:kept]))
+        with pytest.raises(ParseError) as exc_info:
+            load()
+        assert exc_info.value.line == kept + 1
+        if kept:  # an empty file fails at its header
+            assert f"expected {len(lines)} lines, found {kept}" in str(exc_info.value)
 
 
 @pytest.mark.parametrize(

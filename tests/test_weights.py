@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from icshash import (
+    LossConfig,
     SyntheticSpec,
     TrainConfig,
     WeightSolverConfig,
@@ -679,7 +680,8 @@ class TestTrainSolvesEachBatch:
         spec = SyntheticSpec(40, 6, 5, labels_per_sample=(1, 4), seed=2)
         samples = generate_synthetic(spec)
         center_set = generate_centers(16, 5, seed=2)
-        cfg = TrainConfig(epochs=1, batch_size=40, hidden=(8,), solver=solver, seed=4)
+        loss = LossConfig(beta=solver.beta, lam=solver.lam)
+        cfg = TrainConfig(epochs=1, batch_size=40, hidden=(8,), loss=loss, solver=solver, seed=4)
         state = train(samples, center_set, cfg)
         params = init_params([6, 8, 16], np.random.default_rng(4))
         codes, _ = forward_batch(params, np.array([s.features for s in samples]))
