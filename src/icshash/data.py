@@ -53,8 +53,10 @@ class Dataset:
 
     The columns are checked when the Dataset is built: ValueError when
     their shapes disagree on N or M, and DataError for the first sample,
-    in index order, without a positive label or, failing that, with a
-    non-finite feature. They are kept as read-only views, so that a write
+    in index order, with a label other than 0 or 1 or, failing that,
+    without a positive label or with a non-finite feature. The labels are
+    checked as given, before their cast to int8, so that 2, 0.5 or 257 is
+    refused rather than cast. They are kept as read-only views, so that a write
     through the Dataset cannot undo a check before train reads them. The
     views share the caller's arrays, which are not copied and stay
     writable under the caller's names: a caller must not write to them
@@ -67,7 +69,9 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int8)
+        given = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):  # NaN or inf: refused below
+            self.labels = given.astype(np.int8, copy=False)
         self.proportions = np.asarray(self.proportions, dtype=np.float64)
         self.has_proportions = np.asarray(self.has_proportions, dtype=bool)
         f, l, p, g = shapes = [column.shape for column in vars(self).values()]
@@ -76,11 +80,19 @@ class Dataset:
                 "Dataset columns must be features (N, D), labels and proportions "
                 f"(N, M) and has_proportions (N,); got shapes {shapes}"
             )
-        no_positive = self.labels.sum(axis=1) == 0
-        failed = no_positive | ~np.isfinite(self.features).all(axis=1)
+        # read as uint8, a negative label is 128 or more
+        largest = self.labels.view(np.uint8).max(axis=1, initial=0)
+        not_binary = largest > 1
+        if self.labels is not given:  # a cast that changed a value hid it
+            not_binary |= (self.labels != given).any(axis=1)
+        no_positive = largest == 0
+        failed = not_binary | no_positive | ~np.isfinite(self.features).all(axis=1)
         if failed.any():
             i = int(np.argmax(failed))
-            problem = "no positive label" if no_positive[i] else "a non-finite feature"
+            if not_binary[i]:
+                problem = "a label other than 0 or 1"
+            else:
+                problem = "no positive label" if no_positive[i] else "a non-finite feature"
             raise DataError(f"sample {i} has {problem}")
         for name, column in list(vars(self).items()):
             view = column.view()
@@ -289,50 +301,68 @@ def _parse_bits(lines, line_numbers, width) -> np.ndarray:
     raise ParseError(f"expected a 0/1 string of {width} characters", line=int(line_numbers[0]))
 
 
+def _ragged_groups(lines, line_numbers, widths):
+    """Float rows of differing widths, one _parse_rows block per width in
+    ascending order: for each width, the indices of its rows and their
+    (rows, width) values."""
+    widths, numbers = np.asarray(widths, dtype=np.int64), np.asarray(line_numbers)
+    for width in np.unique(widths).tolist():
+        at = np.flatnonzero(widths == width)
+        yield at, _parse_rows([lines[i] for i in at.tolist()], numbers[at], width, np.float64)
+
+
 def _parse_ragged(lines, line_numbers, widths) -> tuple[np.ndarray, np.ndarray]:
     """Float rows of differing widths, zero-padded to the widest, and the
-    mask of the entries they fill: one _parse_rows block per width."""
-    widths, numbers = np.asarray(widths, dtype=np.int64), np.asarray(line_numbers)
+    mask of the entries they fill."""
+    widths = np.asarray(widths, dtype=np.int64)
     mask = np.arange(widths.max(initial=0)) < widths[:, None]
     rows = np.zeros(mask.shape)
-    for width in np.unique(widths):
-        at = np.flatnonzero(widths == width)
-        rows[at, :width] = _parse_rows(
-            [lines[i] for i in at.tolist()], numbers[at], width, np.float64
-        )
+    for at, values in _ragged_groups(lines, line_numbers, widths):
+        rows[at, : values.shape[1]] = values
     return rows, mask
 
 
-def _parse_samples(lines, start, d, m):
-    """Features, labels, proportions and has-proportions columns of the
-    samples in ``lines``, three lines each, the first of them sample
-    ``start``. Each check covers the whole block before the next runs:
-    feature rows, label strings, a positive label in every row,
-    proportion rows, then finite values in file order."""
+def _parse_samples(lines, start, columns) -> None:
+    """Parse the samples in ``lines``, three lines each, the first of them
+    sample ``start``, into their rows of the features, labels,
+    proportions and has-proportions ``columns``. Each check covers the
+    whole block before the next runs: feature rows, label strings, a
+    positive label in every row, proportion rows, then finite values in
+    file order. The proportion rows are written straight into their
+    column, so the block holds no dense (rows, M) temporary."""
     first = 3 * np.arange(start, start + len(lines) // 3) + 2  # features line
-    features = _parse_rows(lines[0::3], first, d, np.float64)
-    labels = _parse_bits(lines[1::3], first + 1, m)
+    features = _parse_rows(lines[0::3], first, columns[0].shape[1], np.float64)
+    labels = _parse_bits(lines[1::3], first + 1, columns[1].shape[1])
     counts = labels.sum(axis=1)
     if np.any(counts == 0):
         i = int(np.argmin(counts))
         raise DataError(f"sample {start + i} (line {first[i] + 1}) has no positive label")
     given = np.array([text.strip() != "-" for text in lines[2::3]], dtype=bool)
+    at = np.flatnonzero(given)
     given_lines = list(itertools.compress(lines[2::3], given))
-    rows, slots = _parse_ragged(given_lines, first[given] + 2, counts[given])
-    proportions = np.zeros(labels.shape)
-    proportions[(labels != 0) & given[:, None]] = rows[slots]
-    non_finite = ~np.stack([np.isfinite(a).all(axis=1) for a in (features, proportions)], 1)
+    groups = list(_ragged_groups(given_lines, first[at] + 2, counts[at]))
+    # every line parsed, so the block fits the columns (see load_dataset)
+    block = slice(start, start + len(features))
+    columns[0][block], columns[1][block], columns[3][block] = features, labels, given
+    proportions = columns[2][block]
+    proportions[:] = 0.0
+    non_finite = np.zeros((len(features), 2), dtype=bool)
+    non_finite[:, 0] = ~np.isfinite(features).all(axis=1)
+    for group, values in groups:
+        rows = at[group]
+        positives = np.nonzero(labels[rows])[1].reshape(values.shape)  # ascending per row
+        proportions[rows[:, None], positives] = values
+        non_finite[rows, 1] = ~np.isfinite(values).all(axis=1)
     if non_finite.any():
         i, kind = np.argwhere(non_finite)[0]  # the first in file order
         what = ("feature", "proportion")[kind]
         raise ParseError(f"non-finite {what} value", line=int(first[i] + 2 * kind))
-    return features, labels, proportions, given
 
 
 def load_dataset(path) -> Dataset:
     """Read the dataset text format in blocks of _LOAD_BLOCK samples,
-    each parsed and checked whole before its rows are copied into
-    columns allocated once; the first block with a fault raises it."""
+    each parsed and checked whole into columns allocated once; the first
+    block with a fault raises it."""
     with open(path) as fh:
         n, d, m = _read_header(fh, "N D M", {"N": 1, "D": 1, "M": 1})
         # Every sample that parses takes 2D + M + 3 bytes or more (one less
@@ -349,9 +379,7 @@ def load_dataset(path) -> Dataset:
         columns = (features, labels, proportions, given)
         for start in range(0, n, _LOAD_BLOCK):
             lines = _take_lines(fh, 3 * min(_LOAD_BLOCK, n - start), 1 + 3 * start, 1 + 3 * n)
-            block = _parse_samples(lines, start, d, m)
-            for column, values in zip(columns, block):
-                column[start : start + len(values)] = values
+            _parse_samples(lines, start, columns)
         _check_rest_blank(fh, "more rows than header field N declares", 2 + 3 * n)
     return Dataset(*columns)
 

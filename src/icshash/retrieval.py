@@ -3,9 +3,12 @@
 Codes in {-1, +1} are packed into 64-bit words (bit 1 encodes +1,
 little-endian bit order, pad bits zero) so distances reduce to XOR and
 population count. Relevance between two samples means sharing at least
-one positive label. Average precision at k divides by min(k, number of
-relevant database items), and queries with no relevant item are
-excluded from the mean.
+one positive label. The database's labels are packed the same way into
+posting lists, one per label, with bit j set when item j holds it; the
+union of a query's posting lists marks its relevant items, so a query
+with c labels costs c ORs of ceil(N/64) words. Average precision at k
+divides by min(k, number of relevant database items), and queries with
+no relevant item are excluded from the mean.
 """
 
 from dataclasses import dataclass
@@ -16,13 +19,16 @@ from .data import _parse_bits, _read_table
 from .errors import EvaluationError, check_int
 
 # Elements of each (query rows, N) block that the metrics rank at once:
-# a block has max(1, _BLOCK_ELEMENTS // N) query rows, and its key and
-# label-product buffers, 8 bytes per element in all (8 MiB), are
-# allocated once per call and reused by every block. The Hamming pass
-# XORs max(1, _XOR_ELEMENTS // N) of its rows at a time, so that its
-# uint64 scratch (512 KiB) stays in cache.
+# a block has max(1, _BLOCK_ELEMENTS // N) query rows, and its key
+# buffer (uint32 at K = 64 up to N = 66 million: 4 MiB) and the union of
+# its posting lists (one bit per element) are allocated once per call
+# and reused by every block. The Hamming pass XORs
+# max(1, _XOR_ELEMENTS // N) of its rows at a time, so that its uint64
+# scratch (512 KiB) stays in cache.
 _BLOCK_ELEMENTS = 2**20
 _XOR_ELEMENTS = 2**16
+# Codes that save_codes formats and writes at once.
+_CODES_PER_WRITE = 4096
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,8 @@ class RankedResult:
 
 
 def _pack_rows(bits01: np.ndarray) -> np.ndarray:
-    """Pack an (N, K) 0/1 matrix, 1 encoding +1."""
+    """Pack the rows of an (N, K) 0/1 matrix, codes (1 encoding +1) or
+    label masks, into ceil(K/64) words each."""
     n, k = bits01.shape
     n_words = (k + 63) // 64
     padded = np.zeros((n, n_words * 64), dtype=np.uint8)
@@ -141,43 +148,47 @@ def _top_k_relevance(query_codes, query_labels, db_codes, db_labels, k):
     ``dist * N + index`` is unique, so sorting only the partitioned top k
     keys keeps that order. Queries are ranked in blocks of
     ``_BLOCK_ELEMENTS // N`` rows (at least one) through buffers
-    allocated once."""
+    allocated once. A query's relevant items are the union of the
+    posting lists of its labels, (M, ceil(N/64)) words packed once per
+    call: the union's population count is its relevant count and its
+    bits at the top items are the flags."""
     k = check_int("k", k, 1)
     n = len(db_codes)
     if n == 0:
         raise ValueError("empty database")
     if len(query_codes) == 0:
         raise ValueError("no queries")
-    query_positive = (np.atleast_2d(np.asarray(query_labels)) > 0).astype(np.float32)
+    query_positive = np.atleast_2d(np.asarray(query_labels)) > 0
     db_positive = np.atleast_2d(np.asarray(db_labels)) > 0
     if query_positive.shape[1] != db_positive.shape[1]:
         raise ValueError("label dimension mismatch")
     if (len(query_positive), len(db_positive)) != (len(query_codes), n):
         raise ValueError("label rows do not match the number of codes")
-    db_positive = np.ascontiguousarray(db_positive.T, dtype=np.float32)  # (M, N)
     _check_lengths(query_codes.k_bits, db_codes.k_bits)
+    posting = _pack_rows(db_positive.T)  # (M, ceil(N/64)), pad bits zero
     top = min(k, n)
     key_type = np.min_scalar_type((db_codes.k_bits + 1) * n)
     index = np.arange(n, dtype=key_type)
     shape = (min(max(1, _BLOCK_ELEMENTS // n), len(query_codes)), n)
-    keys, products = np.empty(shape, key_type), np.empty(shape, np.float32)
+    keys, unions = np.empty(shape, key_type), np.empty((shape[0], posting.shape[1]), np.uint64)
     scratch = (min(max(1, _XOR_ELEMENTS // n), shape[0]), n)
     xor, count = np.empty(scratch, np.uint64), np.empty(scratch, np.uint8)
     flags = np.empty((len(query_codes), top), dtype=bool)
     n_relevant = np.empty(len(query_codes), dtype=np.int64)
     for start in range(0, len(query_codes), shape[0]):
         rows = slice(start, min(start + shape[0], len(query_codes)))
-        key, product = keys[: rows.stop - start], products[: rows.stop - start]
+        key, union = keys[: rows.stop - start], unions[: rows.stop - start]
         _hamming_rows(query_codes.words[rows], db_codes.words, key, xor, count)
         key *= n
         key += index
         key.partition(top - 1, axis=1)
-        # shared-label counts are at most M, so the float32 product is
-        # exact while M < 2**24; clipped to 0/1 it sums to the relevant count
-        np.matmul(query_positive[rows], db_positive, out=product)
         order = np.sort(key[:, :top], axis=1) % n
-        flags[rows] = np.take_along_axis(product, order, axis=1) > 0
-        n_relevant[rows] = np.minimum(product, 1.0, out=product).sum(axis=1, dtype=np.int64)
+        for i, positive in enumerate(query_positive[rows]):
+            np.bitwise_or.reduce(posting[positive], axis=0, out=union[i])  # 0 for no label
+        # bit j of the union is bit j % 8 of its byte j // 8 (little-endian bit order)
+        item_bytes = np.take_along_axis(union.view(np.uint8), order // 8, axis=1)
+        flags[rows] = (item_bytes >> (order % 8)) & 1
+        n_relevant[rows] = np.bitwise_count(union).sum(axis=1)
     keep = n_relevant > 0
     if not keep.any():
         raise EvaluationError("no query has a relevant database item")
@@ -238,11 +249,15 @@ def precision_at_k(
 
 def save_codes(path, db: CodeDatabase) -> None:
     """Text format: header ``N K``, then one K-character 0/1 line per
-    code (1 encodes +1)."""
-    text = np.full((len(db), db.k_bits + 1), ord("\n"), dtype=np.uint8)
-    text[:, :-1] = ord("0") + (unpack_database(db) > 0)
-    with open(path, "w") as fh:
-        fh.write(f"{len(db)} {db.k_bits}\n" + text.tobytes().decode())
+    code (1 encodes +1), written _CODES_PER_WRITE codes at a time."""
+    with open(path, "wb") as fh:
+        fh.write(f"{len(db)} {db.k_bits}\n".encode())
+        for start in range(0, len(db), _CODES_PER_WRITE):
+            block = CodeDatabase(db.k_bits, db.words[start : start + _CODES_PER_WRITE])
+            text = np.full((len(block), db.k_bits + 1), ord("\n"), dtype=np.uint8)
+            text[:, :-1] = unpack_database(block) > 0
+            text[:, :-1] += ord("0")
+            fh.write(text.tobytes())
 
 
 def load_codes(path) -> CodeDatabase:

@@ -552,10 +552,11 @@ class TestEvalMemory:
         finally:
             tracemalloc.stop()
         columns = (n + q) * (8 * d + 9 * m + 1)  # features, labels, proportions, flags
-        key_and_product = 8 * icshash.retrieval._BLOCK_ELEMENTS  # uint32 keys, float32 products
+        key_and_union = (4 + 1 / 8) * icshash.retrieval._BLOCK_ELEMENTS  # uint32 keys, one bit
         xor_scratch = 9 * icshash.retrieval._XOR_ELEMENTS
-        db_labels = 5 * n * m  # the (M, N) float32 relevance operand and its bool mask
-        assert peak < 1.25 * (columns + key_and_product + xor_scratch + db_labels)
+        # the bool label mask, its (M, N) uint8 copy padded for packing, and the posting lists
+        db_labels = (2 + 1 / 8) * n * m
+        assert peak < 1.25 * (columns + key_and_union + xor_scratch + db_labels)
 
 
 class TestWeightReportCommand:

@@ -1,5 +1,8 @@
 """Dataset tests: generator invariants and determinism, text round
-trip, parse failures with line numbers, and the rank correlation."""
+trip, parse failures with line numbers, the memory a load holds, and
+the rank correlation."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from icshash import (
     save_dataset,
     spearman_corr,
 )
+import icshash.data
 from icshash.data import _average_ranks, load_dataset_csv
 
 
@@ -339,6 +343,44 @@ class TestDataset:
             bad[at] = column
             with pytest.raises(ValueError, match="Dataset columns must be"):
                 Dataset(*bad)
+
+    @pytest.mark.parametrize("bad", [[2, 0], [0.5, 1], [257, 0], [-1, 1]])
+    def test_labels_other_than_0_or_1_are_refused_as_given(self, bad):
+        # a cast to int8 before the check saved [2, 0] as the line "20",
+        # which does not load, read [0.5, 1] as [0, 1], wrapped 257 to 1,
+        # and named [-1, 1] a row without a positive label
+        labels = np.array([[1, 0], [0, 1], bad, [0, 0], [3, 1]])
+        features = np.zeros((5, 2))
+        features[2:, 1] = np.nan
+        with pytest.raises(DataError) as exc_info:
+            Dataset(features, labels, np.zeros((5, 2)), np.zeros(5, dtype=bool))
+        assert str(exc_info.value) == "sample 2 has a label other than 0 or 1"
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64, bool])
+    def test_0_or_1_labels_of_any_type_are_kept_as_int8(self, dtype):
+        labels = np.array([[1, 0, 1], [0, 1, 0]], dtype=dtype)
+        data = Dataset(np.zeros((2, 1)), labels, np.zeros((2, 3)), np.zeros(2, dtype=bool))
+        assert data.labels.dtype == np.int8
+        assert data.labels.tolist() == [[1, 0, 1], [0, 1, 0]]
+
+
+def test_loading_holds_the_columns_and_one_block_of_lines(tmp_path):
+    # a block holds its lines as str objects and their parse; a dense
+    # (block, M) float64 proportions matrix with its masks (1.3 MB here)
+    # pushes the peak past this bound
+    n, d, m = 10_000, 32, 80
+    path = tmp_path / "data.txt"
+    save_dataset(path, generate_synthetic(SyntheticSpec(n, d, m, seed=3)))
+    load_dataset(path)  # the first load imports what numpy's parser needs
+    tracemalloc.start()
+    try:
+        data = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(column.nbytes for column in vars(data).values())
+    block_text = path.stat().st_size * icshash.data._LOAD_BLOCK / n
+    assert peak < columns + 4 * block_text
 
 
 class TestSpearman:

@@ -1,7 +1,8 @@
 """Retrieval tests: packed distances against a naive per-bit loop,
 metric axioms checked exhaustively for 8-bit codes, ranking against a
 naive sort, hand-traced average precision, the batched metrics against
-a per-query reference ranking of the unpacked codes, and the codes file
+a per-query reference ranking of the unpacked codes, relevance from
+posting lists against the dense label product, and the codes file
 format."""
 
 import numpy as np
@@ -472,6 +473,69 @@ class TestBlockedRanking:
         assert icshash.retrieval._BLOCK_ELEMENTS // n_db == 52
         args = (*self.instance(5, 150, n_db, 64, m=80), 100)
         assert check_against_reference(args)
+
+
+def dense_relevance(query_codes, query_labels, db_codes, db_labels, k):
+    """Relevance from a float32 product of the label masks, as the metrics
+    computed it before posting lists: the flags of each query's top
+    min(k, N) items in (distance, index) order and its relevant count,
+    queries without a relevant item dropped."""
+    query_positive = (np.asarray(query_labels) > 0).astype(np.float32)
+    db_positive = (np.asarray(db_labels) > 0).astype(np.float32)
+    product = query_positive @ db_positive.T
+    dist = np.bitwise_count(query_codes.words[:, None, :] ^ db_codes.words[None]).sum(axis=2)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    flags = np.take_along_axis(product, order, axis=1) > 0
+    n_relevant = np.minimum(product, 1.0).sum(axis=1, dtype=np.int64)
+    keep = n_relevant > 0
+    return flags[keep], n_relevant[keep]
+
+
+def relevance_instance(seed, n_q, n_db, m):
+    """Sparse random labels, and among the queries: one holding every
+    label, one holding none, one holding only label 0, which every item
+    holds, and (for M > 1) one holding only label M - 1, which no item
+    holds."""
+    rng = np.random.default_rng(seed)
+    query_labels = (rng.random((n_q, m)) < 0.05).astype(np.int8)
+    db_labels = (rng.random((n_db, m)) < 0.05).astype(np.int8)
+    query_labels[:4] = 0
+    query_labels[0] = 1
+    query_labels[2, 0] = db_labels[:, 0] = 1
+    if m > 1:
+        query_labels[3, -1], db_labels[:, -1] = 1, 0
+    codes = [pack_database(biased_codes(rng, n, 64)) for n in (n_q, n_db)]
+    return codes[0], query_labels, codes[1], db_labels
+
+
+class TestPostingListsMatchTheDenseProduct:
+    """The posting-list union gives the same flags and relevant counts as
+    the dense label product, compared with ``==``: label masks of one to
+    three words, databases of one item to one word and a bit, and a
+    database of many words."""
+
+    @staticmethod
+    def check(args, n_q):
+        n_db = len(args[2])
+        for k in (1, 10, n_db, n_db + 5):
+            flags, n_relevant, _ = icshash.retrieval._top_k_relevance(*args, k)
+            want_flags, want_relevant = dense_relevance(*args, k)
+            assert (flags.dtype, n_relevant.dtype) == (bool, np.int64)
+            assert flags.shape == want_flags.shape
+            assert flags.tolist() == want_flags.tolist()
+            assert n_relevant.tolist() == want_relevant.tolist()
+            assert len(n_relevant) < n_q  # the query without a label is dropped
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("n_db", [1, 63, 64, 65, 20_000])
+    def test_flags_and_counts_equal_the_dense_product(self, m, n_db):
+        self.check(relevance_instance(m * n_db, 30, n_db, m), 30)
+
+    @pytest.mark.parametrize("m, n_db", [(1, 1), (65, 64), (130, 65), (80, 3000)])
+    def test_one_row_blocks(self, monkeypatch, m, n_db):
+        monkeypatch.setattr(icshash.retrieval, "_BLOCK_ELEMENTS", 0)
+        monkeypatch.setattr(icshash.retrieval, "_XOR_ELEMENTS", 0)
+        self.check(relevance_instance(m + n_db, 9, n_db, m), 9)
 
 
 class TestCodesFile:

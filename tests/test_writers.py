@@ -1,21 +1,26 @@
 """The text writers go row by row: their files equal those of whole-file
 reference writers (test-local copies that build every line, join them
-and write the string once), and saving a dataset holds no more than a
-few rows of text at a time."""
+and write the string once), and saving a dataset or codes holds no more
+than a few rows of text at a time."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import icshash.retrieval
 from icshash import (
+    CodeDatabase,
     Dataset,
     HashCenterSet,
     generate_centers,
     init_params,
+    pack_database,
     save_centers,
     save_checkpoint,
+    save_codes,
     save_dataset,
+    unpack_database,
 )
 
 EDGE_VALUES = [-0.0, 5e-324, 1e308, -1e308, 0.1, -2.5e-300, 123456789.123]
@@ -60,6 +65,20 @@ def reference_checkpoint(path, params, k_bits, m_labels, seed):
         lines.append(" ".join(f"{v:.17g}" for v in b))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def reference_codes(path, db):
+    text = np.full((len(db), db.k_bits + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = ord("0") + (unpack_database(db) > 0)
+    with open(path, "w") as fh:
+        fh.write(f"{len(db)} {db.k_bits}\n" + text.tobytes().decode())
+
+
+def random_code_database(n, k_bits, seed):
+    if n == 0:
+        return CodeDatabase(k_bits, np.empty((0, (k_bits + 63) // 64), dtype=np.uint64))
+    rng = np.random.default_rng(seed)
+    return pack_database(2 * rng.integers(0, 2, size=(n, k_bits)) - 1)
 
 
 def assert_same_file(tmp_path, write, reference, *args):
@@ -117,6 +136,25 @@ class TestSameBytesAsWholeFileWriters:
             b[0] = -0.0
         args = (params, sizes[-1], 7, 11)
         assert_same_file(tmp_path, save_checkpoint, reference_checkpoint, *args)
+
+    @pytest.mark.parametrize("k_bits", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("n, per_write", [(0, 4096), (1, 4096), (9, 4), (8, 4), (4100, 4096)])
+    def test_codes(self, tmp_path, monkeypatch, k_bits, n, per_write):
+        # per_write 4: blocks of 4, 4 and 1 codes, or exactly two blocks
+        monkeypatch.setattr(icshash.retrieval, "_CODES_PER_WRITE", per_write)
+        db = random_code_database(n, k_bits, seed=n + k_bits)
+        assert_same_file(tmp_path, save_codes, reference_codes, db)
+
+
+def test_saving_codes_holds_a_few_rows_of_text(tmp_path):
+    db = random_code_database(100_000, 64, seed=0)
+    tracemalloc.start()
+    try:
+        save_codes(tmp_path / "codes.txt", db)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "codes.txt").stat().st_size / 4
 
 
 def test_saving_a_dataset_holds_a_few_rows_of_text(tmp_path):
