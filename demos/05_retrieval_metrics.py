@@ -42,7 +42,7 @@ for mode in ("learned", "equal"):
     metrics = retrieval_metrics(db, labels, db, labels, k=100)
     scores[mode] = (metrics["map_at_k"], metrics["precision_at_k"])
     if mode == "learned":
-        ranking = rank_database(db.code(0), db, query_index=0)
+        ranking = rank_database(db.code(0), db)
         print("query 0 top-8 neighbors (index, distance):")
         print(list(zip(ranking.indices[:8].tolist(),
                        ranking.distances[:8].tolist())))

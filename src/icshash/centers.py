@@ -28,23 +28,26 @@ STRATEGIES = ("hadamard-rows", "stacked-hadamard", "bernoulli")
 class HashCenterSet:
     """M distinct center codes of K bits each, valued in {-1, +1}."""
 
-    k_bits: int
-    m_labels: int
-    centers: np.ndarray  # (m_labels, k_bits) int8
+    centers: np.ndarray  # (M, K) int8
     strategy: str
     seed: int
 
     def __post_init__(self):
         c = np.asarray(self.centers)
-        if c.shape != (self.m_labels, self.k_bits):
-            raise ValueError(
-                f"centers shape {c.shape} does not match "
-                f"({self.m_labels}, {self.k_bits})"
-            )
+        if c.ndim != 2:
+            raise ValueError(f"centers shape {c.shape} is not (M, K)")
         if not np.all(np.abs(c) == 1):
             raise ValueError("center entries must be -1 or +1")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+
+    @property
+    def k_bits(self) -> int:
+        return np.shape(self.centers)[1]
+
+    @property
+    def m_labels(self) -> int:
+        return np.shape(self.centers)[0]
 
 
 def sylvester_hadamard(k_exp: int) -> np.ndarray:
@@ -139,7 +142,7 @@ def generate_centers(k_bits: int, m_labels: int, seed: int) -> HashCenterSet:
     else:
         centers = _bernoulli_centers(k_bits, m_labels, rng)
         strategy = "bernoulli"
-    return HashCenterSet(k_bits, m_labels, np.ascontiguousarray(centers), strategy, seed)
+    return HashCenterSet(np.ascontiguousarray(centers), strategy, seed)
 
 
 def min_pairwise_hamming(center_set: HashCenterSet) -> int:
@@ -175,4 +178,4 @@ def load_centers(path) -> HashCenterSet:
     bad = np.flatnonzero(~(np.abs(centers) == 1).all(axis=1))
     if bad.size:
         raise ParseError("center values must be -1 or 1", line=int(bad[0]) + 2)
-    return HashCenterSet(k_bits, m_labels, centers, strategy, seed)
+    return HashCenterSet(centers, strategy, seed)

@@ -45,34 +45,44 @@ _ENCODE_BLOCK = 1024
 
 @dataclass
 class EncoderParams:
-    """Layer sizes [D, h1, ..., K] plus one weight matrix (in x out)
-    and one bias vector per layer."""
+    """One weight matrix (in x out) and one bias vector per layer. The
+    layers must chain; their sizes [D, h1, ..., K] are read off the
+    weight shapes."""
 
-    sizes: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
+    def __post_init__(self):
+        if not self.weights or len(self.weights) != len(self.biases):
+            raise ValueError(
+                f"weights for {len(self.weights)} layers, biases for {len(self.biases)}: "
+                "need one of each per layer, and at least one layer"
+            )
+        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+            shape = np.shape(w)
+            if len(shape) != 2 or min(shape) < 1:
+                raise ValueError(f"layer {l}: weight shape {shape} is not (IN, OUT), both >= 1")
+            if l and shape[0] != np.shape(self.weights[l - 1])[1]:
+                raise ValueError(f"layer {l}: weight shape {shape} does not follow layer {l - 1}")
+            if np.shape(b) != shape[1:]:
+                raise ValueError(f"layer {l}: bias shape {np.shape(b)} is not ({shape[1]},)")
+
+    @property
+    def sizes(self) -> list[int]:
+        return [np.shape(self.weights[0])[0], *(np.shape(w)[1] for w in self.weights)]
+
     def n_layers(self) -> int:
         return len(self.weights)
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            list(self.sizes),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
 
 
 def init_params(sizes, rng: np.random.Generator) -> EncoderParams:
     """Gaussian fan-in initialization; biases start at zero."""
     sizes = [check_int(f"sizes[{i}]", s, 1) for i, s in enumerate(sizes)]
-    if len(sizes) < 2:
-        raise ValueError(f"bad layer sizes {sizes}")
     weights, biases = [], []
     for n_in, n_out in zip(sizes[:-1], sizes[1:]):
         weights.append(rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_in, n_out)))
         biases.append(np.zeros(n_out))
-    return EncoderParams(sizes, weights, biases)
+    return EncoderParams(weights, biases)
 
 
 def forward_batch(params: EncoderParams, x: np.ndarray):
@@ -82,10 +92,9 @@ def forward_batch(params: EncoderParams, x: np.ndarray):
     backward_batch: per-layer inputs, plus the raw sigmoid outputs.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != params.sizes[0]:
-        raise ValueError(
-            f"feature dimension {x.shape[1]} does not match D={params.sizes[0]}"
-        )
+    d = params.sizes[0]
+    if x.shape[1] != d:
+        raise ValueError(f"feature dimension {x.shape[1]} does not match D={d}")
     inputs = []
     a = x
     last = params.n_layers() - 1
@@ -125,22 +134,17 @@ def backward_batch(params: EncoderParams, cache, grad_codes: np.ndarray):
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the step counter."""
+    """First and second moments, one pair per array of
+    ``[*params.weights, *params.biases]``, and the step counter."""
 
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    m: list[np.ndarray]
+    v: list[np.ndarray]
     t: int = 0
 
     @classmethod
     def for_params(cls, params: EncoderParams) -> "AdamState":
-        return cls(
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-            [np.zeros_like(b) for b in params.biases],
-        )
+        arrays = [*params.weights, *params.biases]
+        return cls([np.zeros_like(a) for a in arrays], [np.zeros_like(a) for a in arrays])
 
 
 def adam_step(params: EncoderParams, state: AdamState, grads, lr: float) -> None:
@@ -148,19 +152,15 @@ def adam_step(params: EncoderParams, state: AdamState, grads, lr: float) -> None
     0.9 and 0.99 and denominator guard 1e-8; no weight decay."""
     grads_w, grads_b = grads
     state.t += 1
-    t = state.t
-    corr1 = 1.0 - _ADAM_BETA1**t
-    corr2 = 1.0 - _ADAM_BETA2**t
-    for l in range(params.n_layers()):
-        for value, grad, m, v in (
-            (params.weights[l], grads_w[l], state.m_w[l], state.v_w[l]),
-            (params.biases[l], grads_b[l], state.m_b[l], state.v_b[l]),
-        ):
-            m *= _ADAM_BETA1
-            m += (1.0 - _ADAM_BETA1) * grad
-            v *= _ADAM_BETA2
-            v += (1.0 - _ADAM_BETA2) * grad**2
-            value -= lr * (m / corr1) / (np.sqrt(v / corr2) + _ADAM_EPS)
+    corr1 = 1.0 - _ADAM_BETA1**state.t
+    corr2 = 1.0 - _ADAM_BETA2**state.t
+    values = [*params.weights, *params.biases]
+    for value, grad, m, v in zip(values, [*grads_w, *grads_b], state.m, state.v):
+        m *= _ADAM_BETA1
+        m += (1.0 - _ADAM_BETA1) * grad
+        v *= _ADAM_BETA2
+        v += (1.0 - _ADAM_BETA2) * grad**2
+        value -= lr * (m / corr1) / (np.sqrt(v / corr2) + _ADAM_EPS)
 
 
 @dataclass
@@ -205,16 +205,13 @@ def learning_rate(cfg: TrainConfig, epoch: int) -> float:
 
 @dataclass
 class TrainState:
-    """The trained encoder, its optimizer state, the per-epoch loss
-    parts, and the (N, M) weight matrix, zero off the (N, M) label
-    mask."""
+    """The trained encoder, the (N, M) weight matrix, zero off the
+    (N, M) label mask, and the per-epoch loss parts."""
 
     params: EncoderParams
-    adam: AdamState
     weight_matrix: np.ndarray
     label_mask: np.ndarray
     loss_history: list[dict]
-    config: TrainConfig
 
     @property
     def weight_table(self) -> list[np.ndarray]:
@@ -273,7 +270,7 @@ def train(data: Dataset, center_set: HashCenterSet, cfg: TrainConfig) -> TrainSt
             for key, part in {"total": value, **parts}.items():
                 sums[key] += part
         history.append(sums)
-    return TrainState(params, adam, weights, mask, history, cfg)
+    return TrainState(params, weights, mask, history)
 
 
 def binarize(b) -> np.ndarray:
@@ -356,4 +353,4 @@ def load_checkpoint(path):
             biases.append(read_block("bias LAYER OUT", [l, n_out], 1, line + 1 + n_in)[0])
             line += n_in + 3
         _check_rest_blank(fh, "unexpected line after the last bias row", line)
-    return EncoderParams(sizes, weights, biases), meta
+    return EncoderParams(weights, biases), meta

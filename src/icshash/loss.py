@@ -54,10 +54,9 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class CenterAssignment:
-    """The centers attached to one sample: the indices of its positive
-    labels (ascending) and the same centers mapped to {0, 1}."""
+    """The centers of one sample's positive labels, in label order,
+    mapped to {0, 1}."""
 
-    center_indices: np.ndarray  # (c,) int
     centers01: np.ndarray  # (c, K) float64 in {0, 1}
 
 
@@ -73,7 +72,7 @@ def assignment_for_labels(center_set: HashCenterSet, labels: Sequence[int]) -> C
     if idx.size == 0:
         raise ValueError("sample has no positive label")
     centers01 = (center_set.centers[idx].astype(np.float64) + 1.0) / 2.0
-    return CenterAssignment(idx, centers01)
+    return CenterAssignment(centers01)
 
 
 def clamp_code(b: Sequence[float]) -> np.ndarray:

@@ -58,7 +58,6 @@ class RankedResult:
     """Database ranking for one query: ascending distance, ties by
     ascending database index."""
 
-    query_index: int
     indices: np.ndarray
     distances: np.ndarray
 
@@ -128,7 +127,7 @@ def _hamming_rows(query_words: np.ndarray, db_words: np.ndarray, dist, xor, coun
                 out += np.bitwise_count(x, out=c)
 
 
-def rank_database(query: BinaryCode, db: CodeDatabase, query_index: int = -1) -> RankedResult:
+def rank_database(query: BinaryCode, db: CodeDatabase) -> RankedResult:
     """Stable sort of the database by (distance, index); the distances
     are int64."""
     if len(db) == 0:
@@ -138,7 +137,7 @@ def rank_database(query: BinaryCode, db: CodeDatabase, query_index: int = -1) ->
     _hamming_rows(query.words[None, :], db.words, dist, xor, count)
     dist = dist[0]
     order = np.argsort(dist, kind="stable")
-    return RankedResult(query_index, order, dist[order])
+    return RankedResult(order, dist[order])
 
 
 def _top_k_relevance(query_codes, query_labels, db_codes, db_labels, k):

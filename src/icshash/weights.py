@@ -46,7 +46,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InternalInvariantError, check_int
+from .errors import check_int
 
 GRADIENT_MODES = ("paper", "exact")
 
@@ -203,8 +203,6 @@ def weight_gradient(
     if w.shape != d.shape:
         raise ValueError(f"weight/distance shape mismatch: {w.shape} vs {d.shape}")
     wc = np.maximum(w, WEIGHT_FLOOR)
-    if np.any(wc <= 0):
-        raise InternalInvariantError("weights nonpositive after floor clamping")
     entropy_grad = cfg.lam * (1.0 + np.log(wc))
     if cfg.gradient_mode == "paper":
         return -wc * _sigmoid(-(wc * d)) + entropy_grad

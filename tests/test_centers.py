@@ -145,12 +145,12 @@ class TestMinPairwiseHamming:
 
     def test_identical_rows(self):
         row = np.ones(8, dtype=np.int8)
-        cs = HashCenterSet(8, 2, np.vstack([row, row]), "bernoulli", 0)
+        cs = HashCenterSet(np.vstack([row, row]), "bernoulli", 0)
         assert min_pairwise_hamming(cs) == 0
 
     def test_complementary_rows(self):
         ones = np.ones(16, dtype=np.int8)
-        cs = HashCenterSet(16, 2, np.vstack([ones, -ones]), "bernoulli", 0)
+        cs = HashCenterSet(np.vstack([ones, -ones]), "bernoulli", 0)
         assert min_pairwise_hamming(cs) == 16
 
     def test_needs_two_centers(self):

@@ -94,6 +94,13 @@ class TestCentersCommand:
         run(["centers", "--bits", 16, "--labels", 10, "--out", out])
         assert out.read_text().splitlines()[0] == "16 10 hadamard-rows 7"
 
+    def test_non_integer_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ICS_SEED", "abc")
+        out = tmp_path / "env.txt"
+        assert run(["centers", "--bits", 16, "--labels", 10, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: ICS_SEED must be an integer, got 'abc'\n"
+        assert not out.exists()
+
 
 class TestSolveWeightsCommand:
     def test_writes_weights_csv(self, tmp_path):
@@ -120,6 +127,11 @@ class TestSolveWeightsCommand:
         out = tmp_path / "w.csv"
         assert run(["solve-weights", "--distances", distances, "--out", out]) == 3
 
+    def test_file_of_blank_lines_is_data_error(self, tmp_path, capsys):
+        distances = tmp_path / "d.txt"
+        distances.write_text("\n  \n\n")
+        assert run(["solve-weights", "--distances", distances, "--out", tmp_path / "w.csv"]) == 3
+        assert capsys.readouterr().err == f"error: no distance vectors in {distances}\n"
 
     def test_error_after_blank_line_names_physical_line(self, tmp_path, capsys):
         distances = tmp_path / "d.txt"
@@ -228,6 +240,36 @@ class TestTrainCommand:
         )
         assert code == 3
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: empty CSV file"),
+            ("\n1,0,1,0\n0,1,0,1\n", "line 2: row has 4 columns, need more than M=4"),
+            ("0.5,0.2,1,0,0,0\n\n0.1,0.3,0,0,0,0\n", "sample 1 (line 3) has no positive label"),
+        ],
+    )
+    def test_bad_csv_dataset_is_data_error(self, workdir, capsys, text, message):
+        tmp_path, _, centers = workdir
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        code = run(
+            ["train", "--data", data, "--data-format", "csv", "--centers", centers,
+             "--out-prefix", tmp_path / "csv", "--epochs", 1, "--hidden", "8", "--seed", 1]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unknown_center_strategy_is_data_error(self, workdir, capsys):
+        tmp_path, data, centers = workdir
+        header, rest = centers.read_text().split("\n", 1)
+        centers.write_text(header.replace("hadamard-rows", "hadamard") + "\n" + rest)
+        code = run(
+            ["train", "--data", data, "--centers", centers, "--out-prefix",
+             tmp_path / "s", "--epochs", 1, "--hidden", "8", "--seed", 1]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "error: line 1: unknown strategy 'hadamard'\n"
 
     @pytest.mark.parametrize(
         "flag, value, field",
@@ -462,6 +504,29 @@ class TestEvalCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("role", ["queries", "database"])
+    @pytest.mark.parametrize(
+        "d, m, problem",
+        [
+            (5, 4, "D=5 features but the checkpoint expects D=8"),
+            (8, 3, "M=3 labels but the checkpoint expects M=4"),
+        ],
+    )
+    def test_data_off_the_checkpoint_shape_is_usage_error(
+        self, workdir, capsys, role, d, m, problem
+    ):
+        # the checkpoint takes D=8 features and M=4 labels, as the workdir data has
+        tmp_path, data, _ = workdir
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, init_params([8, 16], np.random.default_rng(0)), 16, 4, 0)
+        other = tmp_path / "other.txt"
+        save_dataset(other, generate_synthetic(SyntheticSpec(6, d, m, seed=2)))
+        files = {"queries": data, "database": data, role: other}
+        code = run(["eval", "--checkpoint", ckpt, "--queries", files["queries"],
+                    "--database", files["database"], "--out", tmp_path / "m.json"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {role} have {problem}\n"
+
     @pytest.mark.parametrize("old, new", [("m_labels 4", "m_labels -3"), ("seed 3", "seed -7")])
     def test_checkpoint_header_out_of_range_is_a_data_error(self, workdir, capsys, old, new):
         # m_labels -3 used to load and fail as a config error about M; seed
@@ -637,6 +702,20 @@ class TestWeightReportCommand:
                     "--out-prefix", tmp_path / "r"])
         assert code == 3
         assert "line 4" in capsys.readouterr().err
+
+    def test_wrong_header_is_data_error(self, workdir, capsys):
+        tmp_path, data, _ = workdir
+        weights_csv = tmp_path / "w.csv"
+        self.make_weights_csv(weights_csv, load_dataset(data), lambda s, j: 0.5)
+        lines = weights_csv.read_text().splitlines()
+        weights_csv.write_text("\n".join(["sample,label,w", *lines[1:]]) + "\n")
+        code = run(["weight-report", "--weights", weights_csv, "--data", data,
+                    "--out-prefix", tmp_path / "r"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {weights_csv}: expected columns sample,label,weight, "
+            "found ['sample', 'label', 'w']\n"
+        )
 
     def test_labels_that_are_not_the_sample_positives_are_a_data_error(self, workdir, capsys):
         tmp_path, data, _ = workdir

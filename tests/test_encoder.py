@@ -3,15 +3,20 @@ against a full finite-difference sweep of every parameter, Adam update
 behavior, the alternating training loop, binarization rules, and the
 bit-exact checkpoint round trip."""
 
+import copy
 import inspect
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import icshash
 from icshash import (
@@ -59,7 +64,6 @@ def forward_one(params, x):
 class TestForward:
     def test_zero_parameters_give_half(self):
         params = EncoderParams(
-            [3, 4, 6],
             [np.zeros((3, 4)), np.zeros((4, 6))],
             [np.zeros(4), np.zeros(6)],
         )
@@ -152,7 +156,7 @@ class TestBackward:
 class TestAdamStep:
     def test_zero_gradient_fixed_point(self):
         params = tiny_net(seed=8)
-        before = params.copy()
+        before = copy.deepcopy(params)
         state = AdamState.for_params(params)
         zeros = (
             [np.zeros_like(w) for w in params.weights],
@@ -164,7 +168,7 @@ class TestAdamStep:
 
     def test_descends_a_quadratic(self):
         # f(theta) = theta^2 from theta = 1; gradient 2*theta
-        params = EncoderParams([1, 1], [np.array([[1.0]])], [np.zeros(1)])
+        params = EncoderParams([np.array([[1.0]])], [np.zeros(1)])
         state = AdamState.for_params(params)
         grads = ([np.array([[2.0]])], [np.zeros(1)])
         adam_step(params, state, grads, lr=0.05)
@@ -172,7 +176,7 @@ class TestAdamStep:
         assert 0 < value < 1
 
     def test_steady_state_step_magnitude_is_lr(self):
-        params = EncoderParams([1, 1], [np.array([[5.0]])], [np.zeros(1)])
+        params = EncoderParams([np.array([[5.0]])], [np.zeros(1)])
         state = AdamState.for_params(params)
         grads = ([np.array([[0.37]])], [np.zeros(1)])
         lr = 1e-3
@@ -439,6 +443,59 @@ class TestInitParams:
         assert init_params([np.int64(4), 3, np.int32(2)], np.random.default_rng(0)).sizes == [4, 3, 2]
 
 
+class TestEncoderParams:
+    def test_sizes_are_read_off_the_weights(self):
+        params = EncoderParams([np.zeros((4, 2)), np.zeros((2, 3))], [np.zeros(2), np.zeros(3)])
+        assert params.sizes == [4, 2, 3]
+
+    @pytest.mark.parametrize(
+        "shapes, match",
+        [
+            # the layers do not chain
+            ([[(4, 2), (3, 5)], [(2,), (5,)]], r"layer 1: weight shape \(3, 5\)"),
+            # a bias of the wrong length or rank
+            ([[(4, 2)], [(3,)]], r"layer 0: bias shape \(3,\)"),
+            ([[(4, 2), (2, 3)], [(2,), (1, 3)]], r"layer 1: bias shape \(1, 3\)"),
+            # different numbers of weights and biases, or no layer
+            ([[(4, 2), (2, 3)], [(2,)]], "weights for 2 layers, biases for 1"),
+            ([[(4, 2)], [(2,), (2,)]], "weights for 1 layers, biases for 2"),
+            ([[], []], "weights for 0 layers"),
+            # a weight that is not a matrix, or has a size below 1
+            ([[(4,)], [(4,)]], r"layer 0: weight shape \(4,\)"),
+            ([[(0, 2)], [(2,)]], r"layer 0: weight shape \(0, 2\)"),
+            ([[(4, 2), (2, 0)], [(2,), (0,)]], r"layer 1: weight shape \(2, 0\)"),
+        ],
+    )
+    def test_layers_that_do_not_chain_are_refused(self, shapes, match):
+        weights, biases = ([np.zeros(shape) for shape in group] for group in shapes)
+        with pytest.raises(ValueError, match=match):
+            EncoderParams(weights, biases)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        sizes=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+        m_labels=st.integers(1, 5),
+        seed=st.integers(0, 2**64),
+        data=st.data(),
+    )
+    def test_every_params_save_accepts_loads_back_equal(self, sizes, m_labels, seed, data):
+        values = st.floats(allow_nan=True, allow_infinity=True)
+        weights = [
+            data.draw(hnp.arrays(np.float64, (n_in, n_out), elements=values))
+            for n_in, n_out in zip(sizes[:-1], sizes[1:])
+        ]
+        biases = [data.draw(hnp.arrays(np.float64, n, elements=values)) for n in sizes[1:]]
+        params = EncoderParams(weights, biases)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.ckpt")
+            save_checkpoint(path, params, sizes[-1], m_labels, seed)
+            loaded, meta = load_checkpoint(path)
+        assert meta == {"k_bits": sizes[-1], "m_labels": m_labels, "seed": seed}
+        assert loaded.sizes == params.sizes == sizes
+        for a, b in zip([*loaded.weights, *loaded.biases], [*weights, *biases]):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestSettableValues:
     def test_config_fields_and_adam_parameters_are_pinned(self):
         """Every value a caller can set on the loss, the weight solver,
@@ -452,6 +509,23 @@ class TestSettableValues:
         ]
         assert list(inspect.signature(adam_step).parameters) == ["params", "state", "grads", "lr"]
         assert list(inspect.signature(icshash.entropy_regularizer).parameters) == ["w"]
+
+    def test_record_fields_and_rank_database_parameters_are_pinned(self):
+        """Each record holds each value once, and only values that
+        something reads: 17 settable values."""
+        records = {
+            icshash.EncoderParams: ["weights", "biases"],
+            icshash.AdamState: ["m", "v", "t"],
+            icshash.TrainState: ["params", "weight_matrix", "label_mask", "loss_history"],
+            icshash.HashCenterSet: ["centers", "strategy", "seed"],
+            icshash.CenterAssignment: ["centers01"],
+            icshash.RankedResult: ["indices", "distances"],
+        }
+        for record, names in records.items():
+            assert [f.name for f in fields(record)] == names, record.__name__
+        rank_parameters = list(inspect.signature(icshash.rank_database).parameters)
+        assert rank_parameters == ["query", "db"]
+        assert sum(map(len, records.values())) + len(rank_parameters) == 17
 
 
 class TestBinarize:

@@ -102,7 +102,7 @@ def make_csv(rng, path, n, width):
 
 
 def make_centers(rng, path, n, width):
-    save_centers(path, HashCenterSet(width, n, pm1(rng, (n, width)), "bernoulli", n))
+    save_centers(path, HashCenterSet(pm1(rng, (n, width)), "bernoulli", n))
     return ["header"] + ["values"] * n, lambda: load_centers(path)
 
 

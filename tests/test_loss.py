@@ -32,7 +32,7 @@ from icshash.weights import WEIGHT_FLOOR, WeightSolverConfig
 
 def make_assignment(centers01):
     centers01 = np.atleast_2d(np.asarray(centers01, dtype=np.float64))
-    return CenterAssignment(np.arange(centers01.shape[0]), centers01)
+    return CenterAssignment(centers01)
 
 
 def weighted_distance(b, assignment, w):
@@ -555,7 +555,7 @@ class TestMismatchedBatch:
                     fn(*case, cfg)
 
     def test_sample_without_centers_rejected(self):
-        empty = CenterAssignment(np.arange(0), np.empty((0, 4)))
+        empty = CenterAssignment(np.empty((0, 4)))
         with pytest.raises(ValueError):
             loss_gradient_wrt_codes(np.full((1, 4), 0.5), [empty], [np.empty(0)], LossConfig())
 

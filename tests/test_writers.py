@@ -124,7 +124,7 @@ class TestSameBytesAsWholeFileWriters:
         assert_same_file(tmp_path, save_centers, reference_centers, center_set)
 
     def test_one_center(self, tmp_path):
-        center_set = HashCenterSet(3, 1, np.array([[1, -1, 1]], dtype=np.int8), "bernoulli", 0)
+        center_set = HashCenterSet(np.array([[1, -1, 1]], dtype=np.int8), "bernoulli", 0)
         assert_same_file(tmp_path, save_centers, reference_centers, center_set)
 
     @pytest.mark.parametrize("sizes", [[5, 3], [4, 6, 2, 3], [1, 1]])
