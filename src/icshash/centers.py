@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _parse_rows, _read_table
-from .errors import CapacityError, ParseError
+from .errors import CapacityError, ParseError, check_int
 
 # Largest supported doubling exponent (order 2^16 = 65536); beyond this
 # the dense matrix no longer fits in desk-scale memory.
@@ -33,13 +33,17 @@ class HashCenterSet:
     seed: int
 
     def __post_init__(self):
+        # what load_centers refuses, refused here, so that every set saves
+        # to a file that loads back equal
         c = np.asarray(self.centers)
-        if c.ndim != 2:
-            raise ValueError(f"centers shape {c.shape} is not (M, K)")
-        if not np.all(np.abs(c) == 1):
+        if c.ndim != 2 or 0 in c.shape:
+            raise ValueError(f"centers shape {c.shape} is not (M, K) with M, K >= 1")
+        if not np.all((c == 1) | (c == -1)):
             raise ValueError("center entries must be -1 or +1")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        # kept as the plain int that save_centers writes (True would be "True")
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
 
     @property
     def k_bits(self) -> int:
@@ -74,7 +78,7 @@ def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-def _fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
+def _fisher_yates(n: int, rng: "np.random.Generator") -> np.ndarray:
     """Seeded in-place shuffle of range(n); deterministic given the rng state."""
     idx = np.arange(n)
     for i in range(n - 1, 0, -1):
@@ -89,7 +93,7 @@ def _balanced(row: np.ndarray) -> bool:
     return ones in (k // 2, (k + 1) // 2)
 
 
-def _bernoulli_centers(k_bits: int, m_labels: int, rng: np.random.Generator) -> np.ndarray:
+def _bernoulli_centers(k_bits: int, m_labels: int, rng: "np.random.Generator") -> np.ndarray:
     centers = np.empty((m_labels, k_bits), dtype=np.int8)
     seen = set()
     for i in range(m_labels):

@@ -21,6 +21,7 @@ used as the default seed.
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -57,6 +58,10 @@ from .retrieval import (
 from .weights import WeightSolverConfig, _solve_rows
 
 _FLOAT_FMT = "%.17g"
+# train's weights CSV: one row per (sample, label) pair, written
+# _ROWS_PER_WRITE rows at a time
+_WEIGHT_ROW = "%d,%d," + _FLOAT_FMT + "\r\n"
+_ROWS_PER_WRITE = 4096
 # parsed attributes that are not recorded in a manifest's config
 _NOT_CONFIG = ("command", "func", "seed", "out", "out_prefix")
 
@@ -152,12 +157,13 @@ def _cmd_train(args) -> tuple[list, int, dict]:
     save_checkpoint(
         ckpt_path, state.params, center_set.k_bits, center_set.m_labels, seed
     )
+    rows, labels = np.nonzero(state.label_mask)
+    weights = state.weight_matrix[state.label_mask].tolist()
+    table = zip(rows.tolist(), labels.tolist(), weights)
     with open(weights_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "label", "weight"])
-        rows, labels = np.nonzero(state.label_mask)
-        values = [_FLOAT_FMT % v for v in state.weight_matrix[state.label_mask].tolist()]
-        writer.writerows(zip(rows.tolist(), labels.tolist(), values))
+        fh.write("sample,label,weight\r\n")  # csv's line ends, one format per block
+        while block := list(itertools.islice(table, _ROWS_PER_WRITE)):
+            fh.write(_WEIGHT_ROW * len(block) % tuple(itertools.chain.from_iterable(block)))
     with open(loss_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "total", "central", "quantization", "entropy"])
@@ -217,8 +223,11 @@ def _read_weights_csv(path, shape):
     rows, labels = np.where(valid, ids, 0).astype(np.int64).T
     # an invalid row gets a key of its own, so it never repeats a valid one
     keys = np.where(valid.all(axis=1), rows * shape[1] + labels, -1 - np.arange(len(ids)))
-    repeated = np.ones(len(ids), dtype=bool)
-    repeated[np.unique(keys, return_index=True)[1]] = False
+    # a stable sort puts each key's first row first (np.unique would
+    # import numpy.ma, 11-27 ms)
+    order = np.argsort(keys, kind="stable")
+    repeated = np.zeros(len(ids), dtype=bool)
+    repeated[order[1:]] = keys[order[1:]] == keys[order[:-1]]
     failed = np.column_stack([~valid, ~np.isfinite(w), repeated])
     if failed.any():
         r, kind = np.argwhere(failed)[0]

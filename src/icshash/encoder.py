@@ -75,7 +75,7 @@ class EncoderParams:
         return len(self.weights)
 
 
-def init_params(sizes, rng: np.random.Generator) -> EncoderParams:
+def init_params(sizes, rng: "np.random.Generator") -> EncoderParams:
     """Gaussian fan-in initialization; biases start at zero."""
     sizes = [check_int(f"sizes[{i}]", s, 1) for i, s in enumerate(sizes)]
     weights, biases = [], []

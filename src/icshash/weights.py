@@ -126,7 +126,7 @@ def project_rows_to_simplex(v, mask) -> np.ndarray:
     sort the row's c entries descending into q, find the largest j <= c
     with q_j + (1 - sum_{i<=j} q_i)/j > 0, shift by the corresponding
     offset and clip at zero. Rows already on the simplex are returned
-    unchanged.
+    unchanged; a batch of such rows is returned without a sort.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.size == 0:
@@ -136,17 +136,27 @@ def project_rows_to_simplex(v, mask) -> np.ndarray:
     if counts.min() == 0:
         raise ValueError("every row needs at least one masked entry")
     v = np.where(mask, v, 0.0)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("projection input must be finite")
+    nonnegative = v >= 0
+    # Summed in any order, c <= M nonnegative entries near 1 differ from
+    # the sorted cumulative sum below by less than M * eps: rows that
+    # pass this stricter test pass that one too, so returning them here
+    # gives the same bytes without a sort.
+    slack = _FEASIBLE_TOL - v.shape[1] * np.finfo(np.float64).eps
+    if (np.abs(v.sum(axis=1) - 1.0) <= slack).all() and nonnegative.all():
+        return v
     rows = np.arange(v.shape[0])
     ranks = np.arange(1, v.shape[1] + 1)
     in_row = ranks <= counts[:, None]
-    q = np.where(in_row, -np.sort(np.where(mask, -v, np.inf), axis=1), 0.0)
-    csum = np.cumsum(q, axis=1)
+    negated = np.where(mask, -v, np.inf)
+    negated.sort(axis=1)
+    q = np.where(in_row, -negated, 0.0)
+    csum = q.cumsum(axis=1)
     feasible = in_row & (q + (1.0 - csum) / ranks > 0)
-    rho = v.shape[1] - np.argmax(feasible[:, ::-1], axis=1)
+    rho = v.shape[1] - feasible[:, ::-1].argmax(axis=1)
     shift = (1.0 - csum[rows, rho - 1]) / rho
-    on_simplex = np.all(v >= 0, axis=1) & (
+    on_simplex = nonnegative.all(axis=1) & (
         np.abs(csum[rows, counts - 1] - 1.0) <= _FEASIBLE_TOL
     )
     projected = np.where(on_simplex[:, None], v, np.maximum(v + shift[:, None], 0.0))
@@ -327,41 +337,47 @@ def _root_weights(d, mask, w, cfg: WeightSolverConfig, traced):
     optimality root. ``d`` is zero off the mask and the rows of ``w``
     (on the simplex) seed the first guess s = sigmoid(beta w.d)."""
     history = [_row_objectives(w, d, mask, cfg)] if traced else None
-    d_min = np.min(np.where(mask, d, np.inf), axis=1, keepdims=True)
+    d_min = np.where(mask, d, np.inf).min(axis=1, keepdims=True)
     if cfg.lam == 0:
         ties = mask & (d == d_min)
         w = ties / ties.sum(axis=1, keepdims=True)
         if traced:
             history.append(_row_objectives(w, d, mask, cfg))
         return w, np.ones(len(d), dtype=np.int64), history
-    gap = np.where(mask, d - d_min, 0.0)
+    gap, beta2 = np.where(mask, d - d_min, 0.0), cfg.beta**2
 
     def weights_at(s):
         # dividing by lam (not multiplying by beta / lam) keeps a
-        # subnormal lam from turning 0 * inf into nan on the minimum
-        e = np.where(mask, np.exp(-(cfg.beta * s[:, None] * gap) / cfg.lam), 0.0)
+        # subnormal lam from turning 0 * inf into nan on the minimum;
+        # x / -lam rounds exactly as -x / lam, one pass fewer
+        e = np.where(mask, np.exp(cfg.beta * s[:, None] * gap / -cfg.lam), 0.0)
         return e / e.sum(axis=1, keepdims=True)
 
+    def sigmoid(x):
+        # x = beta * w.d >= 0, so exp(-x) cannot overflow: no errstate
+        return 1.0 / (1.0 + np.exp(-x))
+
     lo, hi = np.full(len(d), 0.5), np.ones(len(d))
-    s = _sigmoid(cfg.beta * np.sum(w * d, axis=1))
+    s = sigmoid(cfg.beta * (w * d).sum(axis=1))
     active = np.ones(len(d), dtype=bool)
     iterations = np.zeros(len(d), dtype=np.int64)
     iterates = []
     for _ in range(_MAX_ROOT_ITERS):
         w = weights_at(s)
-        omega = np.sum(w * d, axis=1)
-        sig = _sigmoid(cfg.beta * omega)
+        omega = (w * d).sum(axis=1)
+        sig = sigmoid(cfg.beta * omega)
         g = s - sig
         lo = np.where(g < 0, s, lo)
         hi = np.where(g > 0, s, hi)
-        variance = np.sum(w * (d - omega[:, None]) ** 2, axis=1)
-        newton = s - g / (1.0 + sig * (1.0 - sig) * cfg.beta**2 * variance / cfg.lam)
+        variance = (w * (d - omega[:, None]) ** 2).sum(axis=1)
+        newton = s - g / (1.0 + sig * (1.0 - sig) * beta2 * variance / cfg.lam)
         inside = (lo < newton) & (newton < hi)
         s_next = np.where(g == 0, s, np.where(inside, newton, 0.5 * (lo + hi)))
         moved = np.abs(s_next - s)
         s = np.where(active, s_next, s)
         iterations += active
-        iterates.append(s)
+        if traced:
+            iterates.append(s)
         active &= moved > _ROOT_TOL
         if not active.any():
             break

@@ -2,8 +2,14 @@
 matrices, orthogonality by exhaustive scan, strategy selection, balance
 and distinctness of Bernoulli draws, and the text round trip."""
 
+import os
+import tempfile
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from icshash import (
     CapacityError,
@@ -15,6 +21,7 @@ from icshash import (
     save_centers,
     sylvester_hadamard,
 )
+from icshash.centers import STRATEGIES
 
 
 def naive_hamming(a, b):
@@ -195,3 +202,41 @@ class TestCentersFile:
         with pytest.raises(Exception) as exc_info:
             load_centers(path)
         assert "line 2" in str(exc_info.value)
+
+
+class TestHashCenterSet:
+    @pytest.mark.parametrize(
+        "centers, seed, match",
+        [
+            (np.empty((0, 4), dtype=np.int8), 0, r"centers shape \(0, 4\)"),
+            (np.empty((3, 0), dtype=np.int8), 0, r"centers shape \(3, 0\)"),
+            (np.ones((2, 4), dtype=np.int8), -3, "seed must be at least 0"),
+            (np.ones((2, 4), dtype=np.int8), 1.5, "seed must be an integer"),
+            (np.array([[1j, -1]]), 0, "center entries must be -1 or \\+1"),
+        ],
+    )
+    def test_what_load_centers_refuses_is_refused(self, centers, seed, match):
+        with pytest.raises(ValueError, match=match):
+            HashCenterSet(centers, "bernoulli", seed)
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        shape=st.tuples(st.integers(0, 6), st.integers(0, 9)),
+        strategy=st.sampled_from(STRATEGIES),
+        seed=st.one_of(st.integers(-3, 2**64), st.booleans()),
+        data=st.data(),
+    )
+    def test_every_set_saves_and_loads_back_equal(self, shape, strategy, seed, data):
+        dtype = data.draw(st.sampled_from([np.int8, np.int64, np.float64]))
+        centers = data.draw(hnp.arrays(dtype, shape, elements=st.sampled_from([-1, 1])))
+        try:
+            center_set = HashCenterSet(centers, strategy, seed)
+        except ValueError:
+            reject()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "centers.txt")
+            save_centers(path, center_set)
+            loaded = load_centers(path)
+        assert (loaded.strategy, loaded.seed) == (strategy, seed)
+        assert (loaded.k_bits, loaded.m_labels) == (shape[1], shape[0])
+        np.testing.assert_array_equal(loaded.centers, centers)

@@ -971,6 +971,43 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    def test_import_loads_no_numpy_random(self):
+        # numpy.random pulls in secrets and hashlib, 12-15 ms of every
+        # command; only the commands that draw (centers, train) load it
+        script = "import sys, icshash, icshash.cli\nprint('numpy.random' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=src_env()
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+    def test_commands_load_no_numpy_ma(self, workdir):
+        # np.unique imports numpy.ma on its first call, 11-27 ms of a command
+        tmp_path, data, centers = workdir
+        distances = tmp_path / "distances.txt"
+        distances.write_text("1 2 3\n0.5\n2 2\n")
+        prefix = tmp_path / "model"
+        commands = [
+            ["train", "--data", data, "--centers", centers, "--out-prefix", prefix,
+             "--epochs", 1, "--hidden", "", "--gradient-mode", "exact"],
+            ["eval", "--checkpoint", f"{prefix}.ckpt", "--queries", data,
+             "--database", data, "--k", 5, "--out", tmp_path / "metrics.json"],
+            ["weight-report", "--weights", f"{prefix}.weights.csv", "--data", data,
+             "--out-prefix", tmp_path / "report"],
+            ["solve-weights", "--distances", distances, "--out", tmp_path / "w.csv"],
+        ]  # fmt: skip
+        script = (
+            "import sys\nfrom icshash.cli import main\n"
+            f"for argv in {[[str(a) for a in c] for c in commands]!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=src_env()
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_names_the_traced_benchmark_rebinds_resolve(self):
         # perfbench/traced.py times each layer by rebinding these names;
         # dropping one breaks every traced benchmark command

@@ -42,7 +42,7 @@ from icshash import (
 )
 from icshash.cli import main as cli_main
 from icshash.encoder import forward_batch, init_params
-from icshash.weights import WEIGHT_FLOOR, _sigmoid
+from icshash.weights import WEIGHT_FLOOR, _row_objectives, _sigmoid, _solve_rows
 
 
 def projection_by_bisection(v, tol=1e-13):
@@ -114,6 +114,74 @@ def paper_reference(d, cfg, w_init=None):
         if abs(trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12) < cfg.tol:
             break
     return w, t, np.array(trace)
+
+
+def reference_projection(v, mask):
+    """Test-local copy of the sort-based projection as it stood before
+    its fast path for rows already on the simplex: every row sorted and
+    cumulatively summed."""
+    v = np.asarray(v, dtype=np.float64)
+    mask = np.broadcast_to(np.asarray(mask, dtype=bool), v.shape)
+    counts = mask.sum(axis=1)
+    v = np.where(mask, v, 0.0)
+    rows = np.arange(v.shape[0])
+    ranks = np.arange(1, v.shape[1] + 1)
+    in_row = ranks <= counts[:, None]
+    q = np.where(in_row, -np.sort(np.where(mask, -v, np.inf), axis=1), 0.0)
+    csum = np.cumsum(q, axis=1)
+    feasible = in_row & (q + (1.0 - csum) / ranks > 0)
+    rho = v.shape[1] - np.argmax(feasible[:, ::-1], axis=1)
+    shift = (1.0 - csum[rows, rho - 1]) / rho
+    on_simplex = np.all(v >= 0, axis=1) & (
+        np.abs(csum[rows, counts - 1] - 1.0) <= 1e-12
+    )
+    projected = np.where(on_simplex[:, None], v, np.maximum(v + shift[:, None], 0.0))
+    return np.where(mask, projected, 0.0)
+
+
+def reference_exact_solve(d, mask, cfg, w_init=None):
+    """Test-local copy of the exact-mode solve as it stood before it was
+    made leaner: the start projected with reference_projection, then
+    safeguarded Newton on the optimality root, as in the module
+    docstring. Returns (w, iterations, objective trace per row)."""
+    d = np.where(mask, d, 0.0)
+    if w_init is None:
+        w = mask / mask.sum(axis=1, keepdims=True)
+    else:
+        w = reference_projection(w_init, mask)
+    history = [_row_objectives(w, d, mask, cfg)]
+    d_min = np.min(np.where(mask, d, np.inf), axis=1, keepdims=True)
+    gap = np.where(mask, d - d_min, 0.0)
+
+    def weights_at(s):
+        e = np.where(mask, np.exp(-(cfg.beta * s[:, None] * gap) / cfg.lam), 0.0)
+        return e / e.sum(axis=1, keepdims=True)
+
+    lo, hi = np.full(len(d), 0.5), np.ones(len(d))
+    s = _sigmoid(cfg.beta * np.sum(w * d, axis=1))
+    active = np.ones(len(d), dtype=bool)
+    iterations = np.zeros(len(d), dtype=np.int64)
+    iterates = []
+    for _ in range(100):
+        w = weights_at(s)
+        omega = np.sum(w * d, axis=1)
+        sig = _sigmoid(cfg.beta * omega)
+        g = s - sig
+        lo = np.where(g < 0, s, lo)
+        hi = np.where(g > 0, s, hi)
+        variance = np.sum(w * (d - omega[:, None]) ** 2, axis=1)
+        newton = s - g / (1.0 + sig * (1.0 - sig) * cfg.beta**2 * variance / cfg.lam)
+        inside = (lo < newton) & (newton < hi)
+        s_next = np.where(g == 0, s, np.where(inside, newton, 0.5 * (lo + hi)))
+        moved = np.abs(s_next - s)
+        s = np.where(active, s_next, s)
+        iterations += active
+        iterates.append(s)
+        active &= moved > 4 * np.finfo(np.float64).eps
+        if not active.any():
+            break
+    history += [_row_objectives(weights_at(t), d, mask, cfg) for t in iterates]
+    return weights_at(s), iterations, np.array(history)
 
 
 def criterion_one_instances(n=1000, seed=0):
@@ -647,6 +715,90 @@ class TestSolveWeightsBatch:
             solve_weights_batch(np.array([[1.0, 0.0], [1.0, np.inf]]), mask, cfg)
         with pytest.raises(ValueError):
             solve_weights_batch(np.ones((2, 3)), mask, cfg)
+
+
+def warm_starts(rng, mask, kind):
+    """A (B, M) start: "dirichlet" rows on the simplex, "off" rows off it
+    (negative entries and sums far from 1), or "near" rows on the
+    simplex but for one entry moved by about 1e-12, so that their sums
+    fall on either side of the projection's feasibility tolerance."""
+    w = random_warm_start(rng, mask)
+    if kind == "off":
+        return np.where(mask, rng.uniform(-1.0, 2.0, size=mask.shape), 0.0)
+    if kind == "near":
+        eps = np.finfo(np.float64).eps
+        ulps = rng.integers(-40, 41, size=len(w))
+        shift = rng.choice([-1.0, 1.0], size=len(w)) * (1e-12 + ulps * eps)
+        w[np.arange(len(w)), np.argmax(w, axis=1)] += shift
+    return w
+
+
+class TestExactSolveBitForBit:
+    """The exact solve returns the bytes of reference_exact_solve: the
+    projection's fast path and the leaner Newton loop change no value."""
+
+    @given(
+        masked_batches(),
+        st.sampled_from([1e-300, 0.01, 4.0]),
+        st.sampled_from([5e-324, 0.1, 1.0]),
+        st.sampled_from(["cold", "dirichlet", "off", "near"]),
+    )
+    @BATCH_SETTINGS
+    def test_batch_and_one_row_calls_match_the_reference(self, batch, lam, beta, start):
+        d, mask, rng = batch
+        cfg = WeightSolverConfig(lam=lam, beta=beta, gradient_mode="exact")
+        w_init = None if start == "cold" else warm_starts(rng, mask, start)
+        ref_w, ref_iterations, ref_history = reference_exact_solve(d, mask, cfg, w_init)
+        assert solve_weights_batch(d, mask, cfg, w_init=w_init).tobytes() == ref_w.tobytes()
+        w, iterations, history = _solve_rows(d, mask, cfg, w_init, traced=True)
+        assert w.tobytes() == ref_w.tobytes()
+        np.testing.assert_array_equal(iterations, ref_iterations)
+        assert history.tobytes() == ref_history.tobytes()
+        for r, row_mask in enumerate(mask):
+            one_init = None if w_init is None else w_init[r, row_mask]
+            one = solve_weights(d[r, row_mask], cfg, w_init=one_init)
+            row_w, row_iterations, row_history = reference_exact_solve(
+                d[r : r + 1, row_mask], np.ones((1, row_mask.sum()), dtype=bool), cfg,
+                None if one_init is None else one_init[None],
+            )
+            # a padded batch row may round differently from its own solve
+            assert one.w.tobytes() == row_w[0].tobytes()
+            assert one.iterations == row_iterations[0]
+            trace = row_history[: row_iterations[0] + 1, 0]
+            assert one.objective_trace.tobytes() == trace.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_is_refused(self, bad):
+        cfg = WeightSolverConfig(gradient_mode="exact")
+        w_init = np.array([[0.5, 0.5, 0.0], [bad, 0.25, 0.75]])
+        mask = np.array([[True, True, False], [True, True, True]])
+        with pytest.raises(ValueError, match="projection input must be finite"):
+            solve_weights_batch(np.ones((2, 3)), mask, cfg, w_init=w_init)
+        with pytest.raises(ValueError, match="projection input must be finite"):
+            solve_weights([1.0, 2.0, 3.0], cfg, w_init=w_init[1])
+
+    def test_projection_fast_path_keeps_the_reference_bytes(self):
+        # rows on the simplex, a -0.0 entry, sums 1 +- 1e-12 and one ulp
+        # beyond, a row whose natural-order sum is within 1e-12 of 1 but
+        # whose sorted sum is not, one summing to 1 with a negative
+        # entry, and one off the simplex
+        eps = np.finfo(np.float64).eps
+        v = np.array(
+            [
+                [0.25, 0.25, 0.5, 0.0],
+                [0.5, -0.0, 0.5, 0.0],
+                [0.5 + 1e-12, 0.25, 0.25, 0.0],
+                [0.5 - 1e-12, 0.25, 0.25, 0.0],
+                [0.5 + 1e-12 + eps, 0.25, 0.25, 0.0],
+                [0.06488360757746026, 0.09433380215896464, 0.840782590264575, 0.0],
+                [1.5, -0.5, 0.0, 0.0],
+                [0.6, 0.6, 0.1, 0.0],
+            ]
+        )
+        for rows in (v[:2], v[2:4], v[4:5], v[5:6], v[6:7], v):
+            for mask in (True, rows != 0):
+                out = project_rows_to_simplex(rows, mask)
+                assert out.tobytes() == reference_projection(rows, mask).tobytes()
 
 
 class TestProjectRowsToSimplex:
