@@ -59,7 +59,6 @@ from .loss import (
     total_loss,
 )
 from .retrieval import (
-    BinaryCode,
     CodeDatabase,
     RankedResult,
     hamming,

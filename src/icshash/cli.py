@@ -32,14 +32,15 @@ import numpy as np
 from . import __version__
 from .centers import generate_centers, load_centers, min_pairwise_hamming, save_centers
 from .data import (
-    _parse_ragged,
     _parse_rows,
+    _ragged_groups,
     _read_nonblank,
     load_dataset,
     load_dataset_csv,
     spearman_corr,
 )
 from .encoder import (
+    WEIGHT_MODES,
     TrainConfig,
     encode_binary,
     load_checkpoint,
@@ -55,13 +56,14 @@ from .retrieval import (
     retrieval_metrics,
     save_codes,
 )
-from .weights import WeightSolverConfig, _solve_rows
+from .weights import GRADIENT_MODES, WeightSolverConfig, _solve_rows
 
 _FLOAT_FMT = "%.17g"
 # train's weights CSV: one row per (sample, label) pair, written
 # _ROWS_PER_WRITE rows at a time
 _WEIGHT_ROW = "%d,%d," + _FLOAT_FMT + "\r\n"
 _ROWS_PER_WRITE = 4096
+_DATA_FORMATS = ("text", "csv")
 # parsed attributes that are not recorded in a manifest's config
 _NOT_CONFIG = ("command", "func", "seed", "out", "out_prefix")
 
@@ -111,18 +113,22 @@ def _cmd_solve_weights(args) -> tuple[list, int, dict]:
     lines, numbers = _read_nonblank(args.distances)
     if not lines:
         raise DataError(f"no distance vectors in {args.distances}")
-    d, mask = _parse_ragged(lines, numbers, [len(ln.split()) for ln in lines])
-    bad = ~np.where(mask, np.isfinite(d) & (d >= 0), True).all(axis=1)
-    if bad.any():
-        raise ParseError("distances must be finite and nonnegative", line=numbers[np.argmax(bad)])
-    # one solve over the zero-padded rows: each row stops on its own rule and
-    # reports its own iteration count, as a per-line solve_weights call does
-    w, iterations, _ = _solve_rows(d, mask, cfg, None, traced=False)
+    groups = list(_ragged_groups(lines, numbers, [len(ln.split()) for ln in lines]))
+    bad = np.concatenate([at[~(np.isfinite(d) & (d >= 0)).all(axis=1)] for at, d in groups])
+    if bad.size:  # named: the first in file order, whatever its width
+        raise ParseError("distances must be finite and nonnegative", line=numbers[bad.min()])
+    # one dense solve per width: each row stops on its own rule and sums
+    # in the order of a solve_weights call on its line alone
+    solved = [None] * len(lines)  # (iterations, weights) of each line
+    for at, d in groups:
+        w, iterations, _ = _solve_rows(d, np.ones(d.shape, dtype=bool), cfg, None, traced=False)
+        for i, n_iter, row in zip(at.tolist(), iterations.tolist(), w):
+            solved[i] = n_iter, row
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample", "iterations", "weights"])
-        for i, (row, row_mask, n_iter) in enumerate(zip(w, mask, iterations.tolist())):
-            writer.writerow([i, n_iter, ";".join(_FLOAT_FMT % v for v in row[row_mask])])
+        for i, (n_iter, row) in enumerate(solved):
+            writer.writerow([i, n_iter, ";".join(_FLOAT_FMT % v for v in row)])
     return [args.out], 0, {}
 
 
@@ -326,9 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--max-iters", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument(
-        "--gradient-mode", choices=("paper", "exact"), default="paper"
-    )
+    p.add_argument("--gradient-mode", choices=GRADIENT_MODES, default="paper")
     add_common(p)
     p.set_defaults(func=_cmd_solve_weights)
 
@@ -336,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--centers", required=True)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--data-format", choices=("text", "csv"), default="text")
+    p.add_argument("--data-format", choices=_DATA_FORMATS, default="text")
     p.add_argument("--epochs", type=int, default=90)
     p.add_argument("--batch", type=int, default=64)
     p.add_argument("--lr", type=float, default=1e-4)
@@ -345,8 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=0.01)
     p.add_argument("--gamma", type=float, default=0.05)
     p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--weight-mode", choices=("learned", "equal"), default="learned")
-    p.add_argument("--gradient-mode", choices=("paper", "exact"), default="paper")
+    p.add_argument("--weight-mode", choices=WEIGHT_MODES, default="learned")
+    p.add_argument("--gradient-mode", choices=GRADIENT_MODES, default="paper")
     p.add_argument("--seed", type=int, default=None)
     add_common(p)
     p.set_defaults(func=_cmd_train)
@@ -355,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--database", required=True)
-    p.add_argument("--data-format", choices=("text", "csv"), default="text")
+    p.add_argument("--data-format", choices=_DATA_FORMATS, default="text")
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--out", required=True)
     p.add_argument(

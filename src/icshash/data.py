@@ -21,6 +21,8 @@ from .errors import DataError, EvaluationError, InternalInvariantError, ParseErr
 # Samples per block of load_dataset: the line strings and parse
 # temporaries it holds are O(_LOAD_BLOCK) however long the file.
 _LOAD_BLOCK = 2048
+# Proportions per block of save_dataset's check: it holds no (N, M) temporary.
+_CHECK_ELEMENTS = 2**13
 
 
 @dataclass
@@ -52,7 +54,7 @@ class Dataset:
     MultiLabelSample, a slice or an index array a Dataset.
 
     The columns are checked when the Dataset is built: ValueError when
-    their shapes disagree on N or M, and DataError for the first sample,
+    their shapes disagree on N or M or D is 0, and DataError for the first sample,
     in index order, with a label other than 0 or 1 or, failing that,
     without a positive label or with a non-finite feature. The labels are
     checked as given, before their cast to int8, so that 2, 0.5 or 257 is
@@ -75,10 +77,10 @@ class Dataset:
         self.proportions = np.asarray(self.proportions, dtype=np.float64)
         self.has_proportions = np.asarray(self.has_proportions, dtype=bool)
         f, l, p, g = shapes = [column.shape for column in vars(self).values()]
-        if not (len(f) == len(l) == 2 and p == l and f[:1] == l[:1] == g):
+        if not (len(f) == len(l) == 2 and p == l and f[:1] == l[:1] == g and f[1] >= 1):
             raise ValueError(
-                "Dataset columns must be features (N, D), labels and proportions "
-                f"(N, M) and has_proportions (N,); got shapes {shapes}"
+                "Dataset columns must be features (N, D) with D >= 1, labels and "
+                f"proportions (N, M) and has_proportions (N,); got shapes {shapes}"
             )
         # read as uint8, a negative label is 128 or more
         largest = self.labels.view(np.uint8).max(axis=1, initial=0)
@@ -182,9 +184,21 @@ def labels_matrix(data: Dataset) -> np.ndarray:
 def save_dataset(path, data: Dataset) -> None:
     """Three lines per sample after a ``N D M`` header, written one
     sample at a time: features (9 significant digits), the 0/1 label
-    string, and the proportions (full precision) or ``-`` when absent."""
+    string, and the proportions (full precision) or ``-`` when absent.
+    A sample whose proportions would not load back is refused."""
     if not data:
         raise ValueError("refusing to save an empty dataset")
+    step = max(1, _CHECK_ELEMENTS // data.labels.shape[1])
+    for start in range(0, len(data), step):
+        block = slice(start, start + step)
+        given, p = data.has_proportions[block], data.proportions[block]
+        on_mask = (data.labels[block] != 0) & given[:, None]
+        bad = np.where(on_mask, ~np.isfinite(p), p != 0)
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            off = "a nonzero value off its label mask or with has_proportions false"
+            problem = "a non-finite value on its label mask" if on_mask[i, j] else off
+            raise ValueError(f"sample {start + i}: proportions hold {problem}")
     (n, d), m = data.features.shape, data.labels.shape[1]
     sample_format = " ".join(["%.9g"] * d) + "\n" + "%d" * m + "\n%s\n"
     rows = zip(data.features, data.labels, data.proportions, data.has_proportions)
@@ -310,17 +324,6 @@ def _ragged_groups(lines, line_numbers, widths):
     for width in np.flatnonzero(np.bincount(widths)).tolist():
         at = np.flatnonzero(widths == width)
         yield at, _parse_rows([lines[i] for i in at.tolist()], numbers[at], width, np.float64)
-
-
-def _parse_ragged(lines, line_numbers, widths) -> tuple[np.ndarray, np.ndarray]:
-    """Float rows of differing widths, zero-padded to the widest, and the
-    mask of the entries they fill."""
-    widths = np.asarray(widths, dtype=np.int64)
-    mask = np.arange(widths.max(initial=0)) < widths[:, None]
-    rows = np.zeros(mask.shape)
-    for at, values in _ragged_groups(lines, line_numbers, widths):
-        rows[at, : values.shape[1]] = values
-    return rows, mask
 
 
 def _parse_samples(lines, start, columns) -> None:

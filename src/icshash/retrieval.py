@@ -32,25 +32,29 @@ _CODES_PER_WRITE = 4096
 
 
 @dataclass(frozen=True)
-class BinaryCode:
-    """One K-bit code: ceil(K/64) little-endian words, pad bits zero."""
-
-    k_bits: int
-    words: np.ndarray  # (n_words,) uint64
-
-
-@dataclass(frozen=True)
 class CodeDatabase:
-    """N packed codes sharing one K."""
+    """N packed codes sharing one K: ceil(K/64) little-endian words per
+    code, pad bits zero. A single code is a one-row database."""
 
     k_bits: int
     words: np.ndarray  # (n, n_words) uint64
 
+    def __post_init__(self):
+        # what load_codes refuses, refused here: every database saves to a
+        # file that loads back equal, k_bits as the plain int it writes
+        k = check_int("k_bits", self.k_bits, 1)
+        object.__setattr__(self, "k_bits", k)
+        w, n_words = self.words, (k + 63) // 64
+        if not (isinstance(w, np.ndarray) and w.dtype == np.uint64 and w.shape[1:] == (n_words,)):
+            raise ValueError(f"words must be a 2-D uint64 array with {n_words} columns for K={k}")
+        if k % 64 and np.any(w[:, -1] >> np.uint64(k % 64)):
+            raise ValueError(f"words must hold zero pad bits past K={k}")
+
     def __len__(self) -> int:
         return self.words.shape[0]
 
-    def code(self, i: int) -> BinaryCode:
-        return BinaryCode(self.k_bits, self.words[i])
+    def code(self, i: int) -> "CodeDatabase":
+        return CodeDatabase(self.k_bits, self.words[i][None])
 
 
 @dataclass(frozen=True)
@@ -73,12 +77,18 @@ def _pack_rows(bits01: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64)
 
 
-def pack_code(bits_pm1) -> BinaryCode:
+def _unpack_rows(words: np.ndarray, k: int) -> np.ndarray:
+    """The (N, k) uint8 0/1 matrix of N packed rows: inverts _pack_rows."""
+    bytes_ = np.ascontiguousarray(words).view(np.uint8)  # a strided row has no byte view
+    return np.unpackbits(bytes_, axis=1, count=k, bitorder="little")
+
+
+def pack_code(bits_pm1) -> CodeDatabase:
     """Pack one {-1, +1} vector: the one-row call of pack_database."""
     row = np.asarray(bits_pm1)
     if row.ndim != 1:
         raise ValueError("expected a nonempty vector of -1/+1 values")
-    return pack_database(row[None]).code(0)
+    return pack_database(row[None])
 
 
 def pack_database(codes_pm1) -> CodeDatabase:
@@ -93,9 +103,7 @@ def pack_database(codes_pm1) -> CodeDatabase:
 
 def unpack_database(db: CodeDatabase) -> np.ndarray:
     """Back to an (N, K) int8 matrix of {-1, +1}."""
-    bytes_ = db.words.view(np.uint8).reshape(len(db), db.words.shape[1] * 8)
-    bits = np.unpackbits(bytes_, axis=1, bitorder="little")[:, : db.k_bits]
-    return (2 * bits.astype(np.int8)) - 1
+    return 2 * _unpack_rows(db.words, db.k_bits).view(np.int8) - 1
 
 
 def _check_lengths(a: int, b: int) -> None:
@@ -103,8 +111,15 @@ def _check_lengths(a: int, b: int) -> None:
         raise ValueError(f"code length mismatch: {a} vs {b}")
 
 
-def hamming(a: BinaryCode, b: BinaryCode) -> int:
-    """Number of differing bits, by XOR plus population count."""
+def _check_one_code(db: CodeDatabase) -> None:
+    if len(db) != 1:
+        raise ValueError(f"expected a one-code database, got {len(db)} codes")
+
+
+def hamming(a: CodeDatabase, b: CodeDatabase) -> int:
+    """Differing bits of two one-code databases, by XOR plus popcount."""
+    _check_one_code(a)
+    _check_one_code(b)
     _check_lengths(a.k_bits, b.k_bits)
     return int(np.bitwise_count(a.words ^ b.words).sum())
 
@@ -127,14 +142,15 @@ def _hamming_rows(query_words: np.ndarray, db_words: np.ndarray, dist, xor, coun
                 out += np.bitwise_count(x, out=c)
 
 
-def rank_database(query: BinaryCode, db: CodeDatabase) -> RankedResult:
-    """Stable sort of the database by (distance, index); the distances
-    are int64."""
+def rank_database(query: CodeDatabase, db: CodeDatabase) -> RankedResult:
+    """Stable sort of the database by (distance, index) from a one-code
+    query; the distances are int64."""
+    _check_one_code(query)
     if len(db) == 0:
         raise ValueError("empty database")
     _check_lengths(query.k_bits, db.k_bits)
     dist, xor, count = (np.empty((1, len(db)), t) for t in (np.int64, np.uint64, np.uint8))
-    _hamming_rows(query.words[None, :], db.words, dist, xor, count)
+    _hamming_rows(query.words, db.words, dist, xor, count)
     dist = dist[0]
     order = np.argsort(dist, kind="stable")
     return RankedResult(order, dist[order])
@@ -252,10 +268,9 @@ def save_codes(path, db: CodeDatabase) -> None:
     with open(path, "wb") as fh:
         fh.write(f"{len(db)} {db.k_bits}\n".encode())
         for start in range(0, len(db), _CODES_PER_WRITE):
-            block = CodeDatabase(db.k_bits, db.words[start : start + _CODES_PER_WRITE])
-            text = np.full((len(block), db.k_bits + 1), ord("\n"), dtype=np.uint8)
-            text[:, :-1] = unpack_database(block) > 0
-            text[:, :-1] += ord("0")
+            bits = _unpack_rows(db.words[start : start + _CODES_PER_WRITE], db.k_bits)
+            text = np.full((len(bits), db.k_bits + 1), ord("\n"), dtype=np.uint8)
+            np.add(bits, ord("0"), out=text[:, :-1])
             fh.write(text.tobytes())
 
 

@@ -172,9 +172,9 @@ class TestSolveWeightsCommand:
 
     @pytest.mark.parametrize("mode", ["paper", "exact"])
     def test_one_batch_solve_writes_the_per_line_rows(self, tmp_path, mode):
-        """The command solves all lines in one call on rows zero-padded to
-        the widest; its CSV is byte for byte the one that a
-        ``solve_weights`` call per line would give."""
+        """The command solves each width's lines in one call; its CSV is
+        byte for byte the one that a ``solve_weights`` call per line
+        would give."""
         rng = np.random.default_rng(7)
         vectors = [rng.uniform(0.0, 20.0, size=rng.integers(1, 13)) for _ in range(80)]
         vectors[5][:] = 3.0  # a row of ties
@@ -193,6 +193,29 @@ class TestSolveWeightsCommand:
                 result = solve_weights(d, cfg)
                 writer.writerow([i, result.iterations, ";".join("%.17g" % v for v in result.w)])
         assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["paper", "exact"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_each_line_is_solved_as_it_would_be_alone(self, tmp_path, mode, seed):
+        """A line's row does not depend on the widths of the other lines:
+        lines of 1 to 20 distances, where a row zero-padded to the
+        widest sums in another order than the line itself."""
+        rng = np.random.default_rng(seed)
+        vectors = [rng.uniform(0.0, 20.0, size=rng.integers(1, 21)) for _ in range(150)]
+        distances = tmp_path / "d.txt"
+        distances.write_text("".join(" ".join(f"{v:.17g}" for v in d) + "\n" for d in vectors))
+        out = tmp_path / "w.csv"
+        argv = ["solve-weights", "--distances", distances, "--out", out,
+                "--gradient-mode", mode, "--lambda", "0.1", "--beta", "1", "--eta", "0.5"]
+        assert run(argv) == 0
+        cfg = WeightSolverConfig(lam=0.1, beta=1.0, eta=0.5, gradient_mode=mode)
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(vectors)
+        for row, d in zip(rows, vectors):
+            result = solve_weights(d, cfg)
+            assert int(row["iterations"]) == result.iterations, row["sample"]
+            assert row["weights"] == ";".join("%.17g" % v for v in result.w), row["sample"]
 
 class TestTrainCommand:
     def test_toy_training_run(self, workdir):

@@ -2,10 +2,15 @@
 trip, parse failures with line numbers, the memory a load holds, and
 the rank correlation."""
 
+import os
+import tempfile
 import tracemalloc
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from icshash import (
@@ -362,6 +367,70 @@ class TestDataset:
         data = Dataset(np.zeros((2, 1)), labels, np.zeros((2, 3)), np.zeros(2, dtype=bool))
         assert data.labels.dtype == np.int8
         assert data.labels.tolist() == [[1, 0, 1], [0, 1, 0]]
+
+    def test_no_feature_is_refused(self):
+        # D = 0 saved a file whose header load_dataset refuses
+        with pytest.raises(ValueError, match="D >= 1"):
+            Dataset(np.zeros((2, 0)), np.ones((2, 1)), np.zeros((2, 1)), np.zeros(2, dtype=bool))
+
+    @pytest.mark.parametrize(
+        "row, value, given, problem",
+        [
+            (0, np.nan, True, "a non-finite value on its label mask"),
+            (3, np.inf, True, "a non-finite value on its label mask"),
+            (2, 7.0, True, "a nonzero value off its label mask or with has_proportions false"),
+            (1, np.nan, True, "a nonzero value off its label mask or with has_proportions false"),
+            (3, 0.5, False, "a nonzero value off its label mask or with has_proportions false"),
+        ],
+    )
+    def test_proportions_that_would_not_load_back_are_refused(
+        self, tmp_path, row, value, given, problem
+    ):
+        # the value goes to label 1: on the mask of rows 0 and 3, off it in rows 1 and 2
+        labels = np.array([[1, 1, 0], [1, 0, 1], [1, 0, 0], [0, 1, 1]])
+        proportions = np.array([[0.5, 0.5, 0], [0.25, 0, 0.75], [1, 0, 0], [0, 0, 0]])
+        proportions[row, 1] = value
+        has = np.array([True, True, True, given])
+        data = Dataset(np.zeros((4, 2)), labels, proportions, has)
+        path = tmp_path / "data.txt"
+        with pytest.raises(ValueError) as exc_info:
+            save_dataset(path, data)
+        assert str(exc_info.value) == f"sample {row}: proportions hold {problem}"
+        assert not path.exists()
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(0, 3), st.integers(1, 4)),
+        clean=st.sampled_from([True, True, False]),
+        data=st.data(),
+    )
+    def test_every_dataset_that_saves_loads_back_equal(self, shape, clean, data):
+        n, d, m = shape
+        features = data.draw(
+            hnp.arrays(np.float64, (n, d), elements=st.floats(allow_nan=False, allow_infinity=False))
+        )
+        labels = data.draw(hnp.arrays(np.int8, (n, m), elements=st.integers(0, 1)))
+        labels[labels.sum(axis=1) == 0, 0] = 1
+        has = data.draw(hnp.arrays(bool, n))
+        proportions = data.draw(hnp.arrays(np.float64, (n, m)))
+        if clean:
+            proportions = np.where(has[:, None] & (labels != 0), np.nan_to_num(proportions), 0.0)
+        try:
+            dataset = Dataset(features, labels, proportions, has)
+        except ValueError:
+            reject()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.txt")
+            try:
+                save_dataset(path, dataset)
+            except ValueError:
+                reject()
+            loaded = load_dataset(path)
+        np.testing.assert_array_equal(loaded.labels, labels)
+        np.testing.assert_array_equal(loaded.proportions, proportions)
+        np.testing.assert_array_equal(loaded.has_proportions, has)
+        rounded = [[float("%.9g" % v) for v in row] for row in features.tolist()]
+        np.testing.assert_array_equal(loaded.features, np.reshape(rounded, (n, d)))
 
 
 def test_loading_holds_the_columns_and_one_block_of_lines(tmp_path):

@@ -5,8 +5,14 @@ a per-query reference ranking of the unpacked codes, relevance from
 posting lists against the dense label product, and the codes file
 format."""
 
+import os
+import tempfile
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import icshash.retrieval
 from icshash import (
@@ -78,6 +84,84 @@ class TestHamming:
         np.testing.assert_array_equal(dist, dist.T)
         triangle = dist[:, :, None] + dist[None, :, :] >= dist[:, None, :]
         assert np.all(triangle)
+
+
+class TestCodeDatabase:
+    @pytest.mark.parametrize(
+        "k_bits, words, match",
+        [
+            (3, np.array([[0xFF]], dtype=np.uint64), "words must hold zero pad bits"),
+            (3, [[0xFF]], "words must be a 2-D uint64 array"),
+            (130, np.zeros((2, 1), dtype=np.uint64), "words must be .* with 3 columns"),
+            (64, np.zeros((2, 2), dtype=np.uint64), "words must be .* with 1 columns"),
+            (8, np.zeros((2, 1), dtype=np.int64), "words must be a 2-D uint64 array"),
+            (8, np.zeros(1, dtype=np.uint64), "words must be a 2-D uint64 array"),
+            (0, np.zeros((1, 0), dtype=np.uint64), "k_bits must be at least 1"),
+            (8.0, np.zeros((1, 1), dtype=np.uint64), "k_bits must be an integer"),
+        ],
+    )
+    def test_what_load_codes_refuses_is_refused(self, k_bits, words, match):
+        with pytest.raises(ValueError, match=match):
+            CodeDatabase(k_bits, words)
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        k_bits=st.one_of(st.integers(-1, 200), st.booleans()),
+        n=st.integers(0, 5),
+        extra_words=st.sampled_from([0, 0, 0, -1, 1]),
+        clear_pad=st.sampled_from([True, True, True, False]),
+        column_major=st.booleans(),
+        data=st.data(),
+    )
+    def test_every_database_saves_and_loads_back_equal(
+        self, k_bits, n, extra_words, clear_pad, column_major, data
+    ):
+        n_words = max(0, (k_bits + 63) // 64 + extra_words)
+        words = data.draw(hnp.arrays(np.uint64, (n, n_words)))
+        if clear_pad and n_words and k_bits % 64:
+            words[:, -1] &= np.uint64(2 ** (k_bits % 64) - 1)
+        if column_major:  # rows whose words are not adjacent in memory
+            words = np.asfortranarray(words)
+        try:
+            db = CodeDatabase(k_bits, words)
+        except ValueError:
+            reject()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "codes.txt")
+            save_codes(path, db)
+            loaded = load_codes(path)
+        assert loaded.k_bits == k_bits
+        np.testing.assert_array_equal(loaded.words, words)
+
+    def test_a_code_is_a_one_row_database(self):
+        codes = random_codes(np.random.default_rng(4), 5, 70)
+        db = pack_database(codes)
+        for i in (0, 3, -1, -5):
+            code = db.code(i)
+            assert (code.k_bits, len(code)) == (70, 1)
+            np.testing.assert_array_equal(code.words, pack_code(codes[i]).words)
+            np.testing.assert_array_equal(unpack_database(code), codes[i][None])
+        for i in (5, -6):
+            with pytest.raises(IndexError):
+                db.code(i)
+
+    def test_pack_code_is_the_one_row_pack_database(self):
+        x = [1, -1, -1, 1, 1]
+        a, b = pack_code(x), pack_database([x])
+        assert (a.k_bits, a.words.tolist()) == (b.k_bits, b.words.tolist())
+
+    @pytest.mark.parametrize("n", [0, 2, 3])
+    def test_hamming_and_ranking_take_one_code(self, n):
+        codes = random_codes(np.random.default_rng(n), 3, 8)
+        other = CodeDatabase(8, pack_database(codes).words[:n])
+        one = pack_code(codes[0])
+        db = pack_database(codes)
+        with pytest.raises(ValueError, match=f"one-code database, got {n} codes"):
+            hamming(one, other)
+        with pytest.raises(ValueError, match=f"one-code database, got {n} codes"):
+            hamming(other, one)
+        with pytest.raises(ValueError, match=f"one-code database, got {n} codes"):
+            rank_database(other, db)
 
 
 class TestPacking:

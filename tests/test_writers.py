@@ -97,7 +97,9 @@ def edge_dataset(n, d, m, seed, given):
     proportions /= proportions.sum(axis=1, keepdims=True)
     positive = np.flatnonzero(labels[0])
     proportions[0, positive[: len(EDGE_VALUES)]] = EDGE_VALUES[: positive.size]
-    return Dataset(features, labels, proportions, np.asarray(given, dtype=bool))
+    given = np.asarray(given, dtype=bool)
+    proportions[~given] = 0.0  # save_dataset refuses proportions it would not write
+    return Dataset(features, labels, proportions, given)
 
 
 class TestSameBytesAsWholeFileWriters:
