@@ -20,7 +20,6 @@ used as the default seed.
 """
 
 import argparse
-import csv
 import itertools
 import json
 import os
@@ -59,10 +58,7 @@ from .retrieval import (
 from .weights import GRADIENT_MODES, WeightSolverConfig, _solve_rows
 
 _FLOAT_FMT = "%.17g"
-# train's weights CSV: one row per (sample, label) pair, written
-# _ROWS_PER_WRITE rows at a time
-_WEIGHT_ROW = "%d,%d," + _FLOAT_FMT + "\r\n"
-_ROWS_PER_WRITE = 4096
+_ROWS_PER_WRITE = 4096  # CSV rows formatted and written at a time
 _DATA_FORMATS = ("text", "csv")
 # parsed attributes that are not recorded in a manifest's config
 _NOT_CONFIG = ("command", "func", "seed", "out", "out_prefix")
@@ -82,6 +78,16 @@ def _write_json(path, value):
     with open(path, "w") as fh:
         json.dump(value, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path, header, row_format, rows):
+    """Write the ``header`` line, then ``row_format % row`` for each row,
+    with csv's ``\r\n`` line ends; one format per _ROWS_PER_WRITE rows."""
+    rows = iter(rows)
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        while block := list(itertools.islice(rows, _ROWS_PER_WRITE)):
+            fh.write((row_format + "\r\n") * len(block) % tuple(itertools.chain(*block)))
 
 
 def _load_dataset(path, data_format, m_labels):
@@ -124,11 +130,8 @@ def _cmd_solve_weights(args) -> tuple[list, int, dict]:
         w, iterations, _ = _solve_rows(d, np.ones(d.shape, dtype=bool), cfg, None, traced=False)
         for i, n_iter, row in zip(at.tolist(), iterations.tolist(), w):
             solved[i] = n_iter, row
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "iterations", "weights"])
-        for i, (n_iter, row) in enumerate(solved):
-            writer.writerow([i, n_iter, ";".join(_FLOAT_FMT % v for v in row)])
+    rows = ((i, n, ";".join(_FLOAT_FMT % v for v in w)) for i, (n, w) in enumerate(solved))
+    _write_csv(args.out, "sample,iterations,weights", "%d,%d,%s", rows)
     return [args.out], 0, {}
 
 
@@ -166,21 +169,10 @@ def _cmd_train(args) -> tuple[list, int, dict]:
     rows, labels = np.nonzero(state.label_mask)
     weights = state.weight_matrix[state.label_mask].tolist()
     table = zip(rows.tolist(), labels.tolist(), weights)
-    with open(weights_path, "w", newline="") as fh:
-        fh.write("sample,label,weight\r\n")  # csv's line ends, one format per block
-        while block := list(itertools.islice(table, _ROWS_PER_WRITE)):
-            fh.write(_WEIGHT_ROW * len(block) % tuple(itertools.chain.from_iterable(block)))
-    with open(loss_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "total", "central", "quantization", "entropy"])
-        for epoch, entry in enumerate(state.loss_history):
-            writer.writerow(
-                [epoch]
-                + [
-                    _FLOAT_FMT % entry[key]
-                    for key in ("total", "central", "quantization", "entropy")
-                ]
-            )
+    _write_csv(weights_path, "sample,label,weight", "%d,%d," + _FLOAT_FMT, table)
+    parts = ("total", "central", "quantization", "entropy")
+    history = [(i, *(entry[key] for key in parts)) for i, entry in enumerate(state.loss_history)]
+    _write_csv(loss_path, ",".join(("epoch", *parts)), "%d" + ("," + _FLOAT_FMT) * 4, history)
     return [ckpt_path, weights_path, loss_path], seed, {"hidden": list(hidden)}
 
 
@@ -276,13 +268,15 @@ def _cmd_weight_report(args) -> tuple[list, int, dict]:
             rho_text[i] = "%.9g" % rho
     report_path = f"{args.out_prefix}.csv"
     summary_path = f"{args.out_prefix}.summary.json"
-    with open(report_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "n_labels", "weights", "proportions", "spearman"])
+
+    def rows():
         for i, (row, has) in enumerate(zip(mask, data.has_proportions)):
             props = ";".join("%.9g" % v for v in data.proportions[i, row]) if has else "-"
             w = ";".join("%.9g" % v for v in weights[i, row])
-            writer.writerow([i, n_labels[i], w, props, rho_text[i]])
+            yield i, n_labels[i], w, props, rho_text[i]
+
+    header = "sample,n_labels,weights,proportions,spearman"
+    _write_csv(report_path, header, "%d,%d,%s,%s,%s", rows())
     summary = {
         "mean_spearman": float(np.mean(scores)) if scores else None,
         "weight_variance": float(np.var(weights[mask])),
@@ -327,12 +321,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--distances", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--max-iters", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--gradient-mode", choices=GRADIENT_MODES, default="paper")
+    p.add_argument("--lambda", dest="lam", type=float, default=WeightSolverConfig.lam)
+    p.add_argument("--eta", type=float, default=WeightSolverConfig.eta)
+    p.add_argument("--beta", type=float, default=WeightSolverConfig.beta)
+    p.add_argument("--max-iters", type=int, default=WeightSolverConfig.max_iters)
+    p.add_argument("--tol", type=float, default=WeightSolverConfig.tol)
+    p.add_argument(
+        "--gradient-mode", choices=GRADIENT_MODES, default=WeightSolverConfig.gradient_mode
+    )
     add_common(p)
     p.set_defaults(func=_cmd_solve_weights)
 
@@ -341,16 +337,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--centers", required=True)
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--data-format", choices=_DATA_FORMATS, default="text")
-    p.add_argument("--epochs", type=int, default=90)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--hidden", default="64", help="comma-separated hidden sizes")
-    p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    p.add_argument("--gamma", type=float, default=0.05)
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--weight-mode", choices=WEIGHT_MODES, default="learned")
-    p.add_argument("--gradient-mode", choices=GRADIENT_MODES, default="paper")
+    hidden = ",".join(map(str, TrainConfig.hidden))
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr0)
+    p.add_argument("--hidden", default=hidden, help="comma-separated hidden sizes")
+    p.add_argument("--beta", type=float, default=LossConfig.beta)
+    p.add_argument("--lambda", dest="lam", type=float, default=LossConfig.lam)
+    p.add_argument("--gamma", type=float, default=LossConfig.gamma)
+    p.add_argument("--eta", type=float, default=WeightSolverConfig.eta)
+    p.add_argument("--weight-mode", choices=WEIGHT_MODES, default=TrainConfig.weight_mode)
+    p.add_argument(
+        "--gradient-mode", choices=GRADIENT_MODES, default=WeightSolverConfig.gradient_mode
+    )
     p.add_argument("--seed", type=int, default=None)
     add_common(p)
     p.set_defaults(func=_cmd_train)

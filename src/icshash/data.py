@@ -27,9 +27,9 @@ _CHECK_ELEMENTS = 2**13
 
 @dataclass
 class MultiLabelSample:
-    """features: (D,) floats; labels: (M,) 0/1 with at least one
-    positive; proportions: optional simplex vector aligned with the
-    positive labels in ascending label order."""
+    """features: (D,) floats; labels: (M,) 0/1 with at least one positive;
+    proportions: optional, one finite value per positive label in ascending
+    label order (zero off the mask in a Dataset), not required to sum to 1."""
 
     features: np.ndarray
     labels: np.ndarray

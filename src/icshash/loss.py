@@ -79,45 +79,40 @@ def clamp_code(b: Sequence[float]) -> np.ndarray:
     return np.clip(np.asarray(b, dtype=np.float64), CODE_EPS, 1.0 - CODE_EPS)
 
 
-def _bce(b: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # clamped codes against {0, 1} centers, summed over the last (bit)
-    # axis; leading axes broadcast
-    return -np.sum(v * np.log(b) + (1.0 - v) * np.log(1.0 - b), axis=-1)
-
-
 def bce_distance(b: Sequence[float], center01: Sequence[float]) -> float:
     """Nonnegative cross-entropy distance of a relaxed code to one
     center given in {0, 1}; equals K*log 2 at b = 0.5."""
-    b = clamp_code(b)
-    v = np.asarray(center01, dtype=np.float64)
+    b, v = np.asarray(b, dtype=np.float64), np.asarray(center01, dtype=np.float64)
     if b.shape != v.shape:
         raise ValueError(f"code/center length mismatch: {b.shape} vs {v.shape}")
-    return float(_bce(b, v))
+    return float(distance_matrix(b, v[None])[0, 0])
 
 
 def distance_vector(b: Sequence[float], assignment: CenterAssignment) -> np.ndarray:
     """BCE distance of one code to each of the sample's centers."""
-    b = clamp_code(b)
-    v = assignment.centers01
+    b, v = np.asarray(b, dtype=np.float64), assignment.centers01
     if b.shape != (v.shape[1],):
         raise ValueError(f"code length {b.shape} does not match centers {v.shape}")
-    return _bce(b, v)
+    return distance_matrix(b, v)[0]
 
 
 def distance_matrix(codes, centers01) -> np.ndarray:
     """BCE distance of every code to every center in one pass.
 
-    For clamped codes b (B, K) and centers v (M, K) in {0, 1},
-    d_ij = -(sum_k log(1 - b_ik) + sum_k (log b_ik - log(1 - b_ik)) v_jk),
-    which is ``distance_vector`` of code i against center j up to
-    rounding. Returns (B, M).
+    For clamped codes b (B, K) and centers v in {0, 1}, (M, K) shared by
+    every code or (B, M, K) per code,
+    d_ij = -(sum_k log(1 - b_ik) + sum_k (log b_ik - log(1 - b_ik)) v_jk).
+    Returns (B, M).
     """
     b = clamp_code(np.atleast_2d(codes))
     v = np.asarray(centers01, dtype=np.float64)
-    if v.ndim != 2 or v.shape[1] != b.shape[1]:
+    if not (v.ndim == 2 or v.ndim == 3 and len(v) == len(b)) or v.shape[-1] != b.shape[1]:
         raise ValueError(f"codes {b.shape} do not match centers {v.shape}")
     log_1mb = np.log(1.0 - b)
-    return -(log_1mb.sum(axis=1, keepdims=True) + (np.log(b) - log_1mb) @ v.T)
+    x = np.log(b) - log_1mb
+    # a shared set takes the 2-D product, per-code sets one product per row
+    cross = x @ v.T if v.ndim == 2 else (x[:, None] @ v.transpose(0, 2, 1))[:, 0]
+    return -(log_1mb.sum(axis=1, keepdims=True) + cross)
 
 
 def _padded_rows(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -147,13 +142,8 @@ def _ragged_rows(codes, assignments, weights):
     if min(counts) == 0 or [np.shape(w) for w in weights] != [(c,) for c in counts]:
         raise ValueError("every sample needs one or more centers and one weight per center")
     centers, mask = _padded_rows([a.centers01 for a in assignments])
-    v = centers[mask]  # (sample, center) pairs in order
-    if v.shape[1] != b.shape[1]:
-        raise ValueError(f"code length {b.shape[1]} does not match centers {v.shape}")
     w, _ = _padded_rows(weights)
-    d = np.zeros(mask.shape)
-    d[mask] = _bce(np.repeat(b, counts, axis=0), v)
-    return b, d, w, mask, centers
+    return b, np.where(mask, distance_matrix(b, centers), 0.0), w, mask, centers
 
 
 def _loss_and_gradient(b, d, w, mask, centers01, cfg: LossConfig):

@@ -219,6 +219,10 @@ class TestHashCenterSet:
         with pytest.raises(ValueError, match=match):
             HashCenterSet(centers, "bernoulli", seed)
 
+    def test_unknown_strategy_is_refused(self):
+        with pytest.raises(ValueError, match="unknown strategy 'hadamard'"):
+            HashCenterSet(np.ones((2, 4), dtype=np.int8), "hadamard", 0)
+
     @settings(derandomize=True, deadline=None, max_examples=80)
     @given(
         shape=st.tuples(st.integers(0, 6), st.integers(0, 9)),

@@ -77,6 +77,12 @@ class TestCentersCommand:
         assert manifest["seed"] == 7
         assert str(out) in manifest["outputs"]
 
+    def test_one_label_has_no_pairwise_distance(self, tmp_path, capsys):
+        out = tmp_path / "one.txt"
+        assert run(["centers", "--bits", 8, "--labels", 1, "--seed", 1, "--out", out]) == 0
+        assert capsys.readouterr().out == "min-pairwise-hamming n/a\n"
+        assert out.read_text().splitlines()[0] == "8 1 hadamard-rows 1"
+
     def test_zero_labels_is_usage_error(self, tmp_path):
         out = tmp_path / "c.txt"
         code = run(["centers", "--bits", 16, "--labels", 0, "--seed", 1, "--out", out])
@@ -657,6 +663,16 @@ class TestWeightReportCommand:
                 for j, label in enumerate(labels):
                     writer.writerow([i, int(label), "%.17g" % values_fn(s, j)])
 
+    def test_weights_file_without_rows_is_data_error(self, workdir, capsys):
+        tmp_path, data, _ = workdir
+        weights_csv = tmp_path / "w.csv"
+        weights_csv.write_text("sample,label,weight\r\n")
+        prefix = tmp_path / "report"
+        argv = ["weight-report", "--weights", weights_csv, "--data", data, "--out-prefix", prefix]
+        assert run(argv) == 3
+        assert capsys.readouterr().err == "error: weights file has no rows for sample 0\n"
+        assert not (tmp_path / "report.csv").exists()
+
     def test_perfect_agreement_gives_unit_correlation(self, workdir):
         tmp_path, data, _ = workdir
         from icshash import load_dataset
@@ -993,6 +1009,15 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_import_loads_no_csv(self):
+        # the commands write their CSV files with one %-format writer
+        script = "import sys, icshash, icshash.cli\nprint('csv' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=src_env()
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_import_loads_no_numpy_random(self):
         # numpy.random pulls in secrets and hashlib, 12-15 ms of every

@@ -4,12 +4,14 @@ One child interpreter, working in a temporary directory with relative
 paths, writes small fixed inputs and runs every command through
 ``icshash.cli.main``: ``centers`` in all three strategies,
 ``solve-weights`` in both gradient modes, ``train`` in both weight modes
-and both gradient modes, ``eval --dump-codes`` and ``weight-report``.
-The digest of every file it leaves, inputs included, and of every
-manifest without its ``wall_clock_seconds`` line, must equal the one in
-``tests/cli_digests.json``. The digests depend on the numpy build, which
-the file records. A change that moves an output on purpose regenerates
-the file with
+and both gradient modes, ``eval --dump-codes`` and ``weight-report``,
+and it writes the ``--help`` of the program and of each command, at 80
+columns, to ``help*.txt``. The digest of every file it leaves, inputs
+included, and of every manifest without its ``wall_clock_seconds``
+line, must equal the one in ``tests/cli_digests.json``. The digests
+depend on the numpy build and, for the help texts, on the Python
+version's argparse, which the file records. A change that moves an
+output on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_cli_digests.py
 
@@ -30,7 +32,8 @@ PINNED = ROOT / "tests" / "cli_digests.json"
 REGENERATE = "PYTHONPATH=src python tests/test_cli_digests.py"
 
 SCRIPT = r"""
-import contextlib, hashlib, json, os, re
+import contextlib, hashlib, json, os, re, sys
+os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
 import numpy as np
 from icshash import Dataset, SyntheticSpec, generate_synthetic, save_dataset
 from icshash.cli import main
@@ -72,6 +75,10 @@ commands = [
 with open("stdout.txt", "w") as out, contextlib.redirect_stdout(out):
     for argv in commands:
         assert main(argv) == 0, argv
+for command in ("", "centers", "solve-weights", "train", "eval", "weight-report"):
+    with open(f"help{'-' if command else ''}{command}.txt", "w") as out:
+        with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
+            main([command, "--help"] if command else ["--help"])
 
 digests = {}
 for name in sorted(os.listdir(".")):
@@ -80,12 +87,14 @@ for name in sorted(os.listdir(".")):
     if name.endswith(".manifest.json"):
         content = re.sub(rb'\n *"wall_clock_seconds": [^\n]*', b"", content)
     digests[name] = hashlib.sha256(content).hexdigest()
-print(json.dumps({"numpy": np.__version__, "digests": digests}))
+python = "%d.%d" % sys.version_info[:2]
+print(json.dumps({"numpy": np.__version__, "python": python, "digests": digests}))
 """
 
 
 def cli_digests() -> dict:
-    """The numpy version and the digest of every file the commands leave."""
+    """The numpy and Python versions and the digest of every file the
+    commands leave."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     with tempfile.TemporaryDirectory() as workdir:
@@ -98,10 +107,12 @@ def cli_digests() -> dict:
 
 def test_every_cli_output_matches_its_pinned_digest():
     pinned = json.loads(PINNED.read_text())
-    assert pinned["numpy"] == np.__version__, (
-        f"{PINNED.name} was made with numpy {pinned['numpy']}, this is numpy "
-        f"{np.__version__}: check the outputs by hand, then regenerate with {REGENERATE}"
-    )
+    here = {"numpy": np.__version__, "python": "%d.%d" % sys.version_info[:2]}
+    for name, version in here.items():
+        assert pinned[name] == version, (
+            f"{PINNED.name} was made with {name} {pinned[name]}, this is {name} "
+            f"{version}: check the outputs by hand, then regenerate with {REGENERATE}"
+        )
     found = cli_digests()
     changed = sorted(
         name

@@ -83,9 +83,18 @@ class TestGenerateSynthetic:
             SyntheticSpec(10, 4, 3, dirichlet_alpha=0.0)
         with pytest.raises(ValueError):
             SyntheticSpec(0, 4, 3)
+        with pytest.raises(ValueError, match="noise_sigma must be nonnegative"):
+            SyntheticSpec(10, 4, 3, noise_sigma=-0.1)
 
 
 class TestDatasetFile:
+    def test_empty_dataset_is_not_saved(self, tmp_path):
+        empty = Dataset(np.empty((0, 3)), np.empty((0, 2)), np.empty((0, 2)), np.empty(0))
+        path = tmp_path / "empty.txt"
+        with pytest.raises(ValueError, match="refusing to save an empty dataset"):
+            save_dataset(path, empty)
+        assert not path.exists()
+
     def test_round_trip(self, tmp_path):
         spec = SyntheticSpec(40, 7, 5, seed=3)
         samples = generate_synthetic(spec)

@@ -412,6 +412,7 @@ class TestTrainConfig:
             ("seed", 1.5),
             ("seed", -1),
             ("seed", math.nan),
+            ("weight_mode", "uniform"),
         ],
     )
     def test_bad_value_names_its_field(self, field, value):
@@ -621,6 +622,17 @@ class TestCheckpoint:
         with pytest.raises(ParseError) as exc_info:
             load_checkpoint(path)
         assert exc_info.value.line == line_no
+
+    def test_header_key_out_of_place_names_its_line(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_net(seed=13, sizes=(6, 10, 16)), 16, 4, 13)
+        lines = path.read_text().splitlines()
+        assert lines[2] == "k_bits 16"
+        lines[2] = "m_labels 16"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="expected 'k_bits'") as exc_info:
+            load_checkpoint(path)
+        assert exc_info.value.line == 3
 
     @pytest.mark.parametrize("line_no", [7, 14])
     def test_short_row_names_its_line(self, tmp_path, line_no):

@@ -14,6 +14,7 @@ from scipy.special import expit
 
 import icshash.loss
 from icshash import (
+    ConfigError,
     LossConfig,
     assignment_for_labels,
     bce_distance,
@@ -39,6 +40,13 @@ def weighted_distance(b, assignment, w):
     """Test-local convex combination w @ d of a code's distances to its
     centers."""
     return float(np.asarray(w, dtype=np.float64) @ distance_vector(b, assignment))
+
+
+def reference_bce(b, v):
+    """Test-local per-pair cross entropy of clamped codes against {0, 1}
+    centers, summed over the last (bit) axis; leading axes broadcast."""
+    b = np.clip(np.asarray(b, dtype=np.float64), CODE_EPS, 1.0 - CODE_EPS)
+    return -np.sum(v * np.log(b) + (1.0 - v) * np.log(1.0 - b), axis=-1)
 
 
 def random_batch(rng, n, k, c_max, m=8):
@@ -83,6 +91,38 @@ class TestBceDistance:
         with pytest.raises(ValueError):
             bce_distance([0.5, 0.5], [1.0])
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 300),
+        kind=st.sampled_from(["clamp", "near clamp", "uniform"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_formula_stays_near_the_per_pair_sum(self, k, kind, seed):
+        """bce_distance, distance_vector and total_loss's central part all
+        run through distance_matrix's product form; each stays within
+        64 K eps of the per-pair sum and no distance is negative, also
+        for codes at the clamp, where the product form cancels most."""
+        rng = np.random.default_rng(seed)
+        centers = rng.integers(0, 2, size=(3, k)).astype(np.float64)
+        if kind == "uniform":
+            b = rng.uniform(0.0, 1.0, size=k)
+        else:  # each bit at an end of the clamp, or a few ulps from it
+            b = np.where(rng.integers(0, 2, size=k) == 1, 1.0 - CODE_EPS, CODE_EPS)
+            if kind == "near clamp":
+                for _ in range(4):
+                    b = np.nextafter(b, rng.choice([0.0, 1.0], size=k))
+            b[rng.uniform(size=k) < 0.2] = rng.integers(0, 2)  # past the clamp
+        want = reference_bce(b, centers)
+        bound = 64 * k * np.finfo(np.float64).eps
+        got = np.array([bce_distance(b, v) for v in centers])
+        assert np.all(got >= 0)
+        assert np.all(np.abs(got - want) <= bound)
+        assert np.all(np.abs(distance_vector(b, make_assignment(centers)) - want) <= bound)
+        cfg = LossConfig(beta=1.0, gamma=0.0, lam=0.0)
+        for v, d in zip(centers, want):
+            central = total_loss(b[None], [make_assignment(v)], [np.ones(1)], cfg)[1]["central"]
+            assert abs(central - np.logaddexp(0.0, d)) <= bound
+
 
 class TestDistanceMatrix:
     def test_matches_distance_vector_per_sample(self):
@@ -101,6 +141,37 @@ class TestDistanceMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             distance_matrix(np.full((2, 3), 0.5), np.zeros((4, 2)))
+
+    def test_per_row_centers_match_per_row_calls(self):
+        rng = np.random.default_rng(23)
+        for b_rows, p, k in ((1, 1, 1), (5, 3, 8), (20, 7, 33), (64, 4, 64)):
+            codes = rng.uniform(0.0, 1.0, size=(b_rows, k))
+            codes[rng.uniform(size=codes.shape) < 0.1] = 1.0  # clamped
+            centers = rng.integers(0, 2, size=(b_rows, p, k)).astype(np.float64)
+            got = distance_matrix(codes, centers)
+            assert got.shape == (b_rows, p)
+            for i in range(b_rows):
+                want = distance_matrix(codes[i], centers[i])[0]
+                np.testing.assert_allclose(got[i], want, rtol=1e-12)
+
+    @pytest.mark.parametrize("centers_rows", [1, 3, 5])
+    def test_per_row_centers_for_another_batch_are_refused(self, centers_rows):
+        with pytest.raises(ValueError, match="do not match centers"):
+            distance_matrix(np.full((4, 3), 0.5), np.zeros((centers_rows, 2, 3)))
+
+    def test_distance_vector_length_mismatch(self):
+        with pytest.raises(ValueError, match="code length"):
+            distance_vector([0.5, 0.5, 0.5], make_assignment([[1.0, 0.0]]))
+
+
+class TestAssignmentForLabels:
+    def test_wrong_length_label_vector_is_config_error(self):
+        with pytest.raises(ConfigError, match="label vector length"):
+            assignment_for_labels(generate_centers(8, 4, seed=0), [1, 0, 1])
+
+    def test_no_positive_label_is_refused(self):
+        with pytest.raises(ValueError, match="no positive label"):
+            assignment_for_labels(generate_centers(8, 4, seed=0), [0, 0, 0, 0])
 
 
 class TestWeightedDistance:
@@ -199,6 +270,10 @@ class TestQuantizationLoss:
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         assert quantization_loss(rng.uniform(0, 1, size=(10, 8))) >= 0
+
+    def test_empty_batch(self):
+        with pytest.raises(ValueError, match="empty batch"):
+            quantization_loss(np.empty((0, 4)))
 
 
 class TestTotalLoss:

@@ -180,6 +180,10 @@ class TestPacking:
         with pytest.raises(ValueError):
             pack_code([1, 0, -1])
 
+    def test_pack_code_rejects_a_matrix(self):
+        with pytest.raises(ValueError, match="expected a nonempty vector"):
+            pack_code([[1, -1], [-1, 1]])
+
     @pytest.mark.parametrize("pack", [pack_code, lambda row: pack_database([row])])
     def test_rejects_fractional_values_instead_of_truncating(self, pack):
         # a cast to int64 before the check packed these as [1, -1, 1]

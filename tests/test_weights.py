@@ -509,6 +509,13 @@ class TestSolveWeights:
         result = solve_weights(np.array([3.0]), WeightSolverConfig())
         np.testing.assert_array_equal(result.w, [1.0])
 
+    def test_no_config_is_the_default_config(self):
+        d = np.random.default_rng(31).uniform(0.0, 20.0, size=7)
+        got, want = solve_weights(d), solve_weights(d, WeightSolverConfig())
+        np.testing.assert_array_equal(got.w, want.w)
+        assert got.iterations == want.iterations
+        np.testing.assert_array_equal(got.objective_trace, want.objective_trace)
+
     def test_empty_distances_rejected(self):
         with pytest.raises(ValueError):
             solve_weights(np.array([]), WeightSolverConfig())
@@ -822,6 +829,10 @@ class TestProjectRowsToSimplex:
             project_rows_to_simplex(np.ones((2, 2)), [[True, True], [False, False]])
         with pytest.raises(ValueError):
             project_rows_to_simplex(np.array([[np.inf, 0.0]]), True)
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match=r"expected a nonempty \(B, M\) array"):
+            project_rows_to_simplex(np.array([0.2, 0.8]), True)
 
 
 class TestTrainSolvesEachBatch:
