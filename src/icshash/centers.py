@@ -127,12 +127,11 @@ def generate_centers(k_bits: int, m_labels: int, seed: int) -> HashCenterSet:
     * anything else: balanced Bernoulli rows, resampled until distinct
       ("bernoulli").
 
-    Deterministic given (k_bits, m_labels, seed).
+    Deterministic given (k_bits, m_labels, seed): integers, K >= 2,
+    M >= 1 and seed >= 0, else ValueError naming the field.
     """
-    if k_bits < 2:
-        raise ValueError("k_bits must be at least 2")
-    if m_labels < 1:
-        raise ValueError("m_labels must be at least 1")
+    k_bits, m_labels = check_int("k_bits", k_bits, 2), check_int("m_labels", m_labels, 1)
+    seed = check_int("seed", seed, 0)
     if k_bits <= 62 and m_labels > (1 << k_bits):
         raise CapacityError(
             f"cannot draw {m_labels} distinct centers of {k_bits} bits"

@@ -206,39 +206,32 @@ def _cmd_eval(args) -> tuple[list, int, dict]:
     return outputs, meta["seed"], {}
 
 
-def _read_weights_csv(path, shape):
-    """The (N, M) weight matrix of the weights CSV written by ``train``
-    and the (N, M) mask of the entries it gives; blank lines are
-    skipped. Each row names a sample in [0, N) and a label in [0, M),
-    no pair twice, and gives a finite weight."""
+def _read_weights_csv(path, mask):
+    """The (N, M) weight matrix, zero off the (N, M) label ``mask``, of
+    a weights CSV as ``train`` writes it: the header, then row r gives
+    pair r of ``np.argwhere(mask)`` (the mask's (sample, label) pairs in
+    row-major order) and a finite weight. Blank lines are skipped."""
     lines, numbers = _read_nonblank(path)
     columns = lines[0].rstrip("\n").split(",") if lines else None
     if columns != ["sample", "label", "weight"]:
         raise DataError(f"{path}: expected columns sample,label,weight, found {columns}")
     values = _parse_rows(lines[1:], numbers[1:], 3, np.float64, delimiter=",")
-    ids, w = values[:, :2], values[:, 2]
-    valid = (ids == np.floor(ids)) & (ids >= 0) & (ids < shape)  # nan and inf fail
-    rows, labels = np.where(valid, ids, 0).astype(np.int64).T
-    # an invalid row gets a key of its own, so it never repeats a valid one
-    keys = np.where(valid.all(axis=1), rows * shape[1] + labels, -1 - np.arange(len(ids)))
-    # a stable sort puts each key's first row first (np.unique would
-    # import numpy.ma, 11-27 ms)
-    order = np.argsort(keys, kind="stable")
-    repeated = np.zeros(len(ids), dtype=bool)
-    repeated[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-    failed = np.column_stack([~valid, ~np.isfinite(w), repeated])
-    if failed.any():
+    pairs = np.argwhere(mask)
+    n = min(len(values), len(pairs))
+    failed = np.column_stack(
+        [(values[:n, :2] != pairs[:n]).any(axis=1), ~np.isfinite(values[:n, 2])]
+    )
+    if failed.any():  # the first fault in file order
         r, kind = np.argwhere(failed)[0]
-        messages = [
-            f"sample must be an integer in [0, {shape[0]})",
-            f"label must be an integer in [0, {shape[1]})",
-            "weight must be finite",
-            "sample and label repeat an earlier row",
-        ]
+        messages = ["expected sample {}, label {}".format(*pairs[r]), "weight must be finite"]
         raise ParseError(messages[kind], line=numbers[1 + r])
-    weights, given = np.zeros(shape), np.zeros(shape, dtype=bool)
-    weights[rows, labels], given[rows, labels] = w, True
-    return weights, given
+    if len(values) > n:
+        raise ParseError("row after the last positive label of the dataset", line=numbers[1 + n])
+    if len(pairs) > n:
+        raise DataError("weights file ends before sample {}, label {}".format(*pairs[n]))
+    weights = np.zeros(mask.shape)
+    weights[mask] = values[:, 2]
+    return weights
 
 
 def _cmd_weight_report(args) -> tuple[list, int, dict]:
@@ -246,16 +239,7 @@ def _cmd_weight_report(args) -> tuple[list, int, dict]:
     if not data.has_proportions.any():
         raise DataError(f"{args.data} carries no ground-truth proportions")
     mask = data.labels != 0
-    weights, given = _read_weights_csv(args.weights, mask.shape)
-    wrong = (given != mask).any(axis=1)
-    if wrong.any():
-        i = int(np.argmax(wrong))
-        if not given[i].any():
-            raise DataError(f"weights file has no rows for sample {i}")
-        raise DataError(
-            f"sample {i}: weights for labels {np.flatnonzero(given[i]).tolist()}, "
-            f"but its positive labels are {np.flatnonzero(mask[i]).tolist()}"
-        )
+    weights = _read_weights_csv(args.weights, mask)
     n_labels = mask.sum(axis=1)
     scores, rho_text, n_excluded = [], [""] * len(data), 0
     for i in np.flatnonzero(data.has_proportions & (n_labels >= 2)):

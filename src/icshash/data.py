@@ -8,6 +8,7 @@ how much of that label is in the sample" is a measurable question.
 """
 
 import itertools
+import math
 import os
 import stat
 import warnings
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EvaluationError, InternalInvariantError, ParseError
+from .errors import DataError, EvaluationError, InternalInvariantError, ParseError, check_int
 
 # Samples per block of load_dataset: the line strings and parse
 # temporaries it holds are O(_LOAD_BLOCK) however long the file.
@@ -117,7 +118,9 @@ class SyntheticSpec:
     """n_samples/d_features/m_labels: dataset shape; labels_per_sample:
     inclusive (lo, hi) range of positive labels per sample;
     dirichlet_alpha: proportion concentration (1 = uniform over the
-    simplex); noise_sigma: feature noise scale."""
+    simplex); noise_sigma: feature noise scale. Counts, both bounds and
+    seed are integers, dirichlet_alpha finite and > 0, noise_sigma
+    finite and >= 0; ValueError names a field out of range."""
 
     n_samples: int
     d_features: int
@@ -128,18 +131,19 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        lo, hi = self.labels_per_sample
-        if min(self.n_samples, self.d_features, self.m_labels) < 1:
-            raise ValueError("all counts must be positive")
-        if not 1 <= lo <= hi <= self.m_labels:
+        for name, minimum in (("n_samples", 1), ("d_features", 1), ("m_labels", 1), ("seed", 0)):
+            check_int(name, getattr(self, name), minimum)
+        lo = check_int("labels_per_sample[0]", self.labels_per_sample[0], 1)
+        hi = check_int("labels_per_sample[1]", self.labels_per_sample[1], lo)
+        if hi > self.m_labels:
             raise ValueError(
                 f"labels_per_sample {self.labels_per_sample} out of range "
                 f"for M={self.m_labels}"
             )
-        if self.dirichlet_alpha <= 0:
-            raise ValueError("dirichlet_alpha must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not 0 < self.dirichlet_alpha < math.inf:  # nan fails
+            raise ValueError("dirichlet_alpha must be positive and finite")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be nonnegative and finite")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:

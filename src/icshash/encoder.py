@@ -337,20 +337,13 @@ def load_checkpoint(path):
                 f"last layer size {sizes[-1]} does not match k_bits {meta['k_bits']}", line=2
             )
         total = 5 + sum(n_in + 3 for n_in in sizes[:-1])
-
-        def read_block(header, fields, rows, line):
-            # a tag line, line ``line``, giving ``fields`` under the names
-            # ``header``, then ``rows`` lines of fields[-1] floats
-            tag, *names = header.split()
-            if _read_header(fh, header, dict.fromkeys(names, 0), line) != [tag, *fields]:
-                raise ParseError("expected '{}'".format(" ".join(map(str, [tag, *fields]))), line)
-            body = _take_lines(fh, rows, line, total)
-            return _parse_rows(body, range(line + 1, line + 1 + rows), fields[-1], np.float64)
-
-        weights, biases, line = [], [], 6
+        blocks, line = [], 6  # each layer's weight rows, then its bias row
         for l, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            weights.append(read_block("weight LAYER IN OUT", [l, n_in, n_out], n_in, line))
-            biases.append(read_block("bias LAYER OUT", [l, n_out], 1, line + 1 + n_in)[0])
-            line += n_in + 3
+            for tag, rows in ((f"weight {l} {n_in} {n_out}", n_in), (f"bias {l} {n_out}", 1)):
+                if fh.readline().split() != tag.split():  # as save_checkpoint writes it
+                    raise ParseError(f"expected '{tag}'", line=line)
+                body, numbers = _take_lines(fh, rows, line, total), range(line + 1, line + 1 + rows)
+                blocks.append(_parse_rows(body, numbers, n_out, np.float64))
+                line += 1 + rows
         _check_rest_blank(fh, "unexpected line after the last bias row", line)
-    return EncoderParams(weights, biases), meta
+    return EncoderParams(blocks[0::2], [b[0] for b in blocks[1::2]]), meta

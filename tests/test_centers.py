@@ -137,6 +137,21 @@ class TestGenerateCenters:
         with pytest.raises(ValueError):
             generate_centers(16, 0, seed=0)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1, 1, 0), "k_bits must be at least 2"),
+            ((16, 0, 0), "m_labels must be at least 1"),
+            ((16.0, 4, 0), "k_bits must be an integer"),
+            ((16, 4.0, 0), "m_labels must be an integer"),
+            ((16, 4, -1), "seed must be at least 0"),
+            ((16, 4, 1.5), "seed must be an integer"),
+        ],
+    )
+    def test_invalid_argument_is_named(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            generate_centers(*args)
+
 
 class TestMinPairwiseHamming:
     def test_hadamard_rows_k32(self):

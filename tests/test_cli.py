@@ -670,7 +670,9 @@ class TestWeightReportCommand:
         prefix = tmp_path / "report"
         argv = ["weight-report", "--weights", weights_csv, "--data", data, "--out-prefix", prefix]
         assert run(argv) == 3
-        assert capsys.readouterr().err == "error: weights file has no rows for sample 0\n"
+        label = int(np.flatnonzero(load_dataset(data).labels[0])[0])
+        message = f"error: weights file ends before sample 0, label {label}\n"
+        assert capsys.readouterr().err == message
         assert not (tmp_path / "report.csv").exists()
 
     def test_perfect_agreement_gives_unit_correlation(self, workdir):
@@ -772,11 +774,9 @@ class TestWeightReportCommand:
         code = run(["weight-report", "--weights", weights_csv, "--data", data,
                     "--out-prefix", tmp_path / "r"])
         assert code == 3
-        positives = np.flatnonzero(samples[i].labels).tolist()
-        swapped = sorted([negative, positives[1]])
+        positive = int(np.flatnonzero(samples[i].labels)[0])
         assert capsys.readouterr().err == (
-            f"error: sample {i}: weights for labels {swapped}, "
-            f"but its positive labels are {positives}\n"
+            f"error: line {at + 1}: expected sample {i}, label {positive}\n"
         )
 
     def test_sample_without_rows_is_a_data_error(self, workdir, capsys):
@@ -784,27 +784,19 @@ class TestWeightReportCommand:
         samples = load_dataset(data)
         weights_csv = tmp_path / "w.csv"
         self.make_weights_csv(weights_csv, samples, lambda s, j: 0.5)
-        kept = [ln for ln in weights_csv.read_text().splitlines() if not ln.startswith("7,")]
+        lines = weights_csv.read_text().splitlines()
+        at = next(r for r, ln in enumerate(lines) if ln.startswith("7,"))
+        kept = [ln for ln in lines if not ln.startswith("7,")]
         weights_csv.write_text("\n".join(kept) + "\n")
         code = run(["weight-report", "--weights", weights_csv, "--data", data,
                     "--out-prefix", tmp_path / "r"])
         assert code == 3
-        assert capsys.readouterr().err == "error: weights file has no rows for sample 7\n"
+        label = int(np.flatnonzero(samples[7].labels)[0])
+        message = f"error: line {at + 1}: expected sample 7, label {label}\n"
+        assert capsys.readouterr().err == message
 
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            ("2,0,0.5", "sample must be an integer in [0, 2)"),
-            ("-1,0,0.5", "sample must be an integer in [0, 2)"),
-            ("1,3,0.5", "label must be an integer in [0, 3)"),
-            ("1,-1,0.5", "label must be an integer in [0, 3)"),
-            ("1,2,nan", "weight must be finite"),
-            ("0,0,0.5", "sample and label repeat an earlier row"),
-        ],
-    )
-    def test_out_of_range_non_finite_or_repeated_row_names_its_line(
-        self, tmp_path, capsys, row, message
-    ):
+    def two_sample_files(self, tmp_path):
+        # rows (0, 0), (0, 1), (1, 1), (1, 2) on lines 2 to 5
         samples = Dataset(
             [[0.0, 0.0], [1.0, 1.0]], [[1, 1, 0], [0, 1, 1]], [[0.7, 0.3, 0], [0, 0.2, 0.8]],
             [True, True],
@@ -813,13 +805,46 @@ class TestWeightReportCommand:
         save_dataset(data, samples)
         weights_csv = tmp_path / "w.csv"
         self.make_weights_csv(weights_csv, samples, lambda s, j: 0.5)
-        lines = weights_csv.read_text().splitlines()
+        return data, weights_csv, weights_csv.read_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "row", ["2,0,0.5", "-1,0,0.5", "1,3,0.5", "1,-1,0.5", "1,2,nan", "0,0,0.5"]
+    )
+    def test_out_of_range_non_finite_or_repeated_row_names_its_line(self, tmp_path, capsys, row):
+        data, weights_csv, lines = self.two_sample_files(tmp_path)
         lines.insert(3, row)  # after the rows of sample 0
         weights_csv.write_text("\n".join(lines) + "\n")
         code = run(["weight-report", "--weights", weights_csv, "--data", data,
                     "--out-prefix", tmp_path / "r"])
         assert code == 3
-        assert capsys.readouterr().err == f"error: line 4: {message}\n"
+        assert capsys.readouterr().err == "error: line 4: expected sample 1, label 1\n"
+        assert not (tmp_path / "r.summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("swap", "line 2: expected sample 0, label 0"),
+            ("nan", "line 4: weight must be finite"),
+            ("extra", "line 6: row after the last positive label of the dataset"),
+            ("short", "weights file ends before sample 1, label 2"),
+        ],
+    )
+    def test_rows_out_of_train_order_or_count_are_refused(self, tmp_path, capsys, edit, message):
+        # train writes one row per positive label, samples and labels ascending
+        data, weights_csv, lines = self.two_sample_files(tmp_path)
+        if edit == "swap":  # the two rows of sample 0
+            lines[1], lines[2] = lines[2], lines[1]
+        elif edit == "nan":  # the row in its place, its weight not finite
+            lines[3] = "1,1,nan"
+        elif edit == "extra":
+            lines.append(lines[-1])
+        else:
+            lines.pop()
+        weights_csv.write_text("\n".join(lines) + "\n")
+        code = run(["weight-report", "--weights", weights_csv, "--data", data,
+                    "--out-prefix", tmp_path / "r"])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "r.summary.json").exists()
 
     def test_dataset_without_proportions_is_data_error(self, tmp_path):

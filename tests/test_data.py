@@ -86,6 +86,26 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="noise_sigma must be nonnegative"):
             SyntheticSpec(10, 4, 3, noise_sigma=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_samples", 10.0),
+            ("m_labels", 3.5),
+            ("labels_per_sample", (1.5, 3)),
+            ("labels_per_sample", (1, 2.0)),
+            ("dirichlet_alpha", float("nan")),
+            ("dirichlet_alpha", float("inf")),
+            ("noise_sigma", float("nan")),
+            ("noise_sigma", float("inf")),
+            ("seed", -1),
+            ("seed", 1.5),
+        ],
+    )
+    def test_spec_refuses_what_the_generator_mishandles(self, field, value):
+        # refused when the spec is built, by name, not inside numpy's draws
+        with pytest.raises(ValueError, match=field):
+            SyntheticSpec(**{"n_samples": 10, "d_features": 4, "m_labels": 3, field: value})
+
 
 class TestDatasetFile:
     def test_empty_dataset_is_not_saved(self, tmp_path):

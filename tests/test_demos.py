@@ -21,8 +21,8 @@ def run_python(args, cwd):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    return subprocess.run(
-        [sys.executable, *args],
+    return subprocess.run(  # -W error: warnings fail here as they do in the suite
+        [sys.executable, "-W", "error", *args],
         cwd=cwd,
         env=env,
         capture_output=True,

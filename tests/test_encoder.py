@@ -623,6 +623,18 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert exc_info.value.line == line_no
 
+    def test_layer_header_must_read_as_written(self, tmp_path):
+        # the tag line is compared as save_checkpoint writes it, not as integers
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_net(seed=13, sizes=(3, 2)), 2, 4, 13)
+        lines = path.read_text().splitlines()
+        assert lines[5] == "weight 0 3 2"
+        lines[5] = "weight 00 3 2"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="expected 'weight 0 3 2'") as exc_info:
+            load_checkpoint(path)
+        assert exc_info.value.line == 6
+
     def test_header_key_out_of_place_names_its_line(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, tiny_net(seed=13, sizes=(6, 10, 16)), 16, 4, 13)
