@@ -20,6 +20,7 @@ used as the default seed.
 """
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -90,6 +91,12 @@ def _write_csv(path, header, row_format, rows):
             fh.write((row_format + "\r\n") * len(block) % tuple(itertools.chain(*block)))
 
 
+def _config(cls, flags):
+    """A ``cls`` config from the parsed ``flags`` (``vars(args)``) whose dest
+    is one of its field names; a field without such a flag keeps its default."""
+    return cls(**{f.name: flags[f.name] for f in dataclasses.fields(cls) if f.name in flags})
+
+
 def _load_dataset(path, data_format, m_labels):
     if data_format == "csv":
         return load_dataset_csv(path, m_labels)
@@ -108,14 +115,7 @@ def _cmd_centers(args) -> tuple[list, int, dict]:
 
 
 def _cmd_solve_weights(args) -> tuple[list, int, dict]:
-    cfg = WeightSolverConfig(
-        lam=args.lam,
-        eta=args.eta,
-        beta=args.beta,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        gradient_mode=args.gradient_mode,
-    )
+    cfg = _config(WeightSolverConfig, vars(args))
     lines, numbers = _read_nonblank(args.distances)
     if not lines:
         raise DataError(f"no distance vectors in {args.distances}")
@@ -142,17 +142,13 @@ def _cmd_train(args) -> tuple[list, int, dict]:
     except ValueError:
         message = f"--hidden must be comma-separated integers, got {args.hidden!r}"
         raise ConfigError(message) from None
-    loss_cfg = LossConfig(beta=args.beta, gamma=args.gamma, lam=args.lam)
-    solver_cfg = WeightSolverConfig(
-        lam=args.lam, eta=args.eta, beta=args.beta, gradient_mode=args.gradient_mode
-    )
     cfg = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch,
         lr0=args.lr,
         hidden=hidden,
-        loss=loss_cfg,
-        solver=solver_cfg,
+        loss=_config(LossConfig, vars(args)),
+        solver=_config(WeightSolverConfig, vars(args)),
         weight_mode=args.weight_mode,
         seed=seed,
     )

@@ -10,6 +10,7 @@ how much of that label is in the sample" is a measurable question.
 import itertools
 import math
 import os
+import re
 import stat
 import warnings
 from collections import Counter
@@ -216,21 +217,24 @@ def save_dataset(path, data: Dataset) -> None:
 
 def _read_header(fh, header, minimums, line=1) -> list:
     """The fields of the next line of ``fh``, line ``line`` of its file,
-    named by ``header``; those in ``minimums`` are integers no smaller
-    than their entry."""
+    named by ``header``; those in ``minimums`` are read by _header_int."""
     fields = fh.readline().split()
     names = header.split()
     if len(fields) != len(names):
         raise ParseError(f"expected header '{header}'", line=line)
-    for i, name in enumerate(names):
-        if name in minimums:
-            try:
-                fields[i] = int(fields[i])
-            except ValueError:
-                raise ParseError(f"non-integer header field {name}", line=line) from None
-            if fields[i] < minimums[name]:
-                raise ParseError(f"header needs {name} >= {minimums[name]}", line=line)
-    return fields
+    return [
+        _header_int(field, name, minimums[name], line) if name in minimums else field
+        for field, name in zip(fields, names)
+    ]
+
+
+def _header_int(text, name, minimum, line) -> int:
+    """Header field ``name``, written ``text`` on line ``line``, read as
+    the writers write an integer: plain ASCII decimal, with no sign, no
+    leading zero and no ``_``, and at least ``minimum``."""
+    if not re.fullmatch("0|[1-9][0-9]*", text) or int(text) < minimum:
+        raise ParseError(f"header field {name} must be a decimal integer >= {minimum}", line=line)
+    return int(text)
 
 
 def _take_lines(fh, count, taken, total) -> list[str]:
@@ -376,17 +380,18 @@ def load_dataset(path) -> Dataset:
         # Every sample that parses takes 2D + M + 3 bytes or more (one less
         # at the end of the file), so a regular file holds no more samples
         # than this; a larger N is a short file, which raises before the
-        # rows past it are filled. A pipe's size is unknown: N is taken as
-        # given.
-        rows = n
-        status = os.fstat(fh.fileno())
-        if stat.S_ISREG(status.st_mode):
-            rows = min(n, (status.st_size + 1) // (2 * d + m + 2))
+        # rows past it are filled. A pipe's size is unknown: its columns
+        # grow with the samples read, doubling up to N.
+        info = os.fstat(fh.fileno())
+        rows = min(n, (info.st_size + 1) // (2 * d + m + 2)) if stat.S_ISREG(info.st_mode) else 0
         features, labels = np.empty((rows, d)), np.empty((rows, m), dtype=np.int8)
         proportions, given = np.empty((rows, m)), np.empty(rows, dtype=bool)
-        columns = (features, labels, proportions, given)
+        columns = [features, labels, proportions, given]
         for start in range(0, n, _LOAD_BLOCK):
             lines = _take_lines(fh, 3 * min(_LOAD_BLOCK, n - start), 1 + 3 * start, 1 + 3 * n)
+            if start + len(lines) // 3 > rows:  # a pipe; np.resize keeps the rows read
+                rows = min(n, max(2 * rows, start + len(lines) // 3))
+                columns = [np.resize(column, (rows, *column.shape[1:])) for column in columns]
             _parse_samples(lines, start, columns)
         _check_rest_blank(fh, "more rows than header field N declares", 2 + 3 * n)
     return Dataset(*columns)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .centers import HashCenterSet
-from .data import Dataset, _check_rest_blank, _parse_rows, _read_header, _take_lines
+from .data import Dataset, _check_rest_blank, _header_int, _parse_rows, _read_header, _take_lines
 from .errors import ConfigError, DataError, ParseError, check_int
 from .loss import (
     CODE_EPS,
@@ -316,17 +316,16 @@ def save_checkpoint(path, params: EncoderParams, k_bits: int, m_labels: int, see
 
 def load_checkpoint(path):
     """Returns (params, meta) with meta = {k_bits, m_labels, seed}. The
-    layer sizes, k_bits (the last size) and m_labels must be at least 1,
-    seed at least 0; only blank lines may follow the last bias row."""
+    header integers are plain decimal, as save_checkpoint writes them: the
+    layer sizes, k_bits (the last size) and m_labels at least 1, seed at
+    least 0. Only blank lines may follow the last bias row."""
     with open(path) as fh:
         if fh.readline().rstrip("\n") != _CKPT_MAGIC:
             raise ParseError("not an encoder checkpoint", line=1)
         tag, *fields = fh.readline().split() or [None]
         if tag != "sizes" or len(fields) < 2:
             raise ParseError("expected 'sizes' and at least two layer sizes", line=2)
-        sizes = _parse_rows([" ".join(fields)], [2], len(fields), np.int64)[0].tolist()
-        if min(sizes) < 1:
-            raise ParseError("layer sizes must be at least 1", line=2)
+        sizes = [_header_int(field, "sizes", 1, 2) for field in fields]
         meta = {}
         for line, (key, minimum) in enumerate((("k_bits", 1), ("m_labels", 1), ("seed", 0)), 3):
             name, meta[key] = _read_header(fh, f"{key} {key.upper()}", {key.upper(): minimum}, line)

@@ -332,10 +332,12 @@ def _projected_steps(d, mask, w, cfg: WeightSolverConfig, traced):
     return w, iterations, history
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _root_weights(d, mask, w, cfg: WeightSolverConfig, traced):
     """Exact mode: every row's minimizer by safeguarded Newton on its
     optimality root. ``d`` is zero off the mask and the rows of ``w``
-    (on the simplex) seed the first guess s = sigmoid(beta w.d)."""
+    (on the simplex) seed the first guess s = sigmoid(beta w.d). Widely
+    spread distances overflow unreported; zero weights leave the variance."""
     history = [_row_objectives(w, d, mask, cfg)] if traced else None
     d_min = np.where(mask, d, np.inf).min(axis=1, keepdims=True)
     if cfg.lam == 0:
@@ -344,7 +346,7 @@ def _root_weights(d, mask, w, cfg: WeightSolverConfig, traced):
         if traced:
             history.append(_row_objectives(w, d, mask, cfg))
         return w, np.ones(len(d), dtype=np.int64), history
-    gap, beta2 = np.where(mask, d - d_min, 0.0), cfg.beta**2
+    gap, beta2 = np.where(mask, d - d_min, 0.0), np.float64(cfg.beta) ** 2  # may be inf
 
     def weights_at(s):
         # dividing by lam (not multiplying by beta / lam) keeps a
@@ -354,7 +356,7 @@ def _root_weights(d, mask, w, cfg: WeightSolverConfig, traced):
         return e / e.sum(axis=1, keepdims=True)
 
     def sigmoid(x):
-        # x = beta * w.d >= 0, so exp(-x) cannot overflow: no errstate
+        # x = beta * w.d >= 0, so exp(-x) cannot overflow
         return 1.0 / (1.0 + np.exp(-x))
 
     lo, hi = np.full(len(d), 0.5), np.ones(len(d))
@@ -369,7 +371,7 @@ def _root_weights(d, mask, w, cfg: WeightSolverConfig, traced):
         g = s - sig
         lo = np.where(g < 0, s, lo)
         hi = np.where(g > 0, s, hi)
-        variance = (w * (d - omega[:, None]) ** 2).sum(axis=1)
+        variance = np.where(w > 0, w * (d - omega[:, None]) ** 2, 0.0).sum(axis=1)
         newton = s - g / (1.0 + sig * (1.0 - sig) * beta2 * variance / cfg.lam)
         inside = (lo < newton) & (newton < hi)
         s_next = np.where(g == 0, s, np.where(inside, newton, 0.5 * (lo + hi)))

@@ -223,7 +223,42 @@ class TestSolveWeightsCommand:
             assert int(row["iterations"]) == result.iterations, row["sample"]
             assert row["weights"] == ";".join("%.17g" % v for v in result.w), row["sample"]
 
+    def test_every_solver_flag_reaches_the_solve(self, tmp_path):
+        rng = np.random.default_rng(4)
+        vectors = [rng.uniform(0.0, 8.0, size=width) for width in (2, 3, 5, 8)]
+        distances = tmp_path / "d.txt"
+        distances.write_text("".join(" ".join(f"{v:.17g}" for v in d) + "\n" for d in vectors))
+
+        def solve(*flags):
+            out = tmp_path / "w.csv"
+            assert run(["solve-weights", "--distances", distances, "--out", out, *flags]) == 0
+            with open(out, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            return [int(row["iterations"]) for row in rows], [row["weights"] for row in rows]
+
+        paper_iterations, paper_weights = solve("--gradient-mode", "paper")
+        assert min(paper_iterations) > 1
+        assert solve("--gradient-mode", "paper", "--max-iters", "1")[0] == [1] * 4
+        assert solve("--gradient-mode", "paper", "--tol", "1e300")[0] == [1] * 4
+        for flag, value in (("--eta", "0.5"), ("--lambda", "0.5"), ("--gradient-mode", "exact")):
+            assert solve("--gradient-mode", "paper", flag, value)[1] != paper_weights, flag
+        exact_weights = solve("--gradient-mode", "exact")[1]
+        assert solve("--gradient-mode", "exact", "--beta", "0.5")[1] != exact_weights
+
+
 class TestTrainCommand:
+    @pytest.mark.parametrize("header", ["1_0 8 4", "060 8 4", "+60 8 4", "60 \uff18 4"])
+    def test_dataset_header_integer_not_as_written_is_data_error(self, workdir, capsys, header):
+        tmp_path, data, centers = workdir
+        lines = data.read_text().splitlines()
+        assert lines[0] == "60 8 4"
+        data.write_text("\n".join([header, *lines[1:]]) + "\n")
+        code = run(["train", "--data", data, "--centers", centers, "--out-prefix",
+                    tmp_path / "plain", "--epochs", 1, "--hidden", "8", "--seed", 1])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: line 1: header field ")
+        assert not (tmp_path / "plain.ckpt").exists()
+
     def test_toy_training_run(self, workdir):
         tmp_path, data, centers = workdir
         prefix = tmp_path / "run"
@@ -556,10 +591,15 @@ class TestEvalCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: {role} have {problem}\n"
 
-    @pytest.mark.parametrize("old, new", [("m_labels 4", "m_labels -3"), ("seed 3", "seed -7")])
+    @pytest.mark.parametrize(
+        "old, new",
+        [("m_labels 4", "m_labels -3"), ("seed 3", "seed -7"), ("k_bits 16", "k_bits 016"),
+         ("seed 3", "seed -0")],
+    )
     def test_checkpoint_header_out_of_range_is_a_data_error(self, workdir, capsys, old, new):
         # m_labels -3 used to load and fail as a config error about M; seed
-        # -7 loaded and reached the manifest
+        # -7 loaded and reached the manifest; k_bits 016 and seed -0 loaded
+        # as 16 and 0, spelled as save_checkpoint never writes them
         tmp_path, data, centers = workdir
         prefix = tmp_path / "model"
         run(["train", "--data", data, "--centers", centers, "--out-prefix", prefix,
@@ -570,7 +610,7 @@ class TestEvalCommand:
         code = run(["eval", "--checkpoint", ckpt, "--queries", data, "--database", data,
                     "--out", tmp_path / "m.json"])
         assert code == 3
-        line = 4 if new.startswith("m_labels") else 5
+        line = {"k_bits": 3, "m_labels": 4, "seed": 5}[new.split()[0]]
         assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
     def test_trained_model_beats_random_parameters(self, workdir):

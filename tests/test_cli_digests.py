@@ -1,17 +1,18 @@
 """Every CLI output pinned by its SHA-256.
 
-One child interpreter, working in a temporary directory with relative
-paths, writes small fixed inputs and runs every command through
-``icshash.cli.main``: ``centers`` in all three strategies,
-``solve-weights`` in both gradient modes, ``train`` in both weight modes
-and both gradient modes, ``eval --dump-codes`` and ``weight-report``,
-and it writes the ``--help`` of the program and of each command, at 80
-columns, to ``help*.txt``. The digest of every file it leaves, inputs
-included, and of every manifest without its ``wall_clock_seconds``
-line, must equal the one in ``tests/cli_digests.json``. The digests
-depend on the numpy build and, for the help texts, on the Python
-version's argparse, which the file records. A change that moves an
-output on purpose regenerates the file with
+One child interpreter, run with ``-W error`` so that a warning fails
+it, works in a temporary directory with relative paths. It writes small
+fixed inputs and runs every command through ``icshash.cli.main``:
+``centers`` in all three strategies, ``solve-weights`` in both gradient
+modes, ``train`` in both weight modes and both gradient modes, ``eval
+--dump-codes`` and ``weight-report``, and it writes the ``--help`` of
+the program and of each command, at 80 columns, to ``help*.txt``. The
+digest of every file it leaves, inputs included, and of every manifest
+without its ``wall_clock_seconds`` line, must equal the one in
+``tests/cli_digests.json``. The digests depend on the numpy build and,
+for the help texts, on the Python version's argparse, which the file
+records. A change that moves an output on purpose regenerates the file
+with
 
     PYTHONPATH=src python tests/test_cli_digests.py
 
@@ -98,9 +99,8 @@ def cli_digests() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     with tempfile.TemporaryDirectory() as workdir:
-        result = subprocess.run(
-            [sys.executable, "-c", SCRIPT], cwd=workdir, env=env, capture_output=True, text=True
-        )
+        argv = [sys.executable, "-W", "error", "-c", SCRIPT]  # a warning fails the run
+        result = subprocess.run(argv, cwd=workdir, env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
 

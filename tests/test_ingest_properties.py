@@ -46,8 +46,12 @@ COUNTS = st.integers(1, 5)
 WIDTHS = st.integers(1, 140)
 
 # Tokens that neither int() nor float() reads; "1_0" is read by both,
-# but not by the block parser, so it is only put into value rows.
+# but by no loader, so it is added to the corruptions of every line.
 NOT_A_NUMBER = ["x", "#", "0x1", "1.5e"]
+
+# Integers that int() reads but no writer writes: a leading zero, a
+# sign, a negative zero, a digit separator and a full-width digit.
+NOT_AS_WRITTEN = ["07", "+7", "-0", "1_0", "\uff12"]
 
 # Corruptions that each kind of line must report.
 CORRUPTIONS = {
@@ -148,7 +152,7 @@ def corrupt(line, line_kind, how, draw):
     else:
         sep = "," if line_kind.startswith("csv") else " "
         tokens = line.split(sep)
-        bad = NOT_A_NUMBER + (["1_0"] if line_kind != "header" else [])
+        bad = NOT_A_NUMBER + ["1_0"]
     i = draw(st.integers(0, len(tokens) - 1))
     if how == "drop":
         del tokens[i]
@@ -446,6 +450,22 @@ def test_dataset_read_from_a_pipe(workdir):
         os.close(read_end)
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_piped_header_count_past_what_the_pipe_holds_is_a_short_file():
+    # the columns of a pipe grow with the samples read, so an N of 10**13
+    # is named at the first missing line rather than allocated
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "w") as fh:
+        fh.write(f"{10**13} 1 1\n0.5\n1\n-\n")
+    try:
+        with pytest.raises(ParseError) as exc_info:
+            load_dataset(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert exc_info.value.line == 5
+    assert f"expected {3 * 10**13 + 1} lines, found 4" in str(exc_info.value)
+
+
 def test_only_newlines_end_a_dataset_line(workdir):
     # str.splitlines() also breaks at \v \f \x1c-\x1e \x85 \u2028 \u2029;
     # the loader reads lines from the file, which ends them at \n, \r\n or
@@ -564,11 +584,22 @@ def test_cut_table_names_its_first_missing_line(workdir, fmt, n, width):
 
 @pytest.mark.parametrize(
     "line_no, text",
-    [(2, "sizes 0 2"), (3, "k_bits 0"), (4, "m_labels 0"), (4, "m_labels -3"), (5, "seed -1")],
+    [
+        (2, "sizes 0 2"),
+        (3, "k_bits 0"),
+        (4, "m_labels 0"),
+        (4, "m_labels -3"),
+        (5, "seed -1"),
+        (2, "sizes 03 +2"),
+        (3, "k_bits 02"),
+        (5, "seed -0"),
+    ],
 )
 def test_checkpoint_header_out_of_range_is_named(workdir, line_no, text):
     # every header field has the bounds of the other formats' headers:
-    # sizes and k_bits >= 1, m_labels >= 1, seed >= 0
+    # sizes and k_bits >= 1, m_labels >= 1, seed >= 0; and their rule: the
+    # last three spell the values save_checkpoint wrote, 3 2, 2 and 0,
+    # in a way it never writes them
     path = workdir / "bounds.ckpt"
     save_checkpoint(path, init_params([3, 2], np.random.default_rng(0)), 2, 3, 0)
     lines = path.read_text().splitlines()
@@ -578,3 +609,40 @@ def test_checkpoint_header_out_of_range_is_named(workdir, line_no, text):
     with pytest.raises(ParseError) as exc_info:
         load_checkpoint(path)
     assert exc_info.value.line == line_no
+
+
+@pytest.mark.parametrize(
+    "fmt, line_no, field, name",
+    [
+        ("dataset", 1, 0, "N"),
+        ("dataset", 1, 1, "D"),
+        ("dataset", 1, 2, "M"),
+        ("centers", 1, 0, "K"),
+        ("centers", 1, 1, "M"),
+        ("centers", 1, 3, "seed"),
+        ("codes", 1, 0, "N"),
+        ("codes", 1, 1, "K"),
+        ("checkpoint", 2, 1, "sizes"),
+        ("checkpoint", 2, 3, "sizes"),
+        ("checkpoint", 3, 1, "K_BITS"),
+        ("checkpoint", 4, 1, "M_LABELS"),
+        ("checkpoint", 5, 1, "SEED"),
+    ],
+)
+@pytest.mark.parametrize("text", NOT_AS_WRITTEN)
+def test_header_integer_not_written_as_plain_decimal_is_named(
+    workdir, fmt, line_no, field, name, text
+):
+    # each header integer is read as the writers write it, whatever int()
+    # or numpy would also read
+    path = workdir / f"plain_{fmt}"
+    _, load = MAKERS[fmt](np.random.default_rng(0), path, 2, 3)
+    lines = path.read_text().splitlines()
+    fields = lines[line_no - 1].split()
+    fields[field] = text
+    lines[line_no - 1] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc_info:
+        load()
+    assert exc_info.value.line == line_no
+    assert f"header field {name} " in str(exc_info.value)

@@ -808,6 +808,44 @@ class TestExactSolveBitForBit:
                 assert out.tobytes() == reference_projection(rows, mask).tobytes()
 
 
+class TestWidelySpreadDistances:
+    """Finite distances too far apart to square or divide without
+    overflow: the exact solve reports no warning (the suite turns one
+    into an error) and a far center costs no extra Newton steps."""
+
+    def test_a_far_center_takes_the_steps_of_a_near_one(self):
+        cfg = WeightSolverConfig(lam=4.0, beta=1.0, gradient_mode="exact")
+        far, near = solve_weights([0.0, 1e200, 5.0], cfg), solve_weights([0.0, 1e154, 5.0], cfg)
+        assert far.iterations == near.iterations == 4
+        assert far.w.tobytes() == near.w.tobytes()
+        assert far.w[1] == 0.0
+        np.testing.assert_allclose(far.w[[0, 2]], exact_optimum(np.array([0.0, 5.0]), 4.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "d, lam, beta",
+        [
+            ([0.0, 1e9], 1e-300, 1.0),
+            ([0.0, 1.7e308], 0.01, 1.0),
+            ([1.7e308, 1.7e308, 0.0], 1e300, 1e300),
+            ([0.0, 1e200], 0.0, 1e300),
+        ],
+    )
+    def test_all_weight_on_the_nearest_center(self, d, lam, beta):
+        cfg = WeightSolverConfig(lam=lam, beta=beta, gradient_mode="exact")
+        expected = (np.asarray(d) == min(d)).astype(np.float64)
+        np.testing.assert_array_equal(solve_weights(d, cfg).w, expected)
+        batch = solve_weights_batch(np.array([d, d]), np.ones((2, len(d)), dtype=bool), cfg)
+        np.testing.assert_array_equal(batch, [expected, expected])
+
+    def test_solve_weights_command_writes_no_warning(self, tmp_path, capsys):
+        distances, out = tmp_path / "d.txt", tmp_path / "w.csv"
+        distances.write_text("0 1e200\n0 1.7e308\n")
+        argv = ["solve-weights", "--distances", str(distances), "--out", str(out)]
+        assert cli_main(argv + ["--gradient-mode", "exact"]) == 0
+        assert capsys.readouterr().err == ""
+        assert [row.split(",")[2] for row in out.read_text().splitlines()[1:]] == ["1;0", "1;0"]
+
+
 class TestProjectRowsToSimplex:
     @given(masked_batches(), st.sampled_from([1.0, 50.0]))
     @BATCH_SETTINGS
