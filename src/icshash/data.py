@@ -11,7 +11,6 @@ import itertools
 import math
 import os
 import re
-import stat
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -334,14 +333,15 @@ def _ragged_groups(lines, line_numbers, widths):
         yield at, _parse_rows([lines[i] for i in at.tolist()], numbers[at], width, np.float64)
 
 
-def _parse_samples(lines, start, columns) -> None:
+def _parse_samples(lines, start, n, columns) -> list:
     """Parse the samples in ``lines``, three lines each, the first of them
-    sample ``start``, into their rows of the features, labels,
-    proportions and has-proportions ``columns``. Each check covers the
-    whole block before the next runs: feature rows, label strings, a
-    positive label in every row, proportion rows, then finite values in
-    file order. The proportion rows are written straight into their
-    column, so the block holds no dense (rows, M) temporary."""
+    sample ``start`` of ``n``, into their rows of the features, labels,
+    proportions and has-proportions ``columns``, and return the columns,
+    grown (doubling up to n; np.resize keeps the rows read) only once
+    every line has parsed. Each check covers the whole block before the
+    next runs: feature rows, label strings, a positive label in every
+    row, proportion rows, then finite values in file order. Proportion
+    rows go straight into their column, with no (rows, M) temporary."""
     first = 3 * np.arange(start, start + len(lines) // 3) + 2  # features line
     features = _parse_rows(lines[0::3], first, columns[0].shape[1], np.float64)
     labels = _parse_bits(lines[1::3], first + 1, columns[1].shape[1])
@@ -353,8 +353,10 @@ def _parse_samples(lines, start, columns) -> None:
     at = np.flatnonzero(given)
     given_lines = list(itertools.compress(lines[2::3], given))
     groups = list(_ragged_groups(given_lines, first[at] + 2, counts[at]))
-    # every line parsed, so the block fits the columns (see load_dataset)
     block = slice(start, start + len(features))
+    if block.stop > len(columns[0]):
+        grown = min(n, max(2 * len(columns[0]), block.stop))
+        columns = [np.resize(column, (grown, *column.shape[1:])) for column in columns]
     columns[0][block], columns[1][block], columns[3][block] = features, labels, given
     proportions = columns[2][block]
     proportions[:] = 0.0
@@ -369,30 +371,25 @@ def _parse_samples(lines, start, columns) -> None:
         i, kind = np.argwhere(non_finite)[0]  # the first in file order
         what = ("feature", "proportion")[kind]
         raise ParseError(f"non-finite {what} value", line=int(first[i] + 2 * kind))
+    return columns
 
 
 def load_dataset(path) -> Dataset:
     """Read the dataset text format in blocks of _LOAD_BLOCK samples,
-    each parsed and checked whole into columns allocated once; the first
-    block with a fault raises it."""
+    each parsed and checked whole into the columns; the first block
+    with a fault raises it."""
     with open(path) as fh:
         n, d, m = _read_header(fh, "N D M", {"N": 1, "D": 1, "M": 1})
-        # Every sample that parses takes 2D + M + 3 bytes or more (one less
-        # at the end of the file), so a regular file holds no more samples
-        # than this; a larger N is a short file, which raises before the
-        # rows past it are filled. A pipe's size is unknown: its columns
-        # grow with the samples read, doubling up to N.
-        info = os.fstat(fh.fileno())
-        rows = min(n, (info.st_size + 1) // (2 * d + m + 2)) if stat.S_ISREG(info.st_mode) else 0
-        features, labels = np.empty((rows, d)), np.empty((rows, m), dtype=np.int8)
-        proportions, given = np.empty((rows, m)), np.empty(rows, dtype=bool)
-        columns = [features, labels, proportions, given]
+        # A sample that parses takes 2D + M + 3 bytes or more (one less at
+        # the end of the file), so the columns start with the samples the
+        # input's size can hold, none for a pipe (size 0), and grow only
+        # with samples that have parsed (see _parse_samples).
+        rows = min(n, (os.fstat(fh.fileno()).st_size + 1) // (2 * d + m + 2))
+        columns = [np.empty((rows, d)), np.empty((rows, m), dtype=np.int8)]
+        columns += [np.empty((rows, m)), np.empty(rows, dtype=bool)]
         for start in range(0, n, _LOAD_BLOCK):
             lines = _take_lines(fh, 3 * min(_LOAD_BLOCK, n - start), 1 + 3 * start, 1 + 3 * n)
-            if start + len(lines) // 3 > rows:  # a pipe; np.resize keeps the rows read
-                rows = min(n, max(2 * rows, start + len(lines) // 3))
-                columns = [np.resize(column, (rows, *column.shape[1:])) for column in columns]
-            _parse_samples(lines, start, columns)
+            columns = _parse_samples(lines, start, n, columns)
         _check_rest_blank(fh, "more rows than header field N declares", 2 + 3 * n)
     return Dataset(*columns)
 

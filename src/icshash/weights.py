@@ -309,10 +309,11 @@ def _solve_rows(d, mask, cfg, w_init, traced):
     return w, iterations, np.array(history) if traced else None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _projected_steps(d, mask, w, cfg: WeightSolverConfig, traced):
     """Paper mode: the printed projected step on every active row; a row
     leaves the active set once its relative objective change drops below
-    ``tol``."""
+    ``tol``, which a NaN change (F overflowed to inf, unreported) never does."""
     f = _row_objectives(w, d, mask, cfg)
     history = [f.copy()] if traced else None
     iterations = np.zeros(len(d), dtype=np.int64)
@@ -326,7 +327,7 @@ def _projected_steps(d, mask, w, cfg: WeightSolverConfig, traced):
         iterations[active] += 1
         if traced:
             history.append(f.copy())
-        active = active[rel >= cfg.tol]
+        active = active[~(rel < cfg.tol)]
         if active.size == 0:
             break
     return w, iterations, history

@@ -259,6 +259,29 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("error: line 1: header field ")
         assert not (tmp_path / "plain.ckpt").exists()
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/stdin")
+    @pytest.mark.parametrize("piped", [False, True], ids=["file", "pipe"])
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("1 1000000000000 1", "line 2: expected 1000000000000 values, found 1"),
+            ("1 1 1000000000000", "line 3: expected a 0/1 string of 1000000000000 characters"),
+        ],
+    )
+    def test_dataset_header_width_past_its_lines_is_data_error(self, workdir, piped, header, message):
+        # named at its line with exit 3, not a numpy allocation traceback
+        tmp_path, data, centers = workdir
+        text = f"{header}\n0.5\n1\n-\n"
+        data.write_text(text)
+        argv = [sys.executable, "-W", "error", "-m", "icshash.cli", "train", "--data",
+                "/dev/stdin" if piped else str(data), "--centers", str(centers),
+                "--out-prefix", str(tmp_path / "wide")]  # fmt: skip
+        result = subprocess.run(
+            argv, input=text if piped else "", capture_output=True, text=True, env=src_env()
+        )
+        assert (result.returncode, result.stderr) == (3, f"error: {message}\n")
+        assert not (tmp_path / "wide.ckpt").exists()
+
     def test_toy_training_run(self, workdir):
         tmp_path, data, centers = workdir
         prefix = tmp_path / "run"

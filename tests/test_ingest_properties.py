@@ -466,6 +466,105 @@ def test_piped_header_count_past_what_the_pipe_holds_is_a_short_file():
     assert f"expected {3 * 10**13 + 1} lines, found 4" in str(exc_info.value)
 
 
+# A header width no row can hold: 10**12 float64 values take 7.28 TiB.
+HUGE = 10**12
+
+
+@contextlib.contextmanager
+def dataset_source(kind, workdir, text):
+    """The path of a regular file or of a pipe that holds ``text``."""
+    if kind == "file":
+        path = workdir / "source"
+        path.write_text(text)
+        yield path
+        return
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "w") as fh:
+        fh.write(text)  # a few bytes: fits the pipe buffer
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("kind", ["file", "pipe"])
+@pytest.mark.parametrize(
+    "header, line_no, message",
+    [
+        (f"1 {HUGE} 1", 2, f"expected {HUGE} values, found 1"),
+        (f"1 1 {HUGE}", 3, f"expected a 0/1 string of {HUGE} characters"),
+    ],
+)
+def test_dataset_header_width_past_what_the_lines_hold_is_named(
+    workdir, kind, header, line_no, message
+):
+    # the columns grow only with samples that have parsed, so a header D
+    # or M is named at its first line rather than allocated
+    with dataset_source(kind, workdir, f"{header}\n0.5\n1\n-\n") as path:
+        with pytest.raises(ParseError) as exc_info:
+            load_dataset(path)
+    assert exc_info.value.line == line_no
+    assert message in str(exc_info.value)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_regular_file_is_allocated_once_and_a_pipe_grows(workdir, monkeypatch):
+    # a regular file's size bounds the samples it can hold, so its columns
+    # are sized once; a pipe's size reads 0, so its columns start empty
+    path = workdir / "allocated"
+    make_dataset(np.random.default_rng(4), path, 10, 5)
+    calls, resize = [], np.resize
+    monkeypatch.setattr(np, "resize", lambda *args: calls.append(args) or resize(*args))
+    with small_load_blocks():
+        assert_columns_equal(load_dataset(path), whole_file_columns(path))
+        assert calls == []
+        with dataset_source("pipe", workdir, path.read_text()) as piped:
+            assert_columns_equal(load_dataset(piped), whole_file_columns(path))
+    assert len(calls) == 4 * 3  # four columns, grown to 3, 6 and 10 rows
+
+
+@pytest.mark.parametrize(
+    "fmt, field, line_no",
+    [
+        ("dataset", 1, 2),  # D, held by each features line
+        ("dataset", 2, 3),  # M, held by each label string
+        ("centers", 0, 2),  # K, held by each center row
+        ("codes", 1, 2),  # K, held by each code
+    ],
+)
+def test_header_width_past_what_the_rows_hold_is_named(workdir, fmt, field, line_no):
+    # in every headed format a width is checked against the first row
+    # that must hold it before anything of that width is allocated
+    path = workdir / f"wide_{fmt}"
+    _, load = MAKERS[fmt](np.random.default_rng(0), path, 2, 3)
+    lines = path.read_text().splitlines()
+    fields = lines[0].split()
+    fields[field] = str(HUGE)
+    lines[0] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc_info:
+        load()
+    assert exc_info.value.line == line_no
+    assert str(HUGE) in str(exc_info.value)
+
+
+def test_checkpoint_layer_size_past_what_the_rows_hold_is_named(workdir):
+    # the tag lines agree with the sizes line, so the first weight row of
+    # the widened layer is the first line that cannot hold its width
+    path = workdir / "wide.ckpt"
+    save_checkpoint(path, init_params([3, 4, 2], np.random.default_rng(0)), 2, 3, 0)
+    text = path.read_text()
+    for old in ("sizes 3 4 2", "weight 0 3 4", "bias 0 4", "weight 1 4 2"):
+        assert old in text
+        text = text.replace(old, old.replace("4", str(HUGE)))
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc_info:
+        load_checkpoint(path)
+    assert exc_info.value.line == 7
+    assert f"expected {HUGE} values, found 4" in str(exc_info.value)
+
+
 def test_only_newlines_end_a_dataset_line(workdir):
     # str.splitlines() also breaks at \v \f \x1c-\x1e \x85 \u2028 \u2029;
     # the loader reads lines from the file, which ends them at \n, \r\n or

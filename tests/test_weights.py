@@ -846,6 +846,42 @@ class TestWidelySpreadDistances:
         assert [row.split(",")[2] for row in out.read_text().splitlines()[1:]] == ["1;0", "1;0"]
 
 
+class TestPaperModeOnOverflowingObjectives:
+    """Paper mode where beta * w.d overflows: F is inf and its relative
+    change NaN, and the row keeps stepping instead of stopping after
+    one step, with no warning (the suite turns one into an error)."""
+
+    CFG = WeightSolverConfig(beta=10.0)
+
+    @pytest.mark.parametrize("far", [1e200, 1.7e308])
+    def test_rows_step_to_the_nearest_center_as_the_reference_does(self, far):
+        d = np.array([0.0, far])
+        result = solve_weights(d, self.CFG)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, iterations, trace = paper_reference(d, self.CFG)
+        assert result.w.tobytes() == w.tobytes()
+        assert result.iterations == iterations == 30
+        np.testing.assert_array_equal(result.objective_trace, trace)
+        np.testing.assert_array_equal(result.w, [1.0, 0.0])
+        batch = solve_weights_batch(np.array([d, [1.0, 2.0]]), np.ones((2, 2), dtype=bool), self.CFG)
+        assert batch[0].tobytes() == w.tobytes()
+
+    def test_an_objective_that_is_never_finite_runs_to_max_iters(self):
+        # one center at 1.7e308: F is inf at every step, and the weight stays 1
+        result = solve_weights([1.7e308], self.CFG)
+        assert result.iterations == self.CFG.max_iters
+        np.testing.assert_array_equal(result.w, [1.0])
+        assert np.isposinf(result.objective_trace).all()
+
+    def test_solve_weights_command_writes_no_warning(self, tmp_path, capsys):
+        distances, out = tmp_path / "d.txt", tmp_path / "w.csv"
+        distances.write_text("0 1e200\n0 1.7e308\n1.7e308\n")
+        argv = ["solve-weights", "--distances", str(distances), "--out", str(out)]
+        assert cli_main(argv + ["--gradient-mode", "paper", "--beta", "10"]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().splitlines()[1:] == ["0,30,1;0", "1,30,1;0", "2,50,1"]
+
+
 class TestProjectRowsToSimplex:
     @given(masked_batches(), st.sampled_from([1.0, 50.0]))
     @BATCH_SETTINGS
