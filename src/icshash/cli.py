@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .centers import generate_centers, load_centers, min_pairwise_hamming, save_centers
 from .data import (
+    _dataset_blocks,
     _parse_rows,
     _ragged_groups,
     _read_nonblank,
@@ -42,6 +43,7 @@ from .data import (
 from .encoder import (
     WEIGHT_MODES,
     TrainConfig,
+    _forward_buffers,
     encode_binary,
     load_checkpoint,
     save_checkpoint,
@@ -50,6 +52,7 @@ from .encoder import (
 from .errors import ConfigError, DataError, EvaluationError, ParseError, ToolkitError
 from .loss import LossConfig
 from .retrieval import (
+    CodeDatabase,
     map_at_k,  # unused: perfbench/traced.py rebinds this name by getattr
     pack_database,
     precision_at_k,  # unused: perfbench/traced.py rebinds this name by getattr
@@ -95,12 +98,6 @@ def _config(cls, flags):
     """A ``cls`` config from the parsed ``flags`` (``vars(args)``) whose dest
     is one of its field names; a field without such a flag keeps its default."""
     return cls(**{f.name: flags[f.name] for f in dataclasses.fields(cls) if f.name in flags})
-
-
-def _load_dataset(path, data_format, m_labels):
-    if data_format == "csv":
-        return load_dataset_csv(path, m_labels)
-    return load_dataset(path)
 
 
 def _cmd_centers(args) -> tuple[list, int, dict]:
@@ -153,7 +150,10 @@ def _cmd_train(args) -> tuple[list, int, dict]:
         seed=seed,
     )
     center_set = load_centers(args.centers)
-    data = _load_dataset(args.data, args.data_format, center_set.m_labels)
+    if args.data_format == "csv":
+        data = load_dataset_csv(args.data, center_set.m_labels)
+    else:
+        data = load_dataset(args.data)
     state = train(data, center_set, cfg)
 
     ckpt_path = f"{args.out_prefix}.ckpt"
@@ -172,24 +172,51 @@ def _cmd_train(args) -> tuple[list, int, dict]:
     return [ckpt_path, weights_path, loss_path], seed, {"hidden": list(hidden)}
 
 
+def _encode_input(path, data_format, params, buffers, m_labels):
+    """The D and M of an ``eval`` input, its packed codes and its (N, M)
+    labels. A text file is read block by block (see _dataset_blocks): each
+    block is parsed and checked whole, then encoded and packed at once
+    when its D is the checkpoint's, and only its packed codes and labels
+    are kept. A CSV file is read whole. A D or M that does not match is
+    left for the caller to name once every input has parsed, as a fault
+    in the lines wins; such an input has no codes."""
+    d_in, k_bits = params.sizes[0], params.sizes[-1]
+    if data_format == "csv":
+        data = load_dataset_csv(path, m_labels)
+        d, labels = data.features.shape[1], data.labels
+        codes = pack_database(encode_binary(params, data.features, buffers)) if d == d_in else None
+        return d, m_labels, codes, labels
+
+    def layout(d, m):
+        return [(((k_bits + 63) // 64,), np.uint64), ((m,), np.int8)]
+
+    for (words, labels), block, (features, block_labels, _, _) in _dataset_blocks(path, layout):
+        labels[block] = block_labels
+        if features.shape[1] == d_in:
+            words[block] = pack_database(encode_binary(params, features, buffers)).words
+    d = features.shape[1]
+    return d, labels.shape[1], CodeDatabase(k_bits, words) if d == d_in else None, labels
+
+
 def _cmd_eval(args) -> tuple[list, int, dict]:
     params, meta = load_checkpoint(args.checkpoint)
     d_in, m_labels = params.sizes[0], meta["m_labels"]
-    queries = _load_dataset(args.queries, args.data_format, m_labels)
-    database = _load_dataset(args.database, args.data_format, m_labels)
-    for name, data in (("queries", queries), ("database", database)):
-        (_, d), (_, m) = data.features.shape, data.labels.shape
+    buffers = _forward_buffers(params)
+    inputs = {
+        name: _encode_input(path, args.data_format, params, buffers, m_labels)
+        for name, path in (("queries", args.queries), ("database", args.database))
+    }
+    for name, (d, m, _, _) in inputs.items():
         if d != d_in:
             raise ConfigError(f"{name} have D={d} features but the checkpoint expects D={d_in}")
         if m != m_labels:
             raise ConfigError(f"{name} have M={m} labels but the checkpoint expects M={m_labels}")
-    query_codes = pack_database(encode_binary(params, queries.features))
-    db_codes = pack_database(encode_binary(params, database.features))
+    (_, _, query_codes, query_labels), (_, _, db_codes, db_labels) = inputs.values()
     metrics = {
-        **retrieval_metrics(query_codes, queries.labels, db_codes, database.labels, args.k),
+        **retrieval_metrics(query_codes, query_labels, db_codes, db_labels, args.k),
         "k": args.k,
-        "n_queries": len(queries),
-        "n_database": len(database),
+        "n_queries": len(query_labels),
+        "n_database": len(db_labels),
     }
     _write_json(args.out, metrics)
     outputs = [args.out]

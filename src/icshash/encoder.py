@@ -27,7 +27,6 @@ from .loss import (
 )
 from .weights import (
     WeightSolverConfig,
-    _sigmoid,
     solve_weights,  # unused: perfbench/traced.py rebinds this name by getattr
     solve_weights_batch,
 )
@@ -39,7 +38,7 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.99, 1e-8
 _LR_DECAY_EVERY, _LR_DECAY_FACTOR = 30, 10.0
 
 # Rows per forward pass of encode_binary: its float64 activations are
-# O(_ENCODE_BLOCK) rows however large the feature matrix.
+# buffers of _ENCODE_BLOCK rows however large the feature matrix.
 _ENCODE_BLOCK = 1024
 
 
@@ -85,26 +84,47 @@ def init_params(sizes, rng: "np.random.Generator") -> EncoderParams:
     return EncoderParams(weights, biases)
 
 
+def _forward(params: EncoderParams, x: np.ndarray, buffers=None):
+    """Forward pass over a (N, D) float64 batch: the per-layer inputs and
+    the raw sigmoid outputs (N, K). Each layer's output is a fresh array
+    or, with ``buffers`` (see _forward_buffers), the first N rows of its
+    layer's buffer; both are computed in place in one order, so they hold
+    the same bits."""
+    d = params.sizes[0]
+    if x.shape[1] != d:
+        raise ValueError(f"feature dimension {x.shape[1]} does not match D={d}")
+    inputs, a = [], x
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        inputs.append(a)
+        a = np.matmul(a, w, out=None if buffers is None else buffers[l][: len(x)])
+        a += b
+        if l < params.n_layers() - 1:
+            np.maximum(a, 0.0, out=a)
+    # 1 / (1 + exp(-z)); below z of about -709.78 the exp overflows to inf
+    # and the output is 0.0, which is expected, so it is not reported
+    with np.errstate(over="ignore"):
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        np.add(a, 1.0, out=a)
+        np.divide(1.0, a, out=a)
+    return inputs, a
+
+
+def _forward_buffers(params: EncoderParams, rows=None) -> list[np.ndarray]:
+    """One (rows, width) float64 buffer per layer for _forward, rows
+    defaulting to _ENCODE_BLOCK."""
+    rows = _ENCODE_BLOCK if rows is None else rows
+    return [np.empty((rows, width)) for width in params.sizes[1:]]
+
+
 def forward_batch(params: EncoderParams, x: np.ndarray):
     """Forward pass over a (N, D) batch.
 
     Returns the clamped codes (N, K) and the cache needed by
     backward_batch: per-layer inputs, plus the raw sigmoid outputs.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    d = params.sizes[0]
-    if x.shape[1] != d:
-        raise ValueError(f"feature dimension {x.shape[1]} does not match D={d}")
-    inputs = []
-    a = x
-    last = params.n_layers() - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        inputs.append(a)
-        z = a @ w + b
-        a = _sigmoid(z) if l == last else np.maximum(z, 0.0)
-    sig = a
-    codes = np.clip(sig, CODE_EPS, 1.0 - CODE_EPS)
-    return codes, (inputs, sig)
+    inputs, sig = _forward(params, np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    return np.clip(sig, CODE_EPS, 1.0 - CODE_EPS), (inputs, sig)
 
 
 def backward_batch(params: EncoderParams, cache, grad_codes: np.ndarray):
@@ -281,14 +301,23 @@ def binarize(b) -> np.ndarray:
     return codes
 
 
-def encode_binary(params: EncoderParams, features) -> np.ndarray:
+def encode_binary(params: EncoderParams, features, buffers=None) -> np.ndarray:
     """Binarized codes, (N, K) int8, for a feature matrix, from one
-    forward pass per block of _ENCODE_BLOCK rows."""
+    forward pass per block of _ENCODE_BLOCK rows, each into the same
+    float64 buffers: ``buffers`` from _forward_buffers, for a caller that
+    encodes many matrices, or buffers allocated once per call. The codes
+    are binarize's of forward_batch's, bit for bit: its clamp to
+    [CODE_EPS, 1 - CODE_EPS] moves no output across 0.5, so it is skipped."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    if buffers is None:
+        buffers = _forward_buffers(params, min(len(x), _ENCODE_BLOCK))
     codes = np.empty((len(x), params.sizes[-1]), dtype=np.int8)
     for start in range(0, max(len(x), 1), _ENCODE_BLOCK):  # N = 0 still checks D
         rows = slice(start, start + _ENCODE_BLOCK)
-        codes[rows] = binarize(forward_batch(params, x[rows])[0])
+        out = codes[rows]
+        np.greater_equal(_forward(params, x[rows], buffers)[1], 0.5, out=out)
+        out *= 2
+        out -= 1
     return codes
 
 

@@ -15,13 +15,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import icshash.data
+import icshash.encoder
 import icshash.retrieval
 from icshash import (
     Dataset,
     MultiLabelSample,
+    ParseError,
     SyntheticSpec,
     TrainConfig,
     WeightSolverConfig,
+    encode_binary,
     features_matrix,
     generate_centers,
     generate_synthetic,
@@ -266,6 +270,8 @@ class TestTrainCommand:
         [
             ("1 1000000000000 1", "line 2: expected 1000000000000 values, found 1"),
             ("1 1 1000000000000", "line 3: expected a 0/1 string of 1000000000000 characters"),
+            (f"1 {2**60} 1", f"line 2: expected {2**60} values, found 1"),
+            (f"1 1 {2**62}", f"line 3: expected a 0/1 string of {2**62} characters"),
         ],
     )
     def test_dataset_header_width_past_its_lines_is_data_error(self, workdir, piped, header, message):
@@ -657,6 +663,100 @@ class TestEvalCommand:
             scores[name] = json.loads(out.read_text())["map_at_k"]
         assert scores["trained"] > scores["random"]
 
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        # several load and encode blocks in the 60-sample workdir data
+        monkeypatch.setattr(icshash.data, "_LOAD_BLOCK", 7)
+        monkeypatch.setattr(icshash.encoder, "_ENCODE_BLOCK", 3)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_streamed_codes_are_the_loaded_features_codes(self, workdir, small_blocks):
+        # each block is encoded as it parses, from a file or a pipe (whose
+        # columns grow with the samples read); the codes are those of the
+        # whole loaded feature column
+        tmp_path, data, _ = workdir
+        params = init_params([8, 16, 16], np.random.default_rng(1))
+        save_checkpoint(tmp_path / "model.ckpt", params, 16, 4, 0)
+        loaded = load_dataset(data)
+        expected = icshash.retrieval.pack_database(encode_binary(params, loaded.features))
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w") as fh:
+            fh.write(data.read_text())  # a few KiB: fits the pipe buffer
+        try:
+            for name, database in (("file", data), ("pipe", f"/dev/fd/{read_end}")):
+                assert run(["eval", "--checkpoint", tmp_path / "model.ckpt", "--queries", data,
+                            "--database", database, "--k", 5, "--out", tmp_path / f"{name}.json",
+                            "--dump-codes", tmp_path / name]) == 0
+                for role in ("queries", "database"):
+                    codes = load_codes(tmp_path / f"{name}.{role}.txt")
+                    np.testing.assert_array_equal(codes.words, expected.words)
+        finally:
+            os.close(read_end)
+        assert (tmp_path / "file.json").read_text() == (tmp_path / "pipe.json").read_text()
+
+    @pytest.mark.parametrize("role", ["queries", "database"])
+    @pytest.mark.parametrize("proportions", ["nan", "0.25 inf", "0.5 x", "0.5 0.5 0.5", ""])
+    def test_a_bad_proportions_line_fails_at_its_line(
+        self, workdir, capsys, small_blocks, role, proportions
+    ):
+        # eval keeps no proportions but still parses and checks each line,
+        # here in the sixth load block, as load_dataset does
+        tmp_path, data, _ = workdir
+        save_checkpoint(tmp_path / "model.ckpt", init_params([8, 16], np.random.default_rng(0)),
+                        16, 4, 0)  # fmt: skip
+        lines = data.read_text().splitlines()
+        line_no = 3 * 40 + 4  # sample 40's proportions line
+        assert lines[line_no - 1] != "-"
+        lines[line_no - 1] = proportions
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_dataset(bad)
+        assert exc_info.value.line == line_no
+        files = {"queries": data, "database": data, role: bad}
+        assert run(["eval", "--checkpoint", tmp_path / "model.ckpt", "--queries", files["queries"],
+                    "--database", files["database"], "--out", tmp_path / "m.json"]) == 3
+        assert capsys.readouterr().err == f"error: {exc_info.value}\n"
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (f"1 {2**62} 4", f"line 2: expected {2**62} values, found 8"),
+            (f"1 8 {2**60}", f"line 3: expected a 0/1 string of {2**60} characters"),
+        ],
+    )
+    def test_an_input_header_width_past_its_lines_is_named(self, workdir, capsys, header, message):
+        # eval's codes and labels, like load_dataset's columns, are
+        # allocated only once a block has parsed
+        tmp_path, data, _ = workdir
+        save_checkpoint(tmp_path / "model.ckpt", init_params([8, 16], np.random.default_rng(0)),
+                        16, 4, 0)  # fmt: skip
+        wide = tmp_path / "wide.txt"
+        wide.write_text("\n".join([header, *data.read_text().splitlines()[1:4]]) + "\n")
+        assert run(["eval", "--checkpoint", tmp_path / "model.ckpt", "--queries", data,
+                    "--database", wide, "--out", tmp_path / "m.json"]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("off_shape", ["queries", "database"])
+    def test_a_bad_row_after_a_d_mismatch_wins(self, workdir, capsys, small_blocks, off_shape):
+        # as when eval loaded both inputs whole before checking their shapes,
+        # a fault in a later line of either file is named, not the D that
+        # does not match the checkpoint
+        tmp_path, data, _ = workdir
+        save_checkpoint(tmp_path / "model.ckpt", init_params([8, 16], np.random.default_rng(0)),
+                        16, 4, 0)  # fmt: skip
+        narrow = tmp_path / "narrow.txt"
+        save_dataset(narrow, generate_synthetic(SyntheticSpec(30, 5, 4, seed=2)))
+        lines = data.read_text().splitlines()
+        lines[3 * 50 + 1] = "1 2 3"  # sample 50's features line, line 152
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        files = {"queries": bad, "database": bad, off_shape: narrow}
+        assert run(["eval", "--checkpoint", tmp_path / "model.ckpt", "--queries", files["queries"],
+                    "--database", files["database"], "--out", tmp_path / "m.json"]) == 3
+        assert capsys.readouterr().err == "error: line 152: expected 8 values, found 3\n"
+
     def test_csv_data_format(self, workdir):
         tmp_path, data, centers = workdir
         from icshash import load_dataset
@@ -687,10 +787,11 @@ class TestEvalCommand:
 
 
 class TestEvalMemory:
-    def test_traced_peak_is_the_columns_plus_the_block_buffers(self, tmp_path):
-        # eval streams each stage through fixed-size blocks, so its traced
-        # peak is the loaded columns plus the ranking's block buffers; one
-        # float64 forward pass over all N rows pushes it past this bound
+    def test_traced_peak_is_the_codes_and_labels_plus_one_stage(self, tmp_path):
+        # eval keeps only each input's packed codes and int8 labels; while
+        # reading, one block of lines and its parse and forward buffers are
+        # held, then the ranking's block buffers. Holding the loaded
+        # dataset columns (10 MB here) pushes the peak past this bound
         n, q, d, m, k_bits = 10_000, 200, 32, 80, 64
         data = generate_synthetic(SyntheticSpec(n + q, d, m, seed=3))
         save_dataset(tmp_path / "queries.txt", data[:q])
@@ -708,12 +809,17 @@ class TestEvalMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        columns = (n + q) * (8 * d + 9 * m + 1)  # features, labels, proportions, flags
+        codes_and_labels = (n + q) * (8 * (k_bits // 64) + m)  # uint64 words, int8 labels
+        # as test_loading_holds_the_columns_and_one_block_of_lines bounds a block
+        block_text = (tmp_path / "database.txt").stat().st_size * icshash.data._LOAD_BLOCK / n
+        forward = 8 * icshash.encoder._ENCODE_BLOCK * (64 + k_bits)
+        one_block = 4 * block_text + forward
         key_and_union = (4 + 1 / 8) * icshash.retrieval._BLOCK_ELEMENTS  # uint32 keys, one bit
         xor_scratch = 9 * icshash.retrieval._XOR_ELEMENTS
         # the bool label mask, its (M, N) uint8 copy padded for packing, and the posting lists
         db_labels = (2 + 1 / 8) * n * m
-        assert peak < 1.25 * (columns + key_and_union + xor_scratch + db_labels)
+        ranking = key_and_union + xor_scratch + db_labels
+        assert peak < 1.25 * (codes_and_labels + max(one_block, ranking))
 
 
 class TestWeightReportCommand:

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -550,18 +551,18 @@ class TestBinarize:
 
 class TestEncodeBinary:
     def check_blocks(self, monkeypatch, n, block):
-        """Codes from one forward_batch call per block of rows equal one
-        forward pass over the whole matrix."""
+        """Codes from one pass of the shared forward core per block of rows
+        equal one forward_batch pass over the whole matrix."""
         params = tiny_net(3, sizes=(6, 9, 70))
         x = np.random.default_rng(n).normal(size=(n, 6))
-        calls = []
+        calls, core = [], icshash.encoder._forward
         monkeypatch.setattr(
-            icshash.encoder, "forward_batch", lambda p, b: calls.append(len(b)) or forward_batch(p, b)
+            icshash.encoder, "_forward", lambda p, b, *rest: calls.append(len(b)) or core(p, b, *rest)
         )
         codes = icshash.encode_binary(params, x)
         assert codes.dtype == np.int8
-        np.testing.assert_array_equal(codes, binarize(forward_batch(params, x)[0]))
         assert calls == [min(block, n - s) for s in range(0, n, block)]
+        np.testing.assert_array_equal(codes, binarize(forward_batch(params, x)[0]))
 
     @pytest.mark.parametrize("n", [1, 7, 30])  # 30 is not a multiple of the block
     def test_blocks_equal_one_forward_pass(self, monkeypatch, n):
@@ -577,6 +578,50 @@ class TestEncodeBinary:
         assert icshash.encode_binary(params, np.empty((0, 4))).shape == (0, 8)
         with pytest.raises(ValueError, match="feature dimension"):
             icshash.encode_binary(params, np.empty((0, 3)))
+
+    def test_no_rows_through_given_buffers_still_checks_the_feature_dimension(self):
+        params = tiny_net()
+        buffers = icshash.encoder._forward_buffers(params)
+        assert icshash.encode_binary(params, np.empty((0, 4)), buffers).shape == (0, 8)
+        with pytest.raises(ValueError, match="feature dimension"):
+            icshash.encode_binary(params, np.empty((0, 3)), buffers)
+
+    def test_overflowing_and_tied_outputs_match_forward_batch_bit_for_bit(self, monkeypatch):
+        # one affine layer, so output j's pre-activation is x * w[j]: rows
+        # 0 and 1 put outputs 0 and 1 below -745, where exp overflows (an
+        # error under the suite's warning filter unless suppressed); row 2
+        # puts every output at exactly 0.5 (the third from -0.0), and row
+        # 3 at +-1 ulp, whose sigmoid rounds to 0.5 as well
+        params = EncoderParams([np.array([[1.0, 1.0, -1.0]])], [np.zeros(3)])
+        x = np.array([[-800.0], [-746.0], [0.0], [np.nextafter(0.0, 1.0)]])
+        monkeypatch.setattr(icshash.encoder, "_ENCODE_BLOCK", 2)  # buffers reused across blocks
+        codes = icshash.encode_binary(params, x)
+        np.testing.assert_array_equal(codes, binarize(forward_batch(params, x)[0]))
+        np.testing.assert_array_equal(codes, [[-1, -1, 1]] * 2 + [[1, 1, 1]] * 2)
+        # eval's call: buffers allocated once and passed to every call
+        buffers = icshash.encoder._forward_buffers(params)
+        for rows in (x[:1], x[1:]):
+            np.testing.assert_array_equal(
+                icshash.encode_binary(params, rows, buffers), binarize(forward_batch(params, rows)[0])
+            )
+
+    def test_traced_peak_is_the_codes_and_one_block_of_buffers(self, monkeypatch):
+        monkeypatch.setattr(icshash.encoder, "_ENCODE_BLOCK", 512)
+        sizes = (16, 64, 32, 48)
+        params = tiny_net(5, sizes=sizes)
+        x = np.random.default_rng(5).normal(size=(3 * 512, 16))  # three full blocks
+        icshash.encode_binary(params, x[:1])  # warm every code path first
+        tracemalloc.start()
+        try:
+            codes = icshash.encode_binary(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffers = 8 * 512 * sum(sizes[1:])  # float64, one per layer
+        ufunc_buffer = 8 * np.getbufsize()  # the bias add broadcasts through it
+        # a forward_batch per block holds its clip and sigmoid temporaries
+        # as well: 1.4 times this bound on these sizes
+        assert peak < codes.nbytes + buffers + ufunc_buffer + 8192
 
 
 class TestCheckpoint:

@@ -489,23 +489,26 @@ def dataset_source(kind, workdir, text):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 @pytest.mark.parametrize("kind", ["file", "pipe"])
+@pytest.mark.parametrize("width", [HUGE, 2**60, 2**62])  # 2**60 float64 values overflow a size
 @pytest.mark.parametrize(
     "header, line_no, message",
     [
-        (f"1 {HUGE} 1", 2, f"expected {HUGE} values, found 1"),
-        (f"1 1 {HUGE}", 3, f"expected a 0/1 string of {HUGE} characters"),
+        ("1 {} 1", 2, "expected {} values, found 1"),
+        ("1 1 {}", 3, "expected a 0/1 string of {} characters"),
     ],
+    ids=["D", "M"],
 )
 def test_dataset_header_width_past_what_the_lines_hold_is_named(
-    workdir, kind, header, line_no, message
+    workdir, kind, width, header, line_no, message
 ):
-    # the columns grow only with samples that have parsed, so a header D
-    # or M is named at its first line rather than allocated
-    with dataset_source(kind, workdir, f"{header}\n0.5\n1\n-\n") as path:
+    # the columns are allocated only once a block has parsed, so a header
+    # D or M is named at its first line rather than allocated, even where
+    # no zero-row array of its width could be built
+    with dataset_source(kind, workdir, f"{header.format(width)}\n0.5\n1\n-\n") as path:
         with pytest.raises(ParseError) as exc_info:
             load_dataset(path)
-    assert exc_info.value.line == line_no
-    assert message in str(exc_info.value)
+    assert (exc_info.value.line, exc_info.value.exit_code) == (line_no, 3)
+    assert message.format(width) in str(exc_info.value)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
