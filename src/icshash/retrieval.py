@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _parse_bits, _read_table
+from .data import _bit_text, _parse_bits, _read_table
 from .errors import EvaluationError, check_int
 
 # Elements of each (query rows, N) block that the metrics rank at once:
@@ -29,6 +29,9 @@ _BLOCK_ELEMENTS = 2**20
 _XOR_ELEMENTS = 2**16
 # Codes that save_codes formats and writes at once.
 _CODES_PER_WRITE = 4096
+# Codes that pack_database checks and packs at once: eval's blocks of
+# 2048 samples each pack in one step.
+_PACK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -94,11 +97,20 @@ def pack_code(bits_pm1) -> CodeDatabase:
 def pack_database(codes_pm1) -> CodeDatabase:
     """Pack an (N, K) matrix of {-1, +1} codes. The values are checked as
     given, so a fractional code is refused, and integer codes are read
-    uncopied."""
+    uncopied. Codes are checked and packed _PACK_ROWS at a time, so the
+    temporaries beyond the packed words are O(_PACK_ROWS * K)."""
     rows = np.atleast_2d(np.asarray(codes_pm1))
-    if rows.size == 0 or not np.all((rows == 1) | (rows == -1)):
-        raise ValueError("expected a nonempty matrix of -1/+1 values")
-    return CodeDatabase(rows.shape[1], _pack_rows(rows > 0))
+    refusal = "expected a nonempty matrix of -1/+1 values"
+    if rows.size == 0:
+        raise ValueError(refusal)
+    n, k = rows.shape
+    words = np.empty((n, (k + 63) // 64), dtype=np.uint64)
+    for start in range(0, n, _PACK_ROWS):
+        block = rows[start : start + _PACK_ROWS]
+        if not np.all((block == 1) | (block == -1)):
+            raise ValueError(refusal)
+        words[start : start + _PACK_ROWS] = _pack_rows(block > 0)
+    return CodeDatabase(k, words)
 
 
 def unpack_database(db: CodeDatabase) -> np.ndarray:
@@ -268,10 +280,8 @@ def save_codes(path, db: CodeDatabase) -> None:
     with open(path, "wb") as fh:
         fh.write(f"{len(db)} {db.k_bits}\n".encode())
         for start in range(0, len(db), _CODES_PER_WRITE):
-            bits = _unpack_rows(db.words[start : start + _CODES_PER_WRITE], db.k_bits)
-            text = np.full((len(bits), db.k_bits + 1), ord("\n"), dtype=np.uint8)
-            np.add(bits, ord("0"), out=text[:, :-1])
-            fh.write(text.tobytes())
+            block = db.words[start : start + _CODES_PER_WRITE]
+            fh.write(_bit_text(_unpack_rows(block, db.k_bits)))
 
 
 def load_codes(path) -> CodeDatabase:

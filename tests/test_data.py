@@ -74,6 +74,28 @@ class TestGenerateSynthetic:
         save_dataset(pb, b)
         assert pa.read_bytes() == pb.read_bytes()
 
+    def test_spec_refuses_a_noise_scale_whose_features_overflow(self):
+        # 1e308 times a normal draw overflowed inside the generator
+        with pytest.raises(ValueError, match="noise_sigma must be nonnegative and at most"):
+            SyntheticSpec(200, 4, 5, seed=3, noise_sigma=1e308)
+
+    def test_a_large_finite_noise_scale_generates(self):
+        data = generate_synthetic(SyntheticSpec(200, 4, 5, seed=3, noise_sigma=1e200))
+        assert np.isfinite(data.features).all() and np.abs(data.features).max() > 1e199
+
+    def test_generating_holds_little_beyond_the_columns(self):
+        # the benchmark's set-up peaks while generating: 1.05x the columns
+        # here, where an (N, D) noise draw would add 0.26x
+        spec = SyntheticSpec(5000, 32, 80, seed=0)
+        generate_synthetic(SyntheticSpec(10, 32, 80, seed=0))  # numpy's first-call caches
+        tracemalloc.start()
+        try:
+            data = generate_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.15 * sum(column.nbytes for column in vars(data).values())
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SyntheticSpec(10, 4, 3, labels_per_sample=(0, 2))
@@ -294,9 +316,22 @@ def assert_same_sample(a, b):
 
 
 class TestDataset:
-    @pytest.mark.parametrize("noise_sigma", [0.0, 0.1])
-    def test_generated_samples_equal_the_per_sample_generator(self, noise_sigma):
-        spec = SyntheticSpec(300, 9, 7, labels_per_sample=(1, 4), noise_sigma=noise_sigma, seed=4)
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SyntheticSpec(300, 9, 7, labels_per_sample=(1, 4), noise_sigma=0.0, seed=4),
+            SyntheticSpec(300, 9, 7, labels_per_sample=(1, 4), noise_sigma=0.1, seed=4),
+            SyntheticSpec(100, 9, 7, labels_per_sample=(1, 1), seed=5),
+            SyntheticSpec(100, 9, 7, labels_per_sample=(7, 7), seed=6),
+            SyntheticSpec(1, 9, 7, labels_per_sample=(1, 4), seed=7),
+            SyntheticSpec(100, 1, 7, labels_per_sample=(1, 4), seed=8),
+            # tiny shares that underflow to 0, and nearly equal ones
+            SyntheticSpec(200, 9, 7, labels_per_sample=(2, 5), dirichlet_alpha=1e-3, seed=9),
+            SyntheticSpec(200, 9, 7, labels_per_sample=(2, 5), dirichlet_alpha=1e3, seed=10),
+        ],
+        ids=["0.0", "0.1", "labels-1-1", "labels-M-M", "n-1", "d-1", "alpha-1e-3", "alpha-1e3"],
+    )
+    def test_generated_samples_equal_the_per_sample_generator(self, spec):
         data = generate_synthetic(spec)
         assert isinstance(data, Dataset)
         reference = per_sample_synthetic(spec)

@@ -7,6 +7,7 @@ format."""
 
 import os
 import tempfile
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -195,6 +196,33 @@ class TestPacking:
         got = pack_database(np.array([[1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]]))
         assert (got.k_bits, got.words.tolist()) == (want.k_bits, want.words.tolist())
         assert pack_code([1.0, -1.0, 1.0]).words.tolist() == want.code(0).words.tolist()
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 9])
+    def test_blocks_pack_like_one_block(self, monkeypatch, n):
+        # blocks of 4 codes: fewer, exactly one block, a block and one, several
+        codes = random_codes(np.random.default_rng(n), n, 70)
+        whole = pack_database(codes)
+        monkeypatch.setattr(icshash.retrieval, "_PACK_ROWS", 4)
+        blocked = pack_database(codes)
+        assert blocked.k_bits == 70
+        np.testing.assert_array_equal(blocked.words, whole.words)
+        codes[-1, -1] = 0  # in the last block
+        with pytest.raises(ValueError, match="-1/\\+1 values"):
+            pack_database(codes)
+
+
+def test_packing_holds_a_few_blocks_of_codes():
+    codes = random_codes(np.random.default_rng(0), 100_000, 64).astype(np.int8)
+    pack_database(codes[:10])  # the first call allocates what numpy caches
+    tracemalloc.start()
+    try:
+        db = pack_database(codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block of 2048 int8 codes is 131 KB; the whole-matrix check and
+    # padded copy came to about four times the 6.4 MB input
+    assert peak < db.words.nbytes + codes.nbytes / 4
 
 
 class TestRankDatabase:

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import icshash.data
 import icshash.retrieval
 from icshash import (
     CodeDatabase,
@@ -104,17 +105,40 @@ def edge_dataset(n, d, m, seed, given):
 
 class TestSameBytesAsWholeFileWriters:
     @pytest.mark.parametrize(
-        "n, d, m, given",
+        "n, d, m, given, block",
         [
-            (1, 1, 1, [True]),
-            (1, 7, 9, [False]),
-            (5, 7, 9, [True, False, True, True, False]),
-            (40, 32, 80, [i % 3 != 0 for i in range(40)]),
+            (1, 1, 1, [True], 16),
+            (1, 7, 9, [False], 16),
+            (5, 7, 9, [True, False, True, True, False], 16),
+            (40, 32, 80, [i % 3 != 0 for i in range(40)], 16),
+            # blocks of 4: one block short of full, exactly one, one and a sample
+            (3, 7, 9, [False, True, True], 4),
+            (4, 7, 9, [True, False, False, True], 4),
+            (5, 7, 9, [True, True, False, True, False], 4),
         ],
     )
-    def test_dataset(self, tmp_path, n, d, m, given):
+    def test_dataset(self, tmp_path, monkeypatch, n, d, m, given, block):
+        monkeypatch.setattr(icshash.data, "_SAVE_BLOCK", block)
         data = edge_dataset(n, d, m, n + d, given)
         assert_same_file(tmp_path, save_dataset, reference_dataset, data)
+
+    @pytest.mark.parametrize(
+        "on_mask, problem",
+        [(True, "a non-finite value on its label mask"), (False, "a nonzero value off")],
+        ids=["on-mask", "off-mask"],
+    )
+    def test_a_refused_sample_in_the_last_block_leaves_no_file(
+        self, tmp_path, monkeypatch, on_mask, problem
+    ):
+        monkeypatch.setattr(icshash.data, "_SAVE_BLOCK", 4)
+        data = edge_dataset(9, 3, 5, 1, np.ones(9, dtype=bool))
+        proportions = np.array(data.proportions)
+        j = int(np.flatnonzero((data.labels[8] != 0) == on_mask)[0])
+        proportions[8, j] = np.nan if on_mask else 0.5
+        refused = Dataset(data.features, data.labels, proportions, data.has_proportions)
+        with pytest.raises(ValueError, match=f"sample 8: proportions hold {problem}"):
+            save_dataset(tmp_path / "refused.txt", refused)
+        assert not (tmp_path / "refused.txt").exists()
 
     @pytest.mark.parametrize(
         "k_bits, m_labels, strategy",
