@@ -22,11 +22,6 @@ from .errors import DataError, EvaluationError, InternalInvariantError, ParseErr
 # Samples per block of load_dataset: the line strings and parse
 # temporaries it holds are O(_LOAD_BLOCK) however long the file.
 _LOAD_BLOCK = 2048
-# Label slots per block of generate_synthetic: its (block, hi) label and
-# share arrays stay 32 KiB each, small enough for the heap. Freeing a
-# larger, mmap-allocated array raises glibc's mmap threshold, and with
-# it the process's later resident peak.
-_GENERATE_SLOTS = 2**12
 # Samples per block of save_dataset's check and of its text: it holds no
 # (N, M) temporary and no more than one block of lines.
 _SAVE_BLOCK = 16
@@ -171,9 +166,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     product ``mix @ anchors[chosen]`` of that sample alone: a batched
     product sums the same terms in another order and differs in the last
     bits (``proportions @ anchors`` in 13 259 of 20 000 noiseless samples
-    at D = 32, M = 80). Each block of samples notes its labels and shares
-    in (block, hi) arrays, which fill the label and proportion columns in
-    one scatter after the block's loop.
+    at D = 32, M = 80). Its labels and shares then go onto its row of the
+    label and proportion columns.
     """
     rng = np.random.default_rng(spec.seed)
     anchors = rng.normal(size=(spec.m_labels, spec.d_features))
@@ -183,32 +177,17 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     features = np.empty((n, spec.d_features))
     labels = np.zeros((n, m), dtype=np.int8)
     proportions = np.zeros((n, m))
-    step = max(1, _GENERATE_SLOTS // hi)
-    chosen_labels, shares = np.empty((step, hi), dtype=np.intp), np.empty((step, hi))
     alphas = [np.full(c, spec.dirichlet_alpha) for c in range(hi + 1)]
-    for start in range(0, n, step):
-        rows = range(start, min(n, start + step))
-        chosen_labels.fill(-1)  # -1 pads a sample's unused slots
-        shares.fill(1.0)  # a one-label sample's share stays 1
-        for j, i in enumerate(rows):
-            c = int(rng.integers(lo, hi + 1))
-            chosen = np.sort(rng.choice(m, size=c, replace=False))
-            chosen_labels[j, :c] = chosen
-            if c > 1:
-                shares[j, :c] = mix = rng.dirichlet(alphas[c])
-            else:
-                mix = shares[j, :1]
-            np.matmul(mix, anchors[chosen], out=features[i])
-            if sigma > 0:
-                features[i] += sigma * rng.normal(size=spec.d_features)
-        # a padded slot repeats its sample's first label and share, so that
-        # every slot scatters a value its sample holds
-        padded = chosen_labels < 0
-        np.copyto(chosen_labels, chosen_labels[:, :1], where=padded)
-        np.copyto(shares, shares[:, :1], where=padded)
-        block = (np.arange(start, rows.stop)[:, None], chosen_labels[: len(rows)])
-        labels[block] = 1
-        proportions[block] = shares[: len(rows)]
+    one = np.ones(1)  # a one-label sample's share
+    for i in range(n):
+        c = int(rng.integers(lo, hi + 1))
+        chosen = np.sort(rng.choice(m, size=c, replace=False))
+        mix = rng.dirichlet(alphas[c]) if c > 1 else one
+        np.matmul(mix, anchors[chosen], out=features[i])
+        if sigma > 0:
+            features[i] += sigma * rng.normal(size=spec.d_features)
+        labels[i][chosen] = 1
+        proportions[i][chosen] = mix
     return Dataset(features, labels, proportions, np.ones(n, dtype=bool))
 
 
@@ -229,7 +208,7 @@ def save_dataset(path, data: Dataset) -> None:
     load back is refused before the file is opened. Both passes go
     _SAVE_BLOCK samples at a time: the check holds a few (block, M)
     masks, the writer one block's text, whose label strings are the
-    block's int8 labels as bytes and whose shares are one boolean gather."""
+    block's int8 labels as bytes; its shares, one boolean gather, format by row."""
     if not data:
         raise ValueError("refusing to save an empty dataset")
     (n, d), m = data.features.shape, data.labels.shape[1]
@@ -245,7 +224,6 @@ def save_dataset(path, data: Dataset) -> None:
             problem = "a non-finite value on its label mask" if on_mask[i, j] else off
             raise ValueError(f"sample {start + i}: proportions hold {problem}")
     sample_format = " ".join(["%.9g"] * d) + "\n%s\n%s\n"
-    share_formats = {0: "-"}  # by share count: a row without proportions has none
     with open(path, "w") as fh:
         fh.write(f"{n} {d} {m}\n")
         for start in blocks:
@@ -257,11 +235,10 @@ def save_dataset(path, data: Dataset) -> None:
             rows = zip(data.features[block].tolist(), label_lines)
             end = 0
             for (features, label_line), count in zip(rows, on_mask.sum(axis=1).tolist()):
-                if count not in share_formats:
-                    share_formats[count] = " ".join(["%.17g"] * count)
-                row_shares = share_formats[count] % tuple(shares[end : end + count])
+                row_shares = " ".join(["%.17g"] * count) % tuple(shares[end : end + count])
                 end += count
-                fh.write(sample_format % (*features, label_line, row_shares))
+                # a row without proportions has no shares and writes "-"
+                fh.write(sample_format % (*features, label_line, row_shares or "-"))
 
 
 def _read_header(fh, header, minimums, line=1) -> list:
@@ -455,8 +432,8 @@ def _dataset_blocks(path, layout):
 
 def load_dataset(path) -> Dataset:
     """Read the dataset text format into its four columns in blocks of
-    _LOAD_BLOCK samples (see _dataset_blocks). Proportion rows go straight
-    onto the label mask in their column, with no (rows, M) temporary."""
+    _LOAD_BLOCK samples (see _dataset_blocks). A row's proportions go onto
+    its label mask, one per positive label in ascending order."""
 
     def layout(d, m):
         return [((d,), np.float64), ((m,), np.int8), ((m,), np.float64), ((), bool)]
@@ -465,12 +442,10 @@ def load_dataset(path) -> Dataset:
         columns[0][block], columns[1][block], columns[3][block] = features, labels, given
         proportions = columns[2][block]
         proportions[:] = 0.0
-        # flat indices in row-major order, so ascending label per row; the
-        # 0/1 labels read as bool, which np.flatnonzero scans 4x faster
-        positives = np.flatnonzero(labels.view(bool))
         for rows, values in groups:
-            first = np.searchsorted(positives, rows * labels.shape[1])  # each row's first
-            np.put(proportions, positives[first[:, None] + np.arange(values.shape[1])], values)
+            # ascending labels per row; 10x faster than a 2-D np.nonzero
+            r, c = np.divmod(np.flatnonzero(labels.view(bool)[rows]), labels.shape[1])
+            proportions[rows[r], c] = values.ravel()
     return Dataset(*columns)
 
 

@@ -24,7 +24,8 @@ from .errors import EvaluationError, check_int
 # its posting lists (one bit per element) are allocated once per call
 # and reused by every block. The Hamming pass XORs
 # max(1, _XOR_ELEMENTS // N) of its rows at a time, so that its uint64
-# scratch (512 KiB) stays in cache.
+# scratch (512 KiB) stays in cache. The posting lists are packed from
+# blocks of about _BLOCK_ELEMENTS labels.
 _BLOCK_ELEMENTS = 2**20
 _XOR_ELEMENTS = 2**16
 # Codes that save_codes formats and writes at once.
@@ -178,7 +179,9 @@ def _top_k_relevance(query_codes, query_labels, db_codes, db_labels, k):
     allocated once. A query's relevant items are the union of the
     posting lists of its labels, (M, ceil(N/64)) words packed once per
     call: the union's population count is its relevant count and its
-    bits at the top items are the flags."""
+    bits at the top items are the flags. The lists are packed straight
+    from the labels in blocks of about ``_BLOCK_ELEMENTS`` labels, so that
+    no (N, M) copy of them is made."""
     k = check_int("k", k, 1)
     n = len(db_codes)
     if n == 0:
@@ -186,13 +189,20 @@ def _top_k_relevance(query_codes, query_labels, db_codes, db_labels, k):
     if len(query_codes) == 0:
         raise ValueError("no queries")
     query_positive = np.atleast_2d(np.asarray(query_labels)) > 0
-    db_positive = np.atleast_2d(np.asarray(db_labels)) > 0
-    if query_positive.shape[1] != db_positive.shape[1]:
+    db_labels = np.atleast_2d(np.asarray(db_labels))
+    m = db_labels.shape[1]
+    if query_positive.shape[1] != m:
         raise ValueError("label dimension mismatch")
-    if (len(query_positive), len(db_positive)) != (len(query_codes), n):
+    if (len(query_positive), len(db_labels)) != (len(query_codes), n):
         raise ValueError("label rows do not match the number of codes")
     _check_lengths(query_codes.k_bits, db_codes.k_bits)
-    posting = _pack_rows(db_positive.T)  # (M, ceil(N/64)), pad bits zero
+    posting = np.zeros((m, (n + 63) // 64), np.uint64)  # pad bits stay zero
+    step = max(64, _BLOCK_ELEMENTS // max(1, m) // 64 * 64)
+    for start in range(0, n, step):
+        # a contiguous (M, rows) block packs along its rows 3x faster
+        block = np.ascontiguousarray(db_labels[start : start + step].T) > 0
+        packed = np.packbits(block, axis=1, bitorder="little")
+        posting.view(np.uint8)[:, start // 8 : start // 8 + packed.shape[1]] = packed
     top = min(k, n)
     key_type = np.min_scalar_type((db_codes.k_bits + 1) * n)
     index = np.arange(n, dtype=key_type)

@@ -4,9 +4,11 @@ behavior, the alternating training loop, binarization rules, and the
 bit-exact checkpoint round trip."""
 
 import copy
+import importlib
 import inspect
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -528,6 +530,32 @@ class TestSettableValues:
         rank_parameters = list(inspect.signature(icshash.rank_database).parameters)
         assert rank_parameters == ["query", "db"]
         assert sum(map(len, records.values())) + len(rank_parameters) == 17
+
+    def test_tuning_constants_are_pinned(self):
+        """Every private int or float a module sets at its top level: a
+        block size or tolerance, like a config field, is added on purpose."""
+        constants = {
+            "centers": [],
+            "cli": ["_ROWS_PER_WRITE"],
+            "data": ["_LOAD_BLOCK", "_SAVE_BLOCK", "_MAX_NOISE_SIGMA"],
+            "encoder": [
+                "_ADAM_BETA1", "_ADAM_BETA2", "_ADAM_EPS", "_LR_DECAY_EVERY",
+                "_LR_DECAY_FACTOR", "_ENCODE_BLOCK",
+            ],
+            "errors": [],
+            "loss": [],
+            "retrieval": ["_BLOCK_ELEMENTS", "_XOR_ELEMENTS", "_CODES_PER_WRITE", "_PACK_ROWS"],
+            "weights": ["_FEASIBLE_TOL", "_MAX_ROOT_ITERS"],
+        }
+        modules = sorted(info.name for info in pkgutil.iter_modules(icshash.__path__))
+        assert modules == list(constants)
+        for name, want in constants.items():
+            found = [
+                key
+                for key, value in vars(importlib.import_module(f"icshash.{name}")).items()
+                if key.startswith("_") and not key.startswith("__") and type(value) in (int, float)
+            ]
+            assert found == want, name
 
 
 class TestBinarize:

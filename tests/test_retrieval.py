@@ -654,6 +654,25 @@ class TestPostingListsMatchTheDenseProduct:
         self.check(relevance_instance(m + n_db, 9, n_db, m), 9)
 
 
+def test_posting_lists_pack_without_a_copy_of_the_labels():
+    n, m = 100_000, 80
+    rng = np.random.default_rng(0)
+    db_labels = np.zeros((n, m), np.int8)
+    db_labels[np.arange(n), rng.integers(0, m, n)] = 1
+    db = CodeDatabase(64, rng.integers(0, 2**64, size=(n, 1), dtype=np.uint64))
+    args = (db.code(0), db_labels[:1], db, db_labels, 10)
+    icshash.retrieval._top_k_relevance(*args)  # the first call allocates what numpy caches
+    tracemalloc.start()
+    try:
+        icshash.retrieval._top_k_relevance(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 0.53x the 8 MB labels: the lists (1 MB) and one block's transposed
+    # labels; an (N, M) bool copy and an (M, N) padded one would add 2.1x
+    assert peak < 0.75 * db_labels.nbytes
+
+
 class TestCodesFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
