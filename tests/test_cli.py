@@ -3,6 +3,7 @@ byte-identical reruns."""
 
 import argparse
 import csv
+import gc
 import importlib
 import importlib.util
 import json
@@ -596,6 +597,23 @@ class TestEvalCommand:
              "--database", data, "--out", tmp_path / "m.json"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_wins_over_a_fault_in_the_inputs(self, workdir, capsys, k):
+        # --k is refused before any input is read, so a malformed database
+        # (exit 3 once read) is never reached
+        tmp_path, data, _ = workdir
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, init_params([8, 16], np.random.default_rng(0)), 16, 4, 0)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 8 4\nnot a number\n")
+        out = tmp_path / "m.json"
+        code = run(["eval", "--checkpoint", ckpt, "--queries", data, "--database", bad,
+                    "--k", k, "--out", out])
+        assert (code, capsys.readouterr().err) == (2, "error: k must be at least 1\n")
+        assert not out.exists()
+        assert run(["eval", "--checkpoint", ckpt, "--queries", data, "--database", bad,
+                    "--k", 1, "--out", out]) == 3
 
     @pytest.mark.parametrize("role", ["queries", "database"])
     @pytest.mark.parametrize(
@@ -1260,3 +1278,65 @@ class TestEntryPoint:
         assert traced.PATCHES
         for module, attr, _ in traced.PATCHES:
             assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+    def test_in_process_main_leaves_the_collector_as_it_was(self, workdir):
+        tmp_path, _, _ = workdir
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert run(["centers", "--bits", 8, "--labels", 3, "--out", tmp_path / "c.txt"]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_process_entry_freezes_the_collector(self, tmp_path):
+        # main() with argv=None, as python -m icshash.cli and the script call it
+        argv = ["icshash", "centers", "--bits", "8", "--labels", "3", "--out", f"{tmp_path}/c.txt"]
+        script = (
+            "import gc, sys\nfrom icshash.cli import main\n"
+            f"sys.argv = {argv!r}\n"
+            "code = main()\nprint(code, gc.get_freeze_count() > 0)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=src_env()
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 True"
+
+    def test_process_entry_writes_what_in_process_main_writes(self, workdir, monkeypatch):
+        # the frozen collector of the process entry moves no output; each
+        # manifest differs at most in its wall time
+        tmp_path, data, centers = workdir
+        commands = [
+            ["train", "--data", data, "--centers", centers, "--out-prefix", "model",
+             "--epochs", 2, "--batch", 16, "--hidden", 8, "--weight-mode", "learned",
+             "--gradient-mode", "exact", "--seed", 4],
+            ["eval", "--checkpoint", "model.ckpt", "--queries", data, "--database", data,
+             "--k", 5, "--out", "metrics.json", "--dump-codes", "codes"],
+        ]  # fmt: skip
+        child, in_process = tmp_path / "child", tmp_path / "in-process"
+        child.mkdir()
+        in_process.mkdir()
+        for argv in commands:
+            result = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "icshash.cli", *map(str, argv)],
+                cwd=child, capture_output=True, text=True, env=src_env(),
+            )
+            assert result.returncode == 0, result.stderr
+        monkeypatch.chdir(in_process)
+        for argv in commands:
+            assert run(argv) == 0
+
+        def outputs(directory):
+            found = {}
+            for path in directory.iterdir():
+                if path.name.endswith(".manifest.json"):
+                    found[path.name] = json.loads(path.read_text())
+                    del found[path.name]["wall_clock_seconds"]
+                else:
+                    found[path.name] = path.read_bytes()
+            return found
+
+        written = outputs(child)
+        assert sorted(written) == [
+            "codes.database.txt", "codes.queries.txt", "metrics.json",
+            "metrics.json.manifest.json", "model.ckpt", "model.loss.csv",
+            "model.manifest.json", "model.weights.csv",
+        ]  # fmt: skip
+        assert written == outputs(in_process)
