@@ -16,7 +16,8 @@ of sizes. Each ``_cmd_*`` handler returns ``(outputs, seed, those
 values)`` and ``main`` writes the manifest.
 
 When ``--seed`` is omitted the environment variable ``ICS_SEED`` is
-used as the default seed.
+used as the default seed, written as the file headers write an integer:
+plain ASCII decimal digits, at least 0.
 """
 
 import argparse
@@ -34,6 +35,7 @@ from . import __version__
 from .centers import generate_centers, load_centers, min_pairwise_hamming, save_centers
 from .data import (
     _dataset_blocks,
+    _header_int,
     _parse_rows,
     _ragged_groups,
     _read_nonblank,
@@ -70,12 +72,14 @@ _NOT_CONFIG = ("command", "func", "seed", "out", "out_prefix")
 
 
 def _default_seed() -> int:
+    """``ICS_SEED``, read as the file headers' integers are (plain ASCII
+    decimal, at least 0), or 0 when it is unset."""
     raw = os.environ.get("ICS_SEED")
     if raw is None:
         return 0
     try:
-        return int(raw)
-    except ValueError:
+        return _header_int(raw, "ICS_SEED", 0, None)
+    except ParseError:
         raise ConfigError(f"ICS_SEED must be an integer, got {raw!r}") from None
 
 

@@ -326,11 +326,16 @@ _CKPT_MAGIC = "icshash-checkpoint-v1"
 
 def save_checkpoint(path, params: EncoderParams, k_bits: int, m_labels: int, seed: int) -> None:
     """Text checkpoint that round-trips parameters bit-exactly. ValueError,
-    naming the field, for a header that load_checkpoint would refuse."""
+    naming the field, for a header or a parameter that load_checkpoint
+    would refuse, before the file is opened."""
     k_bits = check_int("k_bits", k_bits, 1)
     if k_bits != params.sizes[-1]:
         raise ValueError(f"k_bits {k_bits} does not match the last layer size {params.sizes[-1]}")
     m_labels, seed = check_int("m_labels", m_labels, 1), check_int("seed", seed, 0)
+    for name, arrays in (("weights", params.weights), ("biases", params.biases)):
+        for l, values in enumerate(arrays):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name}[{l}] holds a non-finite value")
     with open(path, "w") as fh:
         fh.write(
             f"{_CKPT_MAGIC}\nsizes {' '.join(map(str, params.sizes))}\n"
@@ -347,7 +352,8 @@ def load_checkpoint(path):
     """Returns (params, meta) with meta = {k_bits, m_labels, seed}. The
     header integers are plain decimal, as save_checkpoint writes them: the
     layer sizes, k_bits (the last size) and m_labels at least 1, seed at
-    least 0. Only blank lines may follow the last bias row."""
+    least 0. Every weight and bias is finite. Only blank lines may follow
+    the last bias row."""
     with open(path) as fh:
         if fh.readline().rstrip("\n") != _CKPT_MAGIC:
             raise ParseError("not an encoder checkpoint", line=1)
@@ -371,7 +377,12 @@ def load_checkpoint(path):
                 if fh.readline().split() != tag.split():  # as save_checkpoint writes it
                     raise ParseError(f"expected '{tag}'", line=line)
                 body, numbers = _take_lines(fh, rows, line, total), range(line + 1, line + 1 + rows)
-                blocks.append(_parse_rows(body, numbers, n_out, np.float64))
+                values = _parse_rows(body, numbers, n_out, np.float64)
+                finite = np.isfinite(values).all(axis=1)
+                if not finite.all():  # named: the first such row
+                    kind = tag.split()[0]  # weight or bias
+                    raise ParseError(f"non-finite {kind} value", line=numbers[finite.argmin()])
+                blocks.append(values)
                 line += 1 + rows
         _check_rest_blank(fh, "unexpected line after the last bias row", line)
     return EncoderParams(blocks[0::2], [b[0] for b in blocks[1::2]]), meta

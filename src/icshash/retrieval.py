@@ -8,7 +8,8 @@ posting lists, one per label, with bit j set when item j holds it; the
 union of a query's posting lists marks its relevant items, so a query
 with c labels costs c ORs of ceil(N/64) words. Average precision at k
 divides by min(k, number of relevant database items), and queries with
-no relevant item are excluded from the mean.
+no relevant item are excluded from the mean. Each block of queries is
+scored where it is ranked, so no array grows as Q x k.
 """
 
 from dataclasses import dataclass
@@ -169,19 +170,32 @@ def rank_database(query: CodeDatabase, db: CodeDatabase) -> RankedResult:
     return RankedResult(order, dist[order])
 
 
-def _top_k_relevance(query_codes, query_labels, db_codes, db_labels, k):
-    """Relevance flags of each query's top-min(k, N) items in (distance,
-    index) order, and its count of relevant database items; queries
-    without a relevant item are dropped; also ``k`` as an int. The key
-    ``dist * N + index`` is unique, so sorting only the partitioned top k
-    keys keeps that order. Queries are ranked in blocks of
-    ``_BLOCK_ELEMENTS // N`` rows (at least one) through buffers
-    allocated once. A query's relevant items are the union of the
-    posting lists of its labels, (M, ceil(N/64)) words packed once per
-    call: the union's population count is its relevant count and its
-    bits at the top items are the flags. The lists are packed straight
-    from the labels in blocks of about ``_BLOCK_ELEMENTS`` labels, so that
-    no (N, M) copy of them is made."""
+def retrieval_metrics(
+    query_codes: CodeDatabase,
+    query_labels,
+    db_codes: CodeDatabase,
+    db_labels,
+    k: int,
+) -> dict:
+    """mAP@k and P@k from one ranking of every query, as
+    ``{"map_at_k": ..., "precision_at_k": ...}``.
+
+    AP@k = sum_{r<=k} Precision@r * rel(r) / min(k, relevant-in-db) and
+    P@k = (relevant items in the top k) / k, each averaged over the
+    queries that have at least one relevant database item; if no query
+    has one the metrics are undefined (``EvaluationError``).
+
+    Queries are ranked and scored in blocks of ``_BLOCK_ELEMENTS // N``
+    rows (at least one) through buffers allocated once, so only the (Q,)
+    scores outlive a block. The key ``dist * N + index`` is unique, so
+    sorting only the partitioned top min(k, N) keys gives the (distance,
+    index) order. A query's relevant items are the union of the posting
+    lists of its labels, (M, ceil(N/64)) words packed once per call: the
+    union's population count is its relevant count and its bits at the
+    top items are the relevance flags. The lists are packed straight
+    from the labels in blocks of about ``_BLOCK_ELEMENTS`` labels, so
+    that no (N, M) copy of them is made.
+    """
     k = check_int("k", k, 1)
     n = len(db_codes)
     if n == 0:
@@ -203,14 +217,15 @@ def _top_k_relevance(query_codes, query_labels, db_codes, db_labels, k):
         block = np.ascontiguousarray(db_labels[start : start + step].T) > 0
         packed = np.packbits(block, axis=1, bitorder="little")
         posting.view(np.uint8)[:, start // 8 : start // 8 + packed.shape[1]] = packed
-    top = min(k, n)
+    top = min(k, n)  # and n_relevant <= N
+    ranks = np.arange(1, top + 1)
     key_type = np.min_scalar_type((db_codes.k_bits + 1) * n)
     index = np.arange(n, dtype=key_type)
     shape = (min(max(1, _BLOCK_ELEMENTS // n), len(query_codes)), n)
     keys, unions = np.empty(shape, key_type), np.empty((shape[0], posting.shape[1]), np.uint64)
     scratch = (min(max(1, _XOR_ELEMENTS // n), shape[0]), n)
     xor, count = np.empty(scratch, np.uint64), np.empty(scratch, np.uint8)
-    flags = np.empty((len(query_codes), top), dtype=bool)
+    ap, precision_at = np.empty(len(query_codes)), np.empty(len(query_codes))
     n_relevant = np.empty(len(query_codes), dtype=np.int64)
     for start in range(0, len(query_codes), shape[0]):
         rows = slice(start, min(start + shape[0], len(query_codes)))
@@ -224,38 +239,19 @@ def _top_k_relevance(query_codes, query_labels, db_codes, db_labels, k):
             np.bitwise_or.reduce(posting[positive], axis=0, out=union[i])  # 0 for no label
         # bit j of the union is bit j % 8 of its byte j // 8 (little-endian bit order)
         item_bytes = np.take_along_axis(union.view(np.uint8), order // 8, axis=1)
-        flags[rows] = (item_bytes >> (order % 8)) & 1
+        flags = ((item_bytes >> (order % 8)) & 1).astype(bool)
         n_relevant[rows] = np.bitwise_count(union).sum(axis=1)
+        precision = np.cumsum(flags, axis=1) / ranks
+        # a query without a relevant item scores 0 / 1 here and is dropped below
+        divisor = np.minimum(top, np.maximum(n_relevant[rows], 1))
+        ap[rows] = np.sum(precision * flags, axis=1) / divisor
+        precision_at[rows] = flags.sum(axis=1) / k
     keep = n_relevant > 0
     if not keep.any():
         raise EvaluationError("no query has a relevant database item")
-    return flags[keep], n_relevant[keep], k
-
-
-def retrieval_metrics(
-    query_codes: CodeDatabase,
-    query_labels,
-    db_codes: CodeDatabase,
-    db_labels,
-    k: int,
-) -> dict:
-    """mAP@k and P@k from one ranking of every query, as
-    ``{"map_at_k": ..., "precision_at_k": ...}``.
-
-    AP@k = sum_{r<=k} Precision@r * rel(r) / min(k, relevant-in-db) and
-    P@k = (relevant items in the top k) / k, each averaged over the
-    queries that have at least one relevant database item; if no query
-    has one the metrics are undefined (``EvaluationError``).
-    """
-    flags, n_relevant, k = _top_k_relevance(
-        query_codes, query_labels, db_codes, db_labels, k
-    )
-    top = flags.shape[1]  # min(k, N), and n_relevant <= N
-    precision = np.cumsum(flags, axis=1) / np.arange(1, top + 1)
-    ap = np.sum(precision * flags, axis=1) / np.minimum(top, n_relevant)
     return {
-        "map_at_k": float(np.mean(ap)),
-        "precision_at_k": float(np.mean(flags.sum(axis=1) / k)),
+        "map_at_k": float(np.mean(ap[keep])),
+        "precision_at_k": float(np.mean(precision_at[keep])),
     }
 
 

@@ -112,6 +112,17 @@ class TestCentersCommand:
         assert capsys.readouterr().err == "error: ICS_SEED must be an integer, got 'abc'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw", ["1_0", "+7", "\u0667", " 7", "-1"])
+    def test_env_seed_is_read_as_a_header_integer(self, tmp_path, monkeypatch, capsys, raw):
+        # plain ASCII decimal, at least 0, as the file headers are read;
+        # int() took the first four as 10, 7, 7 and 7, and -1 failed
+        # without naming the variable
+        monkeypatch.setenv("ICS_SEED", raw)
+        out = tmp_path / "env.txt"
+        assert run(["centers", "--bits", 16, "--labels", 10, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: ICS_SEED must be an integer, got {raw!r}\n"
+        assert not out.exists()
+
 
 class TestSolveWeightsCommand:
     def test_writes_weights_csv(self, tmp_path):
@@ -660,6 +671,20 @@ class TestEvalCommand:
         line = {"k_bits": 3, "m_labels": 4, "seed": 5}[new.split()[0]]
         assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
+    def test_non_finite_checkpoint_value_is_a_data_error(self, workdir, capsys):
+        # a nan weight used to load, and eval exited 0 with map_at_k 1.0
+        tmp_path, data, _ = workdir
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, init_params([8, 16], np.random.default_rng(0)), 16, 4, 0)
+        lines = ckpt.read_text().splitlines()
+        lines[6] = "nan " + lines[6].split(" ", 1)[1]  # the first weight row
+        ckpt.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m.json"
+        code = run(["eval", "--checkpoint", ckpt, "--queries", data, "--database", data,
+                    "--k", 10, "--out", out])
+        assert (code, capsys.readouterr().err) == (3, "error: line 7: non-finite weight value\n")
+        assert not out.exists()
+
     def test_trained_model_beats_random_parameters(self, workdir):
         # paired runs: same data and seed, trained vs untrained encoder
         tmp_path, data, centers = workdir
@@ -834,7 +859,9 @@ class TestEvalMemory:
         one_block = 4 * block_text + forward
         key_and_union = (4 + 1 / 8) * icshash.retrieval._BLOCK_ELEMENTS  # uint32 keys, one bit
         xor_scratch = 9 * icshash.retrieval._XOR_ELEMENTS
-        # the bool label mask, its (M, N) uint8 copy padded for packing, and the posting lists
+        # packing the posting lists: one block of labels copied to (M, rows)
+        # int8 and its bool mask (at this N the whole database is one block),
+        # beside the lists at one bit per label
         db_labels = (2 + 1 / 8) * n * m
         ranking = key_and_union + xor_scratch + db_labels
         assert peak < 1.25 * (codes_and_labels + max(one_block, ranking))

@@ -483,7 +483,7 @@ class TestEncoderParams:
         data=st.data(),
     )
     def test_every_params_save_accepts_loads_back_equal(self, sizes, m_labels, seed, data):
-        values = st.floats(allow_nan=True, allow_infinity=True)
+        values = st.floats(allow_nan=False, allow_infinity=False)
         weights = [
             data.draw(hnp.arrays(np.float64, (n_in, n_out), elements=values))
             for n_in, n_out in zip(sizes[:-1], sizes[1:])
@@ -494,10 +494,19 @@ class TestEncoderParams:
             path = os.path.join(tmp, "model.ckpt")
             save_checkpoint(path, params, sizes[-1], m_labels, seed)
             loaded, meta = load_checkpoint(path)
-        assert meta == {"k_bits": sizes[-1], "m_labels": m_labels, "seed": seed}
-        assert loaded.sizes == params.sizes == sizes
-        for a, b in zip([*loaded.weights, *loaded.biases], [*weights, *biases]):
-            np.testing.assert_array_equal(a, b)
+            assert meta == {"k_bits": sizes[-1], "m_labels": m_labels, "seed": seed}
+            assert loaded.sizes == params.sizes == sizes
+            for a, b in zip([*loaded.weights, *loaded.biases], [*weights, *biases]):
+                np.testing.assert_array_equal(a, b)
+            # one non-finite parameter, which load_checkpoint refuses, is
+            # refused before the file is opened
+            poisoned = data.draw(st.sampled_from([*weights, *biases]))
+            at = data.draw(st.integers(0, poisoned.size - 1))
+            poisoned.flat[at] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            os.remove(path)
+            with pytest.raises(ValueError, match="holds a non-finite value"):
+                save_checkpoint(path, params, sizes[-1], m_labels, seed)
+            assert not os.path.exists(path)
 
 
 class TestSettableValues:

@@ -627,6 +627,24 @@ def checkpoint_case(rng, path):
     return path.read_text().splitlines(), " ", lambda: [*load()[0].weights, *load()[0].biases]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("j, kind", [(6, "weight"), (8, "weight"), (10, "bias")])
+def test_non_finite_checkpoint_value_names_its_line(workdir, value, j, kind):
+    # as load_dataset refuses a non-finite feature; such a checkpoint used
+    # to load, and eval scored the codes it gave. A second such value, on
+    # the bias row, is not the one named
+    path = workdir / f"non_finite_{j}"
+    lines, sep, load = checkpoint_case(np.random.default_rng(5), path)
+    for i in {j, 10}:
+        fields = lines[i].split(sep)
+        fields[-1] = value
+        lines[i] = sep.join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"non-finite {kind} value") as exc_info:
+        load()
+    assert exc_info.value.line == j + 1
+
+
 # Each reader's valid file, the index of a value line and of a later line.
 LINE_RULE_CASES = {
     "csv": (csv_case, 0, 3),
