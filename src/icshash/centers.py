@@ -26,7 +26,9 @@ STRATEGIES = ("hadamard-rows", "stacked-hadamard", "bernoulli")
 
 @dataclass(frozen=True)
 class HashCenterSet:
-    """M distinct center codes of K bits each, valued in {-1, +1}."""
+    """M center codes of K bits each, valued in {-1, +1}. generate_centers
+    draws distinct rows; a set given here or read by load_centers may
+    repeat one, which min_pairwise_hamming then reports as 0."""
 
     centers: np.ndarray  # (M, K) int8
     strategy: str

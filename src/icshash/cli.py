@@ -32,6 +32,7 @@ import time
 import numpy as np
 
 from . import __version__
+from . import data as _data
 from .centers import generate_centers, load_centers, min_pairwise_hamming, save_centers
 from .data import (
     _dataset_blocks,
@@ -46,7 +47,6 @@ from .data import (
 from .encoder import (
     WEIGHT_MODES,
     TrainConfig,
-    _forward_buffers,
     encode_binary,
     load_checkpoint,
     save_checkpoint,
@@ -65,7 +65,6 @@ from .retrieval import (
 from .weights import GRADIENT_MODES, WeightSolverConfig, _solve_rows
 
 _FLOAT_FMT = "%.17g"
-_ROWS_PER_WRITE = 4096  # CSV rows formatted and written at a time
 _DATA_FORMATS = ("text", "csv")
 # parsed attributes that are not recorded in a manifest's config
 _NOT_CONFIG = ("command", "func", "seed", "out", "out_prefix")
@@ -91,11 +90,11 @@ def _write_json(path, value):
 
 def _write_csv(path, header, row_format, rows):
     """Write the ``header`` line, then ``row_format % row`` for each row,
-    with csv's ``\r\n`` line ends; one format per _ROWS_PER_WRITE rows."""
+    with csv's ``\r\n`` line ends; one format per data._ROW_BLOCK rows."""
     rows = iter(rows)
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
-        while block := list(itertools.islice(rows, _ROWS_PER_WRITE)):
+        while block := list(itertools.islice(rows, _data._ROW_BLOCK)):
             fh.write((row_format + "\r\n") * len(block) % tuple(itertools.chain(*block)))
 
 
@@ -177,7 +176,7 @@ def _cmd_train(args) -> tuple[list, int, dict]:
     return [ckpt_path, weights_path, loss_path], seed, {"hidden": list(hidden)}
 
 
-def _encode_input(path, data_format, params, buffers, m_labels):
+def _encode_input(path, data_format, params, m_labels):
     """The D and M of an ``eval`` input, its packed codes and its (N, M)
     labels. A text file is read block by block (see _dataset_blocks): each
     block is parsed and checked whole, then encoded and packed at once
@@ -189,7 +188,7 @@ def _encode_input(path, data_format, params, buffers, m_labels):
     if data_format == "csv":
         data = load_dataset_csv(path, m_labels)
         d, labels = data.features.shape[1], data.labels
-        codes = pack_database(encode_binary(params, data.features, buffers)) if d == d_in else None
+        codes = pack_database(encode_binary(params, data.features)) if d == d_in else None
         return d, m_labels, codes, labels
 
     def layout(d, m):
@@ -198,7 +197,7 @@ def _encode_input(path, data_format, params, buffers, m_labels):
     for (words, labels), block, (features, block_labels, _, _) in _dataset_blocks(path, layout):
         labels[block] = block_labels
         if features.shape[1] == d_in:
-            words[block] = pack_database(encode_binary(params, features, buffers)).words
+            words[block] = pack_database(encode_binary(params, features)).words
     d = features.shape[1]
     return d, labels.shape[1], CodeDatabase(k_bits, words) if d == d_in else None, labels
 
@@ -207,9 +206,8 @@ def _cmd_eval(args) -> tuple[list, int, dict]:
     check_int("k", args.k, 1)  # before any input is read
     params, meta = load_checkpoint(args.checkpoint)
     d_in, m_labels = params.sizes[0], meta["m_labels"]
-    buffers = _forward_buffers(params)
     inputs = {
-        name: _encode_input(path, args.data_format, params, buffers, m_labels)
+        name: _encode_input(path, args.data_format, params, m_labels)
         for name, path in (("queries", args.queries), ("database", args.database))
     }
     for name, (d, m, _, _) in inputs.items():

@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import DataError, EvaluationError, InternalInvariantError, ParseError, check_int
 
-# Samples per block of load_dataset: the line strings and parse
-# temporaries it holds are O(_LOAD_BLOCK) however long the file.
-_LOAD_BLOCK = 2048
+# Rows per block of every row-streamed pass, each holding O(_ROW_BLOCK) rows of
+# temporaries: load_dataset, encode_binary, pack_database, save_codes, CSV writes.
+_ROW_BLOCK = 1024
 # Samples per block of save_dataset's check and of its text: it holds no
 # (N, M) temporary and no more than one block of lines.
 _SAVE_BLOCK = 16
@@ -400,7 +400,7 @@ def _parse_block(lines, start, d, m) -> tuple:
 
 
 def _dataset_blocks(path, layout):
-    """Read the dataset text format in blocks of _LOAD_BLOCK samples,
+    """Read the dataset text format in blocks of _ROW_BLOCK samples,
     each parsed and checked whole by _parse_block; the first block with
     a fault raises it, and only blank lines may follow the last. For each
     block, yields the columns that ``layout(d, m)`` lays out, one
@@ -417,8 +417,8 @@ def _dataset_blocks(path, layout):
         # the rows read) only with samples that have parsed.
         rows = min(n, (os.fstat(fh.fileno()).st_size + 1) // (2 * d + m + 2))
         columns = []
-        for start in range(0, n, _LOAD_BLOCK):
-            lines = _take_lines(fh, 3 * min(_LOAD_BLOCK, n - start), 1 + 3 * start, 1 + 3 * n)
+        for start in range(0, n, _ROW_BLOCK):
+            lines = _take_lines(fh, 3 * min(_ROW_BLOCK, n - start), 1 + 3 * start, 1 + 3 * n)
             parsed = _parse_block(lines, start, d, m)
             block = slice(start, start + len(lines) // 3)
             if not columns:
@@ -432,7 +432,7 @@ def _dataset_blocks(path, layout):
 
 def load_dataset(path) -> Dataset:
     """Read the dataset text format into its four columns in blocks of
-    _LOAD_BLOCK samples (see _dataset_blocks). A row's proportions go onto
+    _ROW_BLOCK samples (see _dataset_blocks). A row's proportions go onto
     its label mask, one per positive label in ascending order."""
 
     def layout(d, m):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data as _data
 from .centers import HashCenterSet
 from .data import Dataset, _check_rest_blank, _header_int, _parse_rows, _read_header, _take_lines
 from .errors import ConfigError, DataError, ParseError, check_int
@@ -36,10 +37,6 @@ WEIGHT_MODES = ("learned", "equal")
 # Adam's moment decay rates and denominator guard.
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.99, 1e-8
 _LR_DECAY_EVERY, _LR_DECAY_FACTOR = 30, 10.0
-
-# Rows per forward pass of encode_binary: its float64 activations are
-# buffers of _ENCODE_BLOCK rows however large the feature matrix.
-_ENCODE_BLOCK = 1024
 
 
 @dataclass
@@ -87,9 +84,9 @@ def init_params(sizes, rng: "np.random.Generator") -> EncoderParams:
 def _forward(params: EncoderParams, x: np.ndarray, buffers=None):
     """Forward pass over a (N, D) float64 batch: the per-layer inputs and
     the raw sigmoid outputs (N, K). Each layer's output is a fresh array
-    or, with ``buffers`` (see _forward_buffers), the first N rows of its
-    layer's buffer; both are computed in place in one order, so they hold
-    the same bits."""
+    or, with ``buffers`` (one (rows >= N, width) float64 array per layer),
+    the first N rows of its layer's buffer; both are computed in place in
+    one order, so they hold the same bits."""
     d = params.sizes[0]
     if x.shape[1] != d:
         raise ValueError(f"feature dimension {x.shape[1]} does not match D={d}")
@@ -108,13 +105,6 @@ def _forward(params: EncoderParams, x: np.ndarray, buffers=None):
         np.add(a, 1.0, out=a)
         np.divide(1.0, a, out=a)
     return inputs, a
-
-
-def _forward_buffers(params: EncoderParams, rows=None) -> list[np.ndarray]:
-    """One (rows, width) float64 buffer per layer for _forward, rows
-    defaulting to _ENCODE_BLOCK."""
-    rows = _ENCODE_BLOCK if rows is None else rows
-    return [np.empty((rows, width)) for width in params.sizes[1:]]
 
 
 def forward_batch(params: EncoderParams, x: np.ndarray):
@@ -240,6 +230,16 @@ class TrainState:
         return np.split(flat, np.cumsum(self.label_mask.sum(axis=1))[:-1])
 
 
+def _check_finite(arrays, cfg: TrainConfig, epoch: int, batch: int) -> None:
+    """ConfigError unless every array (codes or parameters) is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ConfigError(
+            f"training diverged at epoch {epoch}, batch {batch}: the encoder's "
+            f"values are no longer finite at lr0={cfg.lr0:g}"
+        )
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a diverging run is refused below
 def train(data: Dataset, center_set: HashCenterSet, cfg: TrainConfig) -> TrainState:
     """Two-step alternating optimization on a Dataset, whose columns
     were checked when it was built; its M must match the centers'.
@@ -255,6 +255,8 @@ def train(data: Dataset, center_set: HashCenterSet, cfg: TrainConfig) -> TrainSt
     paper mode only. The weights are kept as one (N, M) matrix, zero off
     the (N, M) label mask; no per-sample object is built. The loss
     decomposition is recorded per epoch. Deterministic for a fixed seed.
+    A ConfigError names the epoch and batch, from 0, where a rate too
+    large first made the codes or parameters non-finite.
     """
     if len(data) == 0:
         raise DataError("empty dataset")
@@ -274,9 +276,10 @@ def train(data: Dataset, center_set: HashCenterSet, cfg: TrainConfig) -> TrainSt
         lr = learning_rate(cfg, epoch)
         order = rng.permutation(n)
         sums = {"total": 0.0, "central": 0.0, "quantization": 0.0, "entropy": 0.0}
-        for start in range(0, n, cfg.batch_size):
+        for b, start in enumerate(range(0, n, cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
             codes, cache = forward_batch(params, features[batch])
+            _check_finite([codes], cfg, epoch, b)
             d = distance_matrix(codes, centers01)
             w, batch_mask = weights[batch], mask[batch]
             if cfg.weight_mode == "learned":
@@ -287,6 +290,7 @@ def train(data: Dataset, center_set: HashCenterSet, cfg: TrainConfig) -> TrainSt
             )
             grads = backward_batch(params, cache, grad_codes)
             adam_step(params, adam, grads, lr)
+            _check_finite([*params.weights, *params.biases], cfg, epoch, b)
             for key, part in {"total": value, **parts}.items():
                 sums[key] += part
         history.append(sums)
@@ -301,19 +305,18 @@ def binarize(b) -> np.ndarray:
     return codes
 
 
-def encode_binary(params: EncoderParams, features, buffers=None) -> np.ndarray:
+def encode_binary(params: EncoderParams, features) -> np.ndarray:
     """Binarized codes, (N, K) int8, for a feature matrix, from one
-    forward pass per block of _ENCODE_BLOCK rows, each into the same
-    float64 buffers: ``buffers`` from _forward_buffers, for a caller that
-    encodes many matrices, or buffers allocated once per call. The codes
-    are binarize's of forward_batch's, bit for bit: its clamp to
-    [CODE_EPS, 1 - CODE_EPS] moves no output across 0.5, so it is skipped."""
+    forward pass per block of data._ROW_BLOCK rows, each into the same
+    float64 buffers, allocated once per call. The codes are binarize's of
+    forward_batch's, bit for bit: its clamp to [CODE_EPS, 1 - CODE_EPS]
+    moves no output across 0.5, so it is skipped."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if buffers is None:
-        buffers = _forward_buffers(params, min(len(x), _ENCODE_BLOCK))
+    block = _data._ROW_BLOCK
+    buffers = [np.empty((min(len(x), block), width)) for width in params.sizes[1:]]
     codes = np.empty((len(x), params.sizes[-1]), dtype=np.int8)
-    for start in range(0, max(len(x), 1), _ENCODE_BLOCK):  # N = 0 still checks D
-        rows = slice(start, start + _ENCODE_BLOCK)
+    for start in range(0, max(len(x), 1), block):  # N = 0 still checks D
+        rows = slice(start, start + block)
         out = codes[rows]
         np.greater_equal(_forward(params, x[rows], buffers)[1], 0.5, out=out)
         out *= 2

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import data as _data
 from .data import _bit_text, _parse_bits, _read_table
 from .errors import EvaluationError, check_int
 
@@ -29,11 +30,6 @@ from .errors import EvaluationError, check_int
 # blocks of about _BLOCK_ELEMENTS labels.
 _BLOCK_ELEMENTS = 2**20
 _XOR_ELEMENTS = 2**16
-# Codes that save_codes formats and writes at once.
-_CODES_PER_WRITE = 4096
-# Codes that pack_database checks and packs at once: eval's blocks of
-# 2048 samples each pack in one step.
-_PACK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -73,13 +69,12 @@ class RankedResult:
 
 def _pack_rows(bits01: np.ndarray) -> np.ndarray:
     """Pack the rows of an (N, K) 0/1 matrix, codes (1 encoding +1) or
-    label masks, into ceil(K/64) words each."""
+    posting lists, into ceil(K/64) words each, pad bits zero: the packed
+    bytes are written straight into the words' byte view."""
     n, k = bits01.shape
-    n_words = (k + 63) // 64
-    padded = np.zeros((n, n_words * 64), dtype=np.uint8)
-    padded[:, :k] = bits01
-    packed = np.packbits(padded, axis=1, bitorder="little")
-    return packed.view(np.uint64)
+    words = np.zeros((n, (k + 63) // 64), dtype=np.uint64)
+    words.view(np.uint8)[:, : (k + 7) // 8] = np.packbits(bits01, axis=1, bitorder="little")
+    return words
 
 
 def _unpack_rows(words: np.ndarray, k: int) -> np.ndarray:
@@ -99,19 +94,20 @@ def pack_code(bits_pm1) -> CodeDatabase:
 def pack_database(codes_pm1) -> CodeDatabase:
     """Pack an (N, K) matrix of {-1, +1} codes. The values are checked as
     given, so a fractional code is refused, and integer codes are read
-    uncopied. Codes are checked and packed _PACK_ROWS at a time, so the
-    temporaries beyond the packed words are O(_PACK_ROWS * K)."""
+    uncopied. Codes are checked and packed data._ROW_BLOCK at a time, so
+    the temporaries beyond the packed words are O(data._ROW_BLOCK * K)."""
     rows = np.atleast_2d(np.asarray(codes_pm1))
     refusal = "expected a nonempty matrix of -1/+1 values"
     if rows.size == 0:
         raise ValueError(refusal)
     n, k = rows.shape
     words = np.empty((n, (k + 63) // 64), dtype=np.uint64)
-    for start in range(0, n, _PACK_ROWS):
-        block = rows[start : start + _PACK_ROWS]
+    step = _data._ROW_BLOCK
+    for start in range(0, n, step):
+        block = rows[start : start + step]
         if not np.all((block == 1) | (block == -1)):
             raise ValueError(refusal)
-        words[start : start + _PACK_ROWS] = _pack_rows(block > 0)
+        words[start : start + step] = _pack_rows(block > 0)
     return CodeDatabase(k, words)
 
 
@@ -192,9 +188,9 @@ def retrieval_metrics(
     index) order. A query's relevant items are the union of the posting
     lists of its labels, (M, ceil(N/64)) words packed once per call: the
     union's population count is its relevant count and its bits at the
-    top items are the relevance flags. The lists are packed straight
-    from the labels in blocks of about ``_BLOCK_ELEMENTS`` labels, so
-    that no (N, M) copy of them is made.
+    top items are the relevance flags. The lists are packed by _pack_rows
+    straight from the labels in blocks of a multiple of 64 items, about
+    ``_BLOCK_ELEMENTS`` labels, so that no (N, M) copy of them is made.
     """
     k = check_int("k", k, 1)
     n = len(db_codes)
@@ -210,13 +206,12 @@ def retrieval_metrics(
     if (len(query_positive), len(db_labels)) != (len(query_codes), n):
         raise ValueError("label rows do not match the number of codes")
     _check_lengths(query_codes.k_bits, db_codes.k_bits)
-    posting = np.zeros((m, (n + 63) // 64), np.uint64)  # pad bits stay zero
+    posting = np.empty((m, (n + 63) // 64), np.uint64)
     step = max(64, _BLOCK_ELEMENTS // max(1, m) // 64 * 64)
     for start in range(0, n, step):
         # a contiguous (M, rows) block packs along its rows 3x faster
         block = np.ascontiguousarray(db_labels[start : start + step].T) > 0
-        packed = np.packbits(block, axis=1, bitorder="little")
-        posting.view(np.uint8)[:, start // 8 : start // 8 + packed.shape[1]] = packed
+        posting[:, start // 64 : (start + step) // 64] = _pack_rows(block)
     top = min(k, n)  # and n_relevant <= N
     ranks = np.arange(1, top + 1)
     key_type = np.min_scalar_type((db_codes.k_bits + 1) * n)
@@ -282,12 +277,12 @@ def precision_at_k(
 
 def save_codes(path, db: CodeDatabase) -> None:
     """Text format: header ``N K``, then one K-character 0/1 line per
-    code (1 encodes +1), written _CODES_PER_WRITE codes at a time."""
+    code (1 encodes +1), written data._ROW_BLOCK codes at a time."""
     with open(path, "wb") as fh:
         fh.write(f"{len(db)} {db.k_bits}\n".encode())
-        for start in range(0, len(db), _CODES_PER_WRITE):
-            block = db.words[start : start + _CODES_PER_WRITE]
-            fh.write(_bit_text(_unpack_rows(block, db.k_bits)))
+        step = _data._ROW_BLOCK
+        for start in range(0, len(db), step):
+            fh.write(_bit_text(_unpack_rows(db.words[start : start + step], db.k_bits)))
 
 
 def load_codes(path) -> CodeDatabase:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import icshash.cli
 import icshash.data
 import icshash.encoder
 import icshash.retrieval
@@ -35,13 +36,15 @@ from icshash import (
     load_codes,
     load_dataset,
     map_at_k,
+    pack_database,
     precision_at_k,
     save_centers,
+    save_codes,
     save_dataset,
     solve_weights,
     train,
 )
-from icshash.cli import _build_parser, main
+from icshash.cli import _build_parser, _write_csv, main
 from icshash.data import load_dataset_csv
 from icshash.encoder import init_params, save_checkpoint
 
@@ -299,6 +302,30 @@ class TestTrainCommand:
         )
         assert (result.returncode, result.stderr) == (3, f"error: {message}\n")
         assert not (tmp_path / "wide.ckpt").exists()
+
+    @pytest.mark.parametrize("lr, code", [("1e300", 0), ("1e308", 2)])
+    def test_a_rate_past_the_float_range_warns_of_nothing(self, workdir, lr, code):
+        # 1e300 overflows the hidden layer yet ends with finite outputs;
+        # 1e308 overflows the first Adam step, which is refused with no
+        # output file. Neither warns, so -W error fails neither.
+        tmp_path, data, centers = workdir
+        prefix = tmp_path / "fast"
+        argv = [sys.executable, "-W", "error", "-m", "icshash.cli", "train", "--data", str(data),
+                "--centers", str(centers), "--out-prefix", str(prefix), "--epochs", "2",
+                "--hidden", "16", "--lr", lr, "--gradient-mode", "exact"]  # fmt: skip
+        result = subprocess.run(argv, capture_output=True, text=True, env=src_env())
+        if code == 0:
+            assert (result.returncode, result.stderr) == (0, "")
+            load_checkpoint(f"{prefix}.ckpt")  # refuses a non-finite parameter
+            for table in ("loss", "weights"):
+                values = np.loadtxt(f"{prefix}.{table}.csv", delimiter=",", skiprows=1)
+                assert np.isfinite(values).all()
+        else:
+            message = "training diverged at epoch 0, batch 0: the encoder's values are no longer"
+            assert (result.returncode, result.stderr) == (
+                2, f"error: {message} finite at lr0={float(lr):g}\n"
+            )
+            assert not list(tmp_path.glob("fast*"))
 
     def test_toy_training_run(self, workdir):
         tmp_path, data, centers = workdir
@@ -708,9 +735,8 @@ class TestEvalCommand:
 
     @pytest.fixture
     def small_blocks(self, monkeypatch):
-        # several load and encode blocks in the 60-sample workdir data
-        monkeypatch.setattr(icshash.data, "_LOAD_BLOCK", 7)
-        monkeypatch.setattr(icshash.encoder, "_ENCODE_BLOCK", 3)
+        # several load, encode and pack blocks in the 60-sample workdir data
+        monkeypatch.setattr(icshash.data, "_ROW_BLOCK", 7)
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_streamed_codes_are_the_loaded_features_codes(self, workdir, small_blocks):
@@ -829,6 +855,48 @@ class TestEvalCommand:
         assert json.loads(out.read_text())["n_queries"] == len(samples)
 
 
+def test_one_row_block_sizes_every_streamed_pass(tmp_path, monkeypatch):
+    # data._ROW_BLOCK, set once, splits 7 rows into blocks of 3, 3 and 1
+    # in the dataset parse, the forward passes, the packing and the code
+    # and CSV writers (each after its header line)
+    monkeypatch.setattr(icshash.data, "_ROW_BLOCK", 3)
+    seen = {}
+
+    def spy(module, name, rows):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            seen.setdefault(name, []).append(rows(*args))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def counted_open(*args, **kwargs):
+        fh, lines = open(*args, **kwargs), seen.setdefault(f"writes to {args[0]}", [])
+        write = fh.write
+        fh.write = lambda text: lines.append(len(text.splitlines())) or write(text)
+        return fh
+
+    spy(icshash.data, "_parse_block", lambda lines, *_: len(lines) // 3)
+    spy(icshash.encoder, "_forward", lambda params, x, *_: len(x))
+    spy(icshash.retrieval, "_pack_rows", len)
+    for module in (icshash.retrieval, icshash.cli):
+        monkeypatch.setattr(module, "open", counted_open, raising=False)
+    save_dataset(tmp_path / "data.txt", generate_synthetic(SyntheticSpec(7, 4, 3, seed=0)))
+    features = load_dataset(tmp_path / "data.txt").features
+    codes = pack_database(encode_binary(init_params([4, 5, 70], np.random.default_rng(0)), features))
+    save_codes(tmp_path / "codes.txt", codes)
+    _write_csv(tmp_path / "rows.csv", "i,j", "%d,%d", ((i, -i) for i in range(7)))
+    blocks = [3, 3, 1]
+    assert seen == {
+        "_parse_block": blocks,
+        "_forward": blocks,
+        "_pack_rows": blocks,
+        f"writes to {tmp_path / 'codes.txt'}": [1, *blocks],
+        f"writes to {tmp_path / 'rows.csv'}": [1, *blocks],
+    }
+
+
 class TestEvalMemory:
     def test_traced_peak_is_the_codes_and_labels_plus_one_stage(self, tmp_path):
         # eval keeps only each input's packed codes and int8 labels; while
@@ -854,8 +922,8 @@ class TestEvalMemory:
             tracemalloc.stop()
         codes_and_labels = (n + q) * (8 * (k_bits // 64) + m)  # uint64 words, int8 labels
         # as test_loading_holds_the_columns_and_one_block_of_lines bounds a block
-        block_text = (tmp_path / "database.txt").stat().st_size * icshash.data._LOAD_BLOCK / n
-        forward = 8 * icshash.encoder._ENCODE_BLOCK * (64 + k_bits)
+        block_text = (tmp_path / "database.txt").stat().st_size * icshash.data._ROW_BLOCK / n
+        forward = 8 * icshash.data._ROW_BLOCK * (64 + k_bits)
         one_block = 4 * block_text + forward
         key_and_union = (4 + 1 / 8) * icshash.retrieval._BLOCK_ELEMENTS  # uint32 keys, one bit
         xor_scratch = 9 * icshash.retrieval._XOR_ELEMENTS

@@ -515,7 +515,7 @@ def test_loading_holds_the_columns_and_one_block_of_lines(tmp_path):
     finally:
         tracemalloc.stop()
     columns = sum(column.nbytes for column in vars(data).values())
-    block_text = path.stat().st_size * icshash.data._LOAD_BLOCK / n
+    block_text = path.stat().st_size * icshash.data._ROW_BLOCK / n
     assert peak < columns + 4 * block_text
 
 

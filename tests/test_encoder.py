@@ -541,28 +541,30 @@ class TestSettableValues:
         assert sum(map(len, records.values())) + len(rank_parameters) == 17
 
     def test_tuning_constants_are_pinned(self):
-        """Every private int or float a module sets at its top level: a
-        block size or tolerance, like a config field, is added on purpose."""
+        """Every private number a module sets at its top level, a Python or
+        a numpy integer or float: a block size or tolerance, like a config
+        field, is added on purpose."""
         constants = {
             "centers": [],
-            "cli": ["_ROWS_PER_WRITE"],
-            "data": ["_LOAD_BLOCK", "_SAVE_BLOCK", "_MAX_NOISE_SIGMA"],
+            "cli": [],
+            "data": ["_ROW_BLOCK", "_SAVE_BLOCK", "_MAX_NOISE_SIGMA"],
             "encoder": [
-                "_ADAM_BETA1", "_ADAM_BETA2", "_ADAM_EPS", "_LR_DECAY_EVERY",
-                "_LR_DECAY_FACTOR", "_ENCODE_BLOCK",
+                "_ADAM_BETA1", "_ADAM_BETA2", "_ADAM_EPS", "_LR_DECAY_EVERY", "_LR_DECAY_FACTOR",
             ],
             "errors": [],
             "loss": [],
-            "retrieval": ["_BLOCK_ELEMENTS", "_XOR_ELEMENTS", "_CODES_PER_WRITE", "_PACK_ROWS"],
-            "weights": ["_FEASIBLE_TOL", "_MAX_ROOT_ITERS"],
+            "retrieval": ["_BLOCK_ELEMENTS", "_XOR_ELEMENTS"],
+            "weights": ["_FEASIBLE_TOL", "_ROOT_TOL", "_MAX_ROOT_ITERS"],
         }
+        number = (int, float, np.integer, np.floating)  # bool is an int, np.bool_ neither
         modules = sorted(info.name for info in pkgutil.iter_modules(icshash.__path__))
         assert modules == list(constants)
         for name, want in constants.items():
             found = [
                 key
                 for key, value in vars(importlib.import_module(f"icshash.{name}")).items()
-                if key.startswith("_") and not key.startswith("__") and type(value) in (int, float)
+                if key.startswith("_") and not key.startswith("__")
+                and isinstance(value, number) and not isinstance(value, bool)
             ]
             assert found == want, name
 
@@ -603,11 +605,11 @@ class TestEncodeBinary:
 
     @pytest.mark.parametrize("n", [1, 7, 30])  # 30 is not a multiple of the block
     def test_blocks_equal_one_forward_pass(self, monkeypatch, n):
-        monkeypatch.setattr(icshash.encoder, "_ENCODE_BLOCK", 7)
+        monkeypatch.setattr(icshash.data, "_ROW_BLOCK", 7)
         self.check_blocks(monkeypatch, n, 7)
 
     def test_two_full_blocks_and_five_rows(self, monkeypatch):
-        block = icshash.encoder._ENCODE_BLOCK
+        block = icshash.data._ROW_BLOCK
         self.check_blocks(monkeypatch, 2 * block + 5, block)
 
     def test_no_rows_still_checks_the_feature_dimension(self):
@@ -616,12 +618,13 @@ class TestEncodeBinary:
         with pytest.raises(ValueError, match="feature dimension"):
             icshash.encode_binary(params, np.empty((0, 3)))
 
-    def test_no_rows_through_given_buffers_still_checks_the_feature_dimension(self):
+    def test_no_rows_sliced_from_a_matrix_still_checks_the_feature_dimension(self):
+        # eval's call: one encode_binary per row slice, an empty one included
         params = tiny_net()
-        buffers = icshash.encoder._forward_buffers(params)
-        assert icshash.encode_binary(params, np.empty((0, 4)), buffers).shape == (0, 8)
+        x = np.random.default_rng(0).normal(size=(5, 4))
+        assert icshash.encode_binary(params, x[5:]).shape == (0, 8)
         with pytest.raises(ValueError, match="feature dimension"):
-            icshash.encode_binary(params, np.empty((0, 3)), buffers)
+            icshash.encode_binary(params, x[5:, :3])
 
     def test_overflowing_and_tied_outputs_match_forward_batch_bit_for_bit(self, monkeypatch):
         # one affine layer, so output j's pre-activation is x * w[j]: rows
@@ -631,19 +634,18 @@ class TestEncodeBinary:
         # 3 at +-1 ulp, whose sigmoid rounds to 0.5 as well
         params = EncoderParams([np.array([[1.0, 1.0, -1.0]])], [np.zeros(3)])
         x = np.array([[-800.0], [-746.0], [0.0], [np.nextafter(0.0, 1.0)]])
-        monkeypatch.setattr(icshash.encoder, "_ENCODE_BLOCK", 2)  # buffers reused across blocks
+        monkeypatch.setattr(icshash.data, "_ROW_BLOCK", 2)  # buffers reused across blocks
         codes = icshash.encode_binary(params, x)
         np.testing.assert_array_equal(codes, binarize(forward_batch(params, x)[0]))
         np.testing.assert_array_equal(codes, [[-1, -1, 1]] * 2 + [[1, 1, 1]] * 2)
-        # eval's call: buffers allocated once and passed to every call
-        buffers = icshash.encoder._forward_buffers(params)
+        # eval's call: one encode_binary per row slice, each with its own buffers
         for rows in (x[:1], x[1:]):
             np.testing.assert_array_equal(
-                icshash.encode_binary(params, rows, buffers), binarize(forward_batch(params, rows)[0])
+                icshash.encode_binary(params, rows), binarize(forward_batch(params, rows)[0])
             )
 
     def test_traced_peak_is_the_codes_and_one_block_of_buffers(self, monkeypatch):
-        monkeypatch.setattr(icshash.encoder, "_ENCODE_BLOCK", 512)
+        monkeypatch.setattr(icshash.data, "_ROW_BLOCK", 512)
         sizes = (16, 64, 32, 48)
         params = tiny_net(5, sizes=sizes)
         x = np.random.default_rng(5).normal(size=(3 * 512, 16))  # three full blocks

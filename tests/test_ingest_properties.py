@@ -339,7 +339,7 @@ SMALL_BLOCK = 3
 @contextlib.contextmanager
 def small_load_blocks():
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(icshash.data, "_LOAD_BLOCK", SMALL_BLOCK)
+        patch.setattr(icshash.data, "_ROW_BLOCK", SMALL_BLOCK)
         yield
 
 

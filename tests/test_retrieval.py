@@ -202,7 +202,7 @@ class TestPacking:
         # blocks of 4 codes: fewer, exactly one block, a block and one, several
         codes = random_codes(np.random.default_rng(n), n, 70)
         whole = pack_database(codes)
-        monkeypatch.setattr(icshash.retrieval, "_PACK_ROWS", 4)
+        monkeypatch.setattr(icshash.data, "_ROW_BLOCK", 4)
         blocked = pack_database(codes)
         assert blocked.k_bits == 70
         np.testing.assert_array_equal(blocked.words, whole.words)
@@ -220,7 +220,7 @@ def test_packing_holds_a_few_blocks_of_codes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a block of 2048 int8 codes is 131 KB; the whole-matrix check and
+    # a block of 1024 int8 codes is 66 KB; the whole-matrix check and
     # padded copy came to about four times the 6.4 MB input
     assert peak < db.words.nbytes + codes.nbytes / 4
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import icshash.data
-import icshash.retrieval
 from icshash import (
     CodeDatabase,
     Dataset,
@@ -167,7 +166,7 @@ class TestSameBytesAsWholeFileWriters:
     @pytest.mark.parametrize("n, per_write", [(0, 4096), (1, 4096), (9, 4), (8, 4), (4100, 4096)])
     def test_codes(self, tmp_path, monkeypatch, k_bits, n, per_write):
         # per_write 4: blocks of 4, 4 and 1 codes, or exactly two blocks
-        monkeypatch.setattr(icshash.retrieval, "_CODES_PER_WRITE", per_write)
+        monkeypatch.setattr(icshash.data, "_ROW_BLOCK", per_write)
         db = random_code_database(n, k_bits, seed=n + k_bits)
         assert_same_file(tmp_path, save_codes, reference_codes, db)
 
