@@ -69,7 +69,8 @@ class Dataset:
     through the Dataset cannot undo a check before train reads them. The
     views share the caller's arrays, which are not copied and stay
     writable under the caller's names: a caller must not write to them
-    after building the Dataset, as nothing checks such a write."""
+    after building the Dataset. Only train looks again, once a batch stops
+    being finite: a non-finite feature there raises the DataError above."""
 
     features: np.ndarray
     labels: np.ndarray

@@ -21,6 +21,7 @@ from .loss import (
     CODE_EPS,
     LossConfig,
     _loss_and_gradient,
+    clamp_code,
     distance_matrix,
     distance_vector,  # unused: perfbench/traced.py rebinds this name by getattr
     loss_gradient_wrt_codes,  # unused: perfbench/traced.py rebinds this name by getattr
@@ -28,6 +29,7 @@ from .loss import (
 )
 from .weights import (
     WeightSolverConfig,
+    _sigmoid,
     solve_weights,  # unused: perfbench/traced.py rebinds this name by getattr
     solve_weights_batch,
 )
@@ -81,30 +83,24 @@ def init_params(sizes, rng: "np.random.Generator") -> EncoderParams:
     return EncoderParams(weights, biases)
 
 
-def _forward(params: EncoderParams, x: np.ndarray, buffers=None):
+def _forward(params: EncoderParams, x: np.ndarray):
     """Forward pass over a (N, D) float64 batch: the per-layer inputs and
-    the raw sigmoid outputs (N, K). Each layer's output is a fresh array
-    or, with ``buffers`` (one (rows >= N, width) float64 array per layer),
-    the first N rows of its layer's buffer; both are computed in place in
-    one order, so they hold the same bits."""
+    the raw sigmoid outputs (N, K), each layer computed in place in one
+    fresh array. A pre-activation past the float range is not reported:
+    its output saturates at 0 or 1 (inf - inf stays nan), in train and
+    eval alike."""
     d = params.sizes[0]
     if x.shape[1] != d:
         raise ValueError(f"feature dimension {x.shape[1]} does not match D={d}")
     inputs, a = [], x
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        inputs.append(a)
-        a = np.matmul(a, w, out=None if buffers is None else buffers[l][: len(x)])
-        a += b
-        if l < params.n_layers() - 1:
-            np.maximum(a, 0.0, out=a)
-    # 1 / (1 + exp(-z)); below z of about -709.78 the exp overflows to inf
-    # and the output is 0.0, which is expected, so it is not reported
-    with np.errstate(over="ignore"):
-        np.negative(a, out=a)
-        np.exp(a, out=a)
-        np.add(a, 1.0, out=a)
-        np.divide(1.0, a, out=a)
-    return inputs, a
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+            inputs.append(a)
+            a = a @ w
+            a += b
+            if l < params.n_layers() - 1:
+                np.maximum(a, 0.0, out=a)
+        return inputs, _sigmoid(a, out=a)
 
 
 def forward_batch(params: EncoderParams, x: np.ndarray):
@@ -114,7 +110,7 @@ def forward_batch(params: EncoderParams, x: np.ndarray):
     backward_batch: per-layer inputs, plus the raw sigmoid outputs.
     """
     inputs, sig = _forward(params, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    return np.clip(sig, CODE_EPS, 1.0 - CODE_EPS), (inputs, sig)
+    return clamp_code(sig), (inputs, sig)
 
 
 def backward_batch(params: EncoderParams, cache, grad_codes: np.ndarray):
@@ -230,13 +226,19 @@ class TrainState:
         return np.split(flat, np.cumsum(self.label_mask.sum(axis=1))[:-1])
 
 
-def _check_finite(arrays, cfg: TrainConfig, epoch: int, batch: int) -> None:
-    """ConfigError unless every array (codes or parameters) is finite."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ConfigError(
-            f"training diverged at epoch {epoch}, batch {batch}: the encoder's "
-            f"values are no longer finite at lr0={cfg.lr0:g}"
-        )
+def _check_finite(arrays, features, samples, cfg: TrainConfig, epoch: int, batch: int) -> None:
+    """Unless every array (codes or parameters) is finite: DataError for
+    the first of the batch's ``samples`` with a non-finite feature (one
+    written after the Dataset was built), else ConfigError."""
+    if all(np.isfinite(a).all() for a in arrays):
+        return
+    bad = samples[~np.isfinite(features[samples]).all(axis=1)]
+    if bad.size:
+        raise DataError(f"sample {bad.min()} has a non-finite feature")
+    raise ConfigError(
+        f"training diverged at epoch {epoch}, batch {batch}: the encoder's "
+        f"values are no longer finite at lr0={cfg.lr0:g}"
+    )
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging run is refused below
@@ -256,7 +258,9 @@ def train(data: Dataset, center_set: HashCenterSet, cfg: TrainConfig) -> TrainSt
     the (N, M) label mask; no per-sample object is built. The loss
     decomposition is recorded per epoch. Deterministic for a fixed seed.
     A ConfigError names the epoch and batch, from 0, where a rate too
-    large first made the codes or parameters non-finite.
+    large first made the codes or parameters non-finite, unless a sample
+    of that batch had its features made non-finite after the Dataset was
+    built (DataError).
     """
     if len(data) == 0:
         raise DataError("empty dataset")
@@ -279,7 +283,7 @@ def train(data: Dataset, center_set: HashCenterSet, cfg: TrainConfig) -> TrainSt
         for b, start in enumerate(range(0, n, cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
             codes, cache = forward_batch(params, features[batch])
-            _check_finite([codes], cfg, epoch, b)
+            _check_finite([codes], features, batch, cfg, epoch, b)
             d = distance_matrix(codes, centers01)
             w, batch_mask = weights[batch], mask[batch]
             if cfg.weight_mode == "learned":
@@ -290,7 +294,7 @@ def train(data: Dataset, center_set: HashCenterSet, cfg: TrainConfig) -> TrainSt
             )
             grads = backward_batch(params, cache, grad_codes)
             adam_step(params, adam, grads, lr)
-            _check_finite([*params.weights, *params.biases], cfg, epoch, b)
+            _check_finite([*params.weights, *params.biases], features, batch, cfg, epoch, b)
             for key, part in {"total": value, **parts}.items():
                 sums[key] += part
         history.append(sums)
@@ -306,21 +310,15 @@ def binarize(b) -> np.ndarray:
 
 
 def encode_binary(params: EncoderParams, features) -> np.ndarray:
-    """Binarized codes, (N, K) int8, for a feature matrix, from one
-    forward pass per block of data._ROW_BLOCK rows, each into the same
-    float64 buffers, allocated once per call. The codes are binarize's of
-    forward_batch's, bit for bit: its clamp to [CODE_EPS, 1 - CODE_EPS]
-    moves no output across 0.5, so it is skipped."""
+    """Binarized codes, (N, K) int8, for a feature matrix, from one forward
+    pass per block of data._ROW_BLOCK rows: binarize's of forward_batch's,
+    bit for bit, as its clamp to [CODE_EPS, 1 - CODE_EPS] moves no output
+    across 0.5."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     block = _data._ROW_BLOCK
-    buffers = [np.empty((min(len(x), block), width)) for width in params.sizes[1:]]
     codes = np.empty((len(x), params.sizes[-1]), dtype=np.int8)
     for start in range(0, max(len(x), 1), block):  # N = 0 still checks D
-        rows = slice(start, start + block)
-        out = codes[rows]
-        np.greater_equal(_forward(params, x[rows], buffers)[1], 0.5, out=out)
-        out *= 2
-        out -= 1
+        codes[start : start + block] = binarize(_forward(params, x[start : start + block])[1])
     return codes
 
 

@@ -25,9 +25,9 @@ from .errors import EvaluationError, check_int
 # buffer (uint32 at K = 64 up to N = 66 million: 4 MiB) and the union of
 # its posting lists (one bit per element) are allocated once per call
 # and reused by every block. The Hamming pass XORs
-# max(1, _XOR_ELEMENTS // N) of its rows at a time, so that its uint64
-# scratch (512 KiB) stays in cache. The posting lists are packed from
-# blocks of about _BLOCK_ELEMENTS labels.
+# max(1, _XOR_ELEMENTS // N) query rows at a time, so that the uint64
+# scratch it allocates per block (512 KiB) stays in cache. The posting
+# lists are packed from blocks of about _BLOCK_ELEMENTS labels.
 _BLOCK_ELEMENTS = 2**20
 _XOR_ELEMENTS = 2**16
 
@@ -134,14 +134,14 @@ def hamming(a: CodeDatabase, b: CodeDatabase) -> int:
     return int(np.bitwise_count(a.words ^ b.words).sum())
 
 
-def _hamming_rows(query_words: np.ndarray, db_words: np.ndarray, dist, xor, count) -> None:
+def _hamming_rows(query_words: np.ndarray, db_words: np.ndarray, dist) -> None:
     """Write into ``dist`` (Q, N), of an integer type that holds K, the
     distances from Q packed query rows to N packed database codes,
-    summed one word at a time; ``xor`` (R, N) uint64 and ``count`` (R, N)
-    uint8 are scratch for R query rows at a time."""
-    step = len(xor)
-    for start in range(0, len(query_words), step):
-        rows = slice(start, start + step)
+    summed one word at a time (see _XOR_ELEMENTS for its scratch)."""
+    shape = (min(max(1, _XOR_ELEMENTS // len(db_words)), len(query_words)), len(db_words))
+    xor, count = np.empty(shape, np.uint64), np.empty(shape, np.uint8)
+    for start in range(0, len(query_words), shape[0]):
+        rows = slice(start, start + shape[0])
         q, out = query_words[rows], dist[rows]
         x, c = xor[: len(q)], count[: len(q)]
         for w in range(db_words.shape[1]):
@@ -159,9 +159,8 @@ def rank_database(query: CodeDatabase, db: CodeDatabase) -> RankedResult:
     if len(db) == 0:
         raise ValueError("empty database")
     _check_lengths(query.k_bits, db.k_bits)
-    dist, xor, count = (np.empty((1, len(db)), t) for t in (np.int64, np.uint64, np.uint8))
-    _hamming_rows(query.words, db.words, dist, xor, count)
-    dist = dist[0]
+    dist = np.empty(len(db), np.int64)
+    _hamming_rows(query.words, db.words, dist[None])
     order = np.argsort(dist, kind="stable")
     return RankedResult(order, dist[order])
 
@@ -218,14 +217,12 @@ def retrieval_metrics(
     index = np.arange(n, dtype=key_type)
     shape = (min(max(1, _BLOCK_ELEMENTS // n), len(query_codes)), n)
     keys, unions = np.empty(shape, key_type), np.empty((shape[0], posting.shape[1]), np.uint64)
-    scratch = (min(max(1, _XOR_ELEMENTS // n), shape[0]), n)
-    xor, count = np.empty(scratch, np.uint64), np.empty(scratch, np.uint8)
     ap, precision_at = np.empty(len(query_codes)), np.empty(len(query_codes))
     n_relevant = np.empty(len(query_codes), dtype=np.int64)
     for start in range(0, len(query_codes), shape[0]):
         rows = slice(start, min(start + shape[0], len(query_codes)))
         key, union = keys[: rows.stop - start], unions[: rows.stop - start]
-        _hamming_rows(query_codes.words[rows], db_codes.words, key, xor, count)
+        _hamming_rows(query_codes.words[rows], db_codes.words, key)
         key *= n
         key += index
         key.partition(top - 1, axis=1)

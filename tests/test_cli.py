@@ -27,6 +27,7 @@ from icshash import (
     SyntheticSpec,
     TrainConfig,
     WeightSolverConfig,
+    binarize,
     encode_binary,
     features_matrix,
     generate_centers,
@@ -43,10 +44,11 @@ from icshash import (
     save_dataset,
     solve_weights,
     train,
+    unpack_database,
 )
 from icshash.cli import _build_parser, _write_csv, main
 from icshash.data import load_dataset_csv
-from icshash.encoder import init_params, save_checkpoint
+from icshash.encoder import forward_batch, init_params, save_checkpoint
 
 
 @pytest.fixture
@@ -305,9 +307,10 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("lr, code", [("1e300", 0), ("1e308", 2)])
     def test_a_rate_past_the_float_range_warns_of_nothing(self, workdir, lr, code):
-        # 1e300 overflows the hidden layer yet ends with finite outputs;
+        # 1e300 overflows the hidden layer yet ends with finite outputs,
+        # and eval of its checkpoint saturates those outputs as train did;
         # 1e308 overflows the first Adam step, which is refused with no
-        # output file. Neither warns, so -W error fails neither.
+        # output file. None warns, so -W error fails none.
         tmp_path, data, centers = workdir
         prefix = tmp_path / "fast"
         argv = [sys.executable, "-W", "error", "-m", "icshash.cli", "train", "--data", str(data),
@@ -316,10 +319,18 @@ class TestTrainCommand:
         result = subprocess.run(argv, capture_output=True, text=True, env=src_env())
         if code == 0:
             assert (result.returncode, result.stderr) == (0, "")
-            load_checkpoint(f"{prefix}.ckpt")  # refuses a non-finite parameter
+            params, _ = load_checkpoint(f"{prefix}.ckpt")  # refuses a non-finite parameter
             for table in ("loss", "weights"):
                 values = np.loadtxt(f"{prefix}.{table}.csv", delimiter=",", skiprows=1)
                 assert np.isfinite(values).all()
+            argv[5:] = ["eval", "--checkpoint", f"{prefix}.ckpt", "--queries", str(data),
+                        "--database", str(data), "--k", "5", "--out",
+                        str(tmp_path / "m.json"), "--dump-codes", str(prefix)]  # fmt: skip
+            result = subprocess.run(argv, capture_output=True, text=True, env=src_env())
+            assert (result.returncode, result.stderr) == (0, "")
+            expected = binarize(forward_batch(params, load_dataset(data).features)[0])
+            dumped = unpack_database(load_codes(f"{prefix}.database.txt"))
+            np.testing.assert_array_equal(dumped, expected)
         else:
             message = "training diverged at epoch 0, batch 0: the encoder's values are no longer"
             assert (result.returncode, result.stderr) == (
@@ -900,9 +911,10 @@ def test_one_row_block_sizes_every_streamed_pass(tmp_path, monkeypatch):
 class TestEvalMemory:
     def test_traced_peak_is_the_codes_and_labels_plus_one_stage(self, tmp_path):
         # eval keeps only each input's packed codes and int8 labels; while
-        # reading, one block of lines and its parse and forward buffers are
-        # held, then the ranking's block buffers. Holding the loaded
-        # dataset columns (10 MB here) pushes the peak past this bound
+        # reading, one block of lines, its parse arrays and its forward
+        # pass's layer outputs are held, then the ranking's block buffers
+        # and the Hamming pass's scratch. Holding the loaded dataset
+        # columns (10 MB here) pushes the peak past this bound
         n, q, d, m, k_bits = 10_000, 200, 32, 80, 64
         data = generate_synthetic(SyntheticSpec(n + q, d, m, seed=3))
         save_dataset(tmp_path / "queries.txt", data[:q])

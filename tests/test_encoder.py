@@ -46,6 +46,7 @@ from icshash import (
     train,
 )
 from icshash.encoder import backward_batch, forward_batch
+from icshash.loss import CODE_EPS
 
 
 def tiny_net(seed=0, sizes=(4, 5, 8)):
@@ -88,6 +89,19 @@ class TestForward:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             forward_one(tiny_net(), np.ones(7))
+
+    def test_a_layer_past_the_float_range_saturates_without_a_warning(self):
+        # each output's pre-activation sums terms of one sign, 10 * 1e308
+        # or 1e308 in size, so the product overflows to +inf or -inf (an
+        # error under the suite's warning filter unless suppressed)
+        params = EncoderParams([np.array([[1e308, -1e308], [1e308, -1e308]])], [np.zeros(2)])
+        x = np.array([[10.0, 10.0], [-10.0, -1.0], [1.0, 10.0]])
+        codes, (_, sig) = forward_batch(params, x)
+        np.testing.assert_array_equal(sig, [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(codes, np.clip(sig, CODE_EPS, 1.0 - CODE_EPS))
+        encoded = icshash.encode_binary(params, x)
+        np.testing.assert_array_equal(encoded, binarize(codes))
+        np.testing.assert_array_equal(encoded, [[1, -1], [-1, 1], [1, -1]])
 
 
 class TestBackward:
@@ -384,6 +398,20 @@ class TestTrainInputValidation:
         with pytest.raises(DataError, match="empty dataset"):
             self.run(synthetic_two_label(n=10)[:0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mode", ["equal", "learned"])
+    def test_a_feature_written_after_the_build_is_named_not_the_rate(self, value, mode):
+        # the Dataset's columns share the caller's arrays, so a write under
+        # the caller's own name escapes its checks; train names the sample
+        # as the Dataset would have, where it used to blame lr0
+        data = generate_synthetic(SyntheticSpec(40, 6, 4, seed=1))
+        features = data.features.copy()
+        written = Dataset(features, data.labels, data.proportions, data.has_proportions)
+        features[17, 1] = features[4, 0] = value  # one batch of 64 holds both
+        with pytest.raises(DataError) as exc_info:
+            train(written, generate_centers(16, 4, seed=1), TrainConfig(epochs=1, weight_mode=mode))
+        assert str(exc_info.value) == "sample 4 has a non-finite feature"
+
 
 class TestLearningRate:
     def test_divided_by_ten_every_thirty_epochs(self):
@@ -634,11 +662,11 @@ class TestEncodeBinary:
         # 3 at +-1 ulp, whose sigmoid rounds to 0.5 as well
         params = EncoderParams([np.array([[1.0, 1.0, -1.0]])], [np.zeros(3)])
         x = np.array([[-800.0], [-746.0], [0.0], [np.nextafter(0.0, 1.0)]])
-        monkeypatch.setattr(icshash.data, "_ROW_BLOCK", 2)  # buffers reused across blocks
+        monkeypatch.setattr(icshash.data, "_ROW_BLOCK", 2)  # one forward pass per block
         codes = icshash.encode_binary(params, x)
         np.testing.assert_array_equal(codes, binarize(forward_batch(params, x)[0]))
         np.testing.assert_array_equal(codes, [[-1, -1, 1]] * 2 + [[1, 1, 1]] * 2)
-        # eval's call: one encode_binary per row slice, each with its own buffers
+        # eval's call: one encode_binary per row slice
         for rows in (x[:1], x[1:]):
             np.testing.assert_array_equal(
                 icshash.encode_binary(params, rows), binarize(forward_batch(params, rows)[0])
@@ -656,10 +684,10 @@ class TestEncodeBinary:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        buffers = 8 * 512 * sum(sizes[1:])  # float64, one per layer
+        buffers = 8 * 512 * sum(sizes[1:])  # one block's float64 layer outputs
         ufunc_buffer = 8 * np.getbufsize()  # the bias add broadcasts through it
-        # a forward_batch per block holds its clip and sigmoid temporaries
-        # as well: 1.4 times this bound on these sizes
+        # a forward_batch per block holds its clamped codes as well: 1.17
+        # times this bound on these sizes
         assert peak < codes.nbytes + buffers + ufunc_buffer + 8192
 
 

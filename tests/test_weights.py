@@ -329,6 +329,14 @@ class TestSigmoid:
         assert np.ndim(_sigmoid(0.25)) == 0
         assert float(_sigmoid(0.0)) == 0.5
 
+    def test_in_place_equals_a_fresh_result_bit_for_bit(self):
+        x = np.linspace(-800.0, 800.0, 400_001)
+        fresh, into = _sigmoid(x), x.copy()
+        assert _sigmoid(into, out=into) is into
+        assert into.tobytes() == fresh.tobytes()
+        for scalar in (0.25, np.float64(-800.0), np.float64(800.0)):
+            assert type(_sigmoid(scalar)) is np.float64
+
 
 class TestEntropyRegularizer:
     def test_uniform_four(self):
