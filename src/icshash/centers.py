@@ -3,10 +3,11 @@
 Centers are fixed K-bit codes in {-1, +1}, one per class label. When K
 is a power of two they are drawn from the rows of an orthogonal +-1
 matrix built by repeated doubling, which puts every pair of distinct
-rows at Hamming distance exactly K/2; otherwise balanced Bernoulli
-codes are drawn and de-duplicated.
+rows at Hamming distance exactly K/2; otherwise balanced rows are
+drawn directly and redrawn only when repeated.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from .errors import CapacityError, ParseError, check_int
 # the dense matrix no longer fits in desk-scale memory.
 MAX_ORDER_EXP = 16
 
-# How often a Bernoulli row may be redrawn before giving up.
+# How often a Bernoulli row that repeats a kept one may be redrawn before giving up.
 MAX_ROW_RESAMPLES = 1000
 
 STRATEGIES = ("hadamard-rows", "stacked-hadamard", "bernoulli")
@@ -89,31 +90,23 @@ def _fisher_yates(n: int, rng: "np.random.Generator") -> np.ndarray:
     return idx
 
 
-def _balanced(row: np.ndarray) -> bool:
-    ones = int(np.count_nonzero(row == 1))
-    k = row.size
-    return ones in (k // 2, (k + 1) // 2)
-
-
 def _bernoulli_centers(k_bits: int, m_labels: int, rng: "np.random.Generator") -> np.ndarray:
     centers = np.empty((m_labels, k_bits), dtype=np.int8)
     seen = set()
-    for i in range(m_labels):
+    for i, row in enumerate(centers):
         for _ in range(MAX_ROW_RESAMPLES):
-            row = (2 * rng.integers(0, 2, size=k_bits) - 1).astype(np.int8)
-            if not _balanced(row):
-                continue
-            key = row.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            centers[i] = row
-            break
+            # +1 at K/2 places, or for odd K at K//2 or K//2 + 1 by a coin,
+            # so every balanced row is equally likely
+            ones = k_bits // 2 + (k_bits % 2 and int(rng.integers(0, 2)))
+            row[:] = np.where(rng.permutation(k_bits) < ones, 1, -1)
+            if (key := row.tobytes()) not in seen:
+                break
         else:
             raise CapacityError(
-                f"could not draw a balanced distinct center for row {i} "
+                f"could not draw a distinct center for row {i} "
                 f"after {MAX_ROW_RESAMPLES} resamples (K={k_bits}, M={m_labels})"
             )
+        seen.add(key)
     return centers
 
 
@@ -126,18 +119,15 @@ def generate_centers(k_bits: int, m_labels: int, seed: int) -> HashCenterSet:
       orthogonal matrix without replacement ("hadamard-rows").
     * K a power of two and K < M <= 2K: sample rows of the matrix
       stacked with its negation ("stacked-hadamard").
-    * anything else: balanced Bernoulli rows, resampled until distinct
-      ("bernoulli").
+    * anything else: balanced rows (K/2 ones, or K//2 or K//2 + 1 for odd
+      K) drawn directly and redrawn only when repeated ("bernoulli");
+      a CapacityError if M exceeds the number of balanced rows.
 
     Deterministic given (k_bits, m_labels, seed): integers, K >= 2,
     M >= 1 and seed >= 0, else ValueError naming the field.
     """
     k_bits, m_labels = check_int("k_bits", k_bits, 2), check_int("m_labels", m_labels, 1)
     seed = check_int("seed", seed, 0)
-    if k_bits <= 62 and m_labels > (1 << k_bits):
-        raise CapacityError(
-            f"cannot draw {m_labels} distinct centers of {k_bits} bits"
-        )
     rng = np.random.default_rng(seed)
     if _is_power_of_two(k_bits) and m_labels <= 2 * k_bits:
         h = sylvester_hadamard(k_bits.bit_length() - 1)
@@ -145,6 +135,12 @@ def generate_centers(k_bits: int, m_labels: int, seed: int) -> HashCenterSet:
         centers = pool[np.sort(_fisher_yates(len(pool), rng)[:m_labels])]
         strategy = "hadamard-rows" if m_labels <= k_bits else "stacked-hadamard"
     else:
+        capacity = math.comb(k_bits, k_bits // 2) * (1 + k_bits % 2)
+        if m_labels > capacity:
+            raise CapacityError(
+                f"cannot draw {m_labels} distinct centers of {k_bits} bits: "
+                f"only {capacity} balanced rows exist"
+            )
         centers = _bernoulli_centers(k_bits, m_labels, rng)
         strategy = "bernoulli"
     return HashCenterSet(np.ascontiguousarray(centers), strategy, seed)

@@ -204,6 +204,9 @@ def _encode_input(path, data_format, params, m_labels):
 
 def _cmd_eval(args) -> tuple[list, int, dict]:
     check_int("k", args.k, 1)  # before any input is read
+    for path in (args.out, args.dump_codes):  # and so is where outputs go
+        if path and not os.path.isdir(directory := os.path.dirname(path) or "."):
+            raise ConfigError(f"output directory {directory!r} does not exist")
     params, meta = load_checkpoint(args.checkpoint)
     d_in, m_labels = params.sizes[0], meta["m_labels"]
     inputs = {
@@ -313,8 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=1,
-            help="compute threads; all work is single-threaded, the flag is "
-            "accepted for interface stability (1 guarantees bit-identical reruns)",
+            help="accepted for interface stability; every value behaves the same: "
+            "icshash starts no thread of its own, numpy's BLAS may start threads",
         )
 
     p = sub.add_parser("centers", help="generate a hash-center file")

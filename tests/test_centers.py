@@ -2,6 +2,7 @@
 matrices, orthogonality by exhaustive scan, strategy selection, balance
 and distinctness of Bernoulli draws, and the text round trip."""
 
+import itertools
 import os
 import tempfile
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import icshash.centers
 from icshash import (
     CapacityError,
     HashCenterSet,
@@ -101,11 +103,26 @@ class TestGenerateCenters:
             assert key not in seen
             seen.add(key)
 
-    def test_bernoulli_odd_bits_balance_within_one(self):
-        cs = generate_centers(13, 10, seed=2)
+    @pytest.mark.parametrize(
+        "k_bits, seed", [(13, 2), (3, 0), (5, 1), (9, 4), (13, 7), (45, 3), (45, 8)]
+    )
+    def test_bernoulli_odd_bits_balance_within_one(self, k_bits, seed):
+        cs = generate_centers(k_bits, 6, seed=seed)
         assert cs.strategy == "bernoulli"
         for row in cs.centers:
-            assert int(np.count_nonzero(row == 1)) in (6, 7)
+            assert int(np.count_nonzero(row == 1)) in (k_bits // 2, k_bits // 2 + 1)
+        assert len({row.tobytes() for row in cs.centers}) == 6
+
+    def test_bernoulli_full_capacity_odd_bits(self):
+        # C(5, 2) rows with two ones and C(5, 3) with three: all 20 are drawn
+        cs = generate_centers(5, 20, seed=0)
+        balanced = {
+            np.array(row, dtype=np.int8).tobytes()
+            for row in itertools.product((-1, 1), repeat=5)
+            if row.count(1) in (2, 3)
+        }
+        assert len(balanced) == 20
+        assert {row.tobytes() for row in cs.centers} == balanced
 
     def test_pow2_bits_many_labels_fall_back_to_bernoulli(self):
         cs = generate_centers(8, 20, seed=1)
@@ -130,6 +147,18 @@ class TestGenerateCenters:
         # only C(4,2)=6 balanced 4-bit rows exist
         with pytest.raises(CapacityError):
             generate_centers(4, 10, seed=0)
+
+    @pytest.mark.parametrize("k_bits, m_labels", [(3, 7), (4, 9)])
+    def test_more_labels_than_balanced_rows_refused_before_any_draw(
+        self, monkeypatch, k_bits, m_labels
+    ):
+        # 3 bits: C(3, 1) + C(3, 2) = 6 balanced rows; 4 bits: C(4, 2) = 6
+        def no_draw(*args):
+            raise AssertionError("drew rows for an impossible request")
+
+        monkeypatch.setattr(icshash.centers, "_bernoulli_centers", no_draw)
+        with pytest.raises(CapacityError, match="only 6 balanced rows exist"):
+            generate_centers(k_bits, m_labels, seed=0)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import csv
 import gc
 import importlib
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -663,6 +664,27 @@ class TestEvalCommand:
         assert not out.exists()
         assert run(["eval", "--checkpoint", ckpt, "--queries", data, "--database", bad,
                     "--k", 1, "--out", out]) == 3
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-codes"])
+    def test_missing_output_directory_writes_nothing(self, workdir, capsys, flag):
+        # refused before any input is read, as --k is: a malformed database
+        # (exit 3 once read) is never reached; --dump-codes into a missing
+        # directory used to leave the metrics file without a manifest
+        tmp_path, data, _ = workdir
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, init_params([8, 16], np.random.default_rng(0)), 16, 4, 0)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 8 4\nnot a number\n")
+        outputs = {"--out": tmp_path / "m.json", "--dump-codes": tmp_path / "codes"}
+        outputs[flag] = tmp_path / "missing" / "x"
+        before = sorted(tmp_path.iterdir())
+        code = run(["eval", "--checkpoint", ckpt, "--queries", data, "--database", bad,
+                    *itertools.chain(*outputs.items())])
+        assert capsys.readouterr().err == (
+            f"error: output directory {str(tmp_path / 'missing')!r} does not exist\n"
+        )
+        assert code == 2
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("role", ["queries", "database"])
     @pytest.mark.parametrize(
