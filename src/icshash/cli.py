@@ -7,17 +7,17 @@ checkpoint), ``weight-report`` (compare learned weights against
 ground-truth proportions). Exit codes: 0 success, 2 usage or
 configuration error, 3 data error, 4 violated internal invariant.
 
-Every command writes a JSON run manifest, ``<out>.manifest.json`` (or
-``<out-prefix>.manifest.json``), listing its seed, output files and
-``config``: every flag as parsed except ``--seed`` and the output path
-(``--lambda`` as ``"lambda"``), plus the values a handler works out
-itself, ``centers``' strategy and ``train``'s ``--hidden`` as a list
-of sizes. Each ``_cmd_*`` handler returns ``(outputs, seed, those
-values)`` and ``main`` writes the manifest.
-
-When ``--seed`` is omitted the environment variable ``ICS_SEED`` is
-used as the default seed, written as the file headers write an integer:
-plain ASCII decimal digits, at least 0.
+Before it calls a handler, ``main`` checks that the directory of every
+output flag given (``--out``, ``--out-prefix``, ``--dump-codes``) exists
+and reads the seed of ``centers`` and ``train``: ``--seed``, else
+``ICS_SEED``, else 0, as the file headers write an integer (plain ASCII
+decimal digits, at least 0). A ``_cmd_*`` handler gets the parsed flags,
+``args.seed`` an int, and returns ``(outputs, seed, values)``. ``main``
+writes the JSON run manifest next to the first output flag,
+``<out>.manifest.json`` (or ``<out-prefix>.manifest.json``): the seed,
+outputs and ``config``, every flag as parsed except ``--seed`` and the
+output path (``--lambda`` as ``"lambda"``), plus the handler's values,
+``centers``' strategy and ``train``'s ``--hidden`` as a list of sizes.
 """
 
 import argparse
@@ -68,18 +68,8 @@ _FLOAT_FMT = "%.17g"
 _DATA_FORMATS = ("text", "csv")
 # parsed attributes that are not recorded in a manifest's config
 _NOT_CONFIG = ("command", "func", "seed", "out", "out_prefix")
-
-
-def _default_seed() -> int:
-    """``ICS_SEED``, read as the file headers' integers are (plain ASCII
-    decimal, at least 0), or 0 when it is unset."""
-    raw = os.environ.get("ICS_SEED")
-    if raw is None:
-        return 0
-    try:
-        return _header_int(raw, "ICS_SEED", 0, None)
-    except ParseError:
-        raise ConfigError(f"ICS_SEED must be an integer, got {raw!r}") from None
+# parsed attributes that name an output path; the manifest goes by the first given
+_OUTPUT_FLAGS = ("out", "out_prefix", "dump_codes")
 
 
 def _write_json(path, value):
@@ -105,14 +95,13 @@ def _config(cls, flags):
 
 
 def _cmd_centers(args) -> tuple[list, int, dict]:
-    seed = args.seed if args.seed is not None else _default_seed()
-    center_set = generate_centers(args.bits, args.labels, seed)
+    center_set = generate_centers(args.bits, args.labels, args.seed)
     save_centers(args.out, center_set)
     if center_set.m_labels >= 2:
         print(f"min-pairwise-hamming {min_pairwise_hamming(center_set)}")
     else:
         print("min-pairwise-hamming n/a")
-    return [args.out], seed, {"strategy": center_set.strategy}
+    return [args.out], args.seed, {"strategy": center_set.strategy}
 
 
 def _cmd_solve_weights(args) -> tuple[list, int, dict]:
@@ -137,7 +126,6 @@ def _cmd_solve_weights(args) -> tuple[list, int, dict]:
 
 
 def _cmd_train(args) -> tuple[list, int, dict]:
-    seed = args.seed if args.seed is not None else _default_seed()
     try:  # the empty string means no hidden layer
         hidden = tuple(int(h) for h in args.hidden.split(",")) if args.hidden else ()
     except ValueError:
@@ -151,7 +139,7 @@ def _cmd_train(args) -> tuple[list, int, dict]:
         loss=_config(LossConfig, vars(args)),
         solver=_config(WeightSolverConfig, vars(args)),
         weight_mode=args.weight_mode,
-        seed=seed,
+        seed=args.seed,
     )
     center_set = load_centers(args.centers)
     if args.data_format == "csv":
@@ -164,7 +152,7 @@ def _cmd_train(args) -> tuple[list, int, dict]:
     weights_path = f"{args.out_prefix}.weights.csv"
     loss_path = f"{args.out_prefix}.loss.csv"
     save_checkpoint(
-        ckpt_path, state.params, center_set.k_bits, center_set.m_labels, seed
+        ckpt_path, state.params, center_set.k_bits, center_set.m_labels, args.seed
     )
     rows, labels = np.nonzero(state.label_mask)
     weights = state.weight_matrix[state.label_mask].tolist()
@@ -173,7 +161,7 @@ def _cmd_train(args) -> tuple[list, int, dict]:
     parts = ("total", "central", "quantization", "entropy")
     history = [(i, *(entry[key] for key in parts)) for i, entry in enumerate(state.loss_history)]
     _write_csv(loss_path, ",".join(("epoch", *parts)), "%d" + ("," + _FLOAT_FMT) * 4, history)
-    return [ckpt_path, weights_path, loss_path], seed, {"hidden": list(hidden)}
+    return [ckpt_path, weights_path, loss_path], args.seed, {"hidden": list(hidden)}
 
 
 def _encode_input(path, data_format, params, m_labels):
@@ -204,9 +192,6 @@ def _encode_input(path, data_format, params, m_labels):
 
 def _cmd_eval(args) -> tuple[list, int, dict]:
     check_int("k", args.k, 1)  # before any input is read
-    for path in (args.out, args.dump_codes):  # and so is where outputs go
-        if path and not os.path.isdir(directory := os.path.dirname(path) or "."):
-            raise ConfigError(f"output directory {directory!r} does not exist")
     params, meta = load_checkpoint(args.checkpoint)
     d_in, m_labels = params.sizes[0], meta["m_labels"]
     inputs = {
@@ -323,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("centers", help="generate a hash-center file")
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--labels", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--out", required=True)
     add_common(p)
     p.set_defaults(func=_cmd_centers)
@@ -364,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--gradient-mode", choices=GRADIENT_MODES, default=WeightSolverConfig.gradient_mode
     )
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     add_common(p)
     p.set_defaults(func=_cmd_train)
 
@@ -409,12 +394,22 @@ def main(argv=None) -> int:
         gc.freeze()
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
-    try:
+    flags = vars(args)
+    try:  # where outputs go and the seed, before any work
+        paths = [flags[name] for name in _OUTPUT_FLAGS if flags.get(name)]
+        for path in paths:
+            if not os.path.isdir(directory := os.path.dirname(path) or "."):
+                raise ConfigError(f"output directory {directory!r} does not exist")
+        if "seed" in flags:  # read as the file headers' integers are
+            source = "--seed" if args.seed is not None else "ICS_SEED"
+            raw = args.seed if args.seed is not None else os.environ.get("ICS_SEED", "0")
+            try:
+                args.seed = _header_int(raw, source, 0, None)
+            except ParseError:
+                raise ConfigError(f"{source} must be an integer, got {raw!r}") from None
         outputs, seed, computed = args.func(args)
         config = {
-            "lambda" if k == "lam" else k: v
-            for k, v in vars(args).items()
-            if k not in _NOT_CONFIG
+            "lambda" if k == "lam" else k: v for k, v in flags.items() if k not in _NOT_CONFIG
         }
         manifest = {
             "command": args.command,
@@ -424,8 +419,7 @@ def main(argv=None) -> int:
             "wall_clock_seconds": round(time.perf_counter() - started, 6),
             "outputs": sorted(str(p) for p in outputs),
         }
-        out = args.out if "out" in vars(args) else args.out_prefix
-        _write_json(f"{out}.manifest.json", manifest)
+        _write_json(f"{paths[0]}.manifest.json", manifest)
         return 0
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

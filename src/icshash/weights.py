@@ -85,7 +85,8 @@ class WeightSolverConfig:
     beta: sigmoid bandwidth of the exact-mode objective (the paper-mode
         gradient formula has no bandwidth).
     tol: relative objective-change stopping threshold.
-    gradient_mode: "paper" or "exact".
+    gradient_mode: "exact" (the default: F's minimizer) or "paper" (the
+        printed update, which does not minimize F).
 
     eta, max_iters and tol apply to paper mode only: exact mode solves
     its optimality root to machine precision (see the module docstring).
@@ -97,7 +98,7 @@ class WeightSolverConfig:
     beta: float = 1.0
     max_iters: int = 50
     tol: float = 1e-6
-    gradient_mode: str = "paper"
+    gradient_mode: str = "exact"
 
     def __post_init__(self):
         if not 0 <= self.lam < math.inf:

@@ -120,14 +120,21 @@ class TestCentersCommand:
 
     @pytest.mark.parametrize("raw", ["1_0", "+7", "\u0667", " 7", "-1"])
     def test_env_seed_is_read_as_a_header_integer(self, tmp_path, monkeypatch, capsys, raw):
-        # plain ASCII decimal, at least 0, as the file headers are read;
+        # plain ASCII decimal, at least 0, as the file headers are read,
+        # from --seed and ICS_SEED alike and before any input is read;
         # int() took the first four as 10, 7, 7 and 7, and -1 failed
-        # without naming the variable
-        monkeypatch.setenv("ICS_SEED", raw)
+        # without naming its source
         out = tmp_path / "env.txt"
-        assert run(["centers", "--bits", 16, "--labels", 10, "--out", out]) == 2
+        centers = ["centers", "--bits", 16, "--labels", 10, "--out", out]
+        missing = tmp_path / "none.txt"
+        train = ["train", "--data", missing, "--centers", missing, "--out-prefix", tmp_path / "m"]
+        for argv in (centers, train):
+            assert run([*argv, "--seed", raw]) == 2
+            assert capsys.readouterr().err == f"error: --seed must be an integer, got {raw!r}\n"
+        monkeypatch.setenv("ICS_SEED", raw)
+        assert run(centers) == 2
         assert capsys.readouterr().err == f"error: ICS_SEED must be an integer, got {raw!r}\n"
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSolveWeightsCommand:
@@ -665,27 +672,6 @@ class TestEvalCommand:
         assert run(["eval", "--checkpoint", ckpt, "--queries", data, "--database", bad,
                     "--k", 1, "--out", out]) == 3
 
-    @pytest.mark.parametrize("flag", ["--out", "--dump-codes"])
-    def test_missing_output_directory_writes_nothing(self, workdir, capsys, flag):
-        # refused before any input is read, as --k is: a malformed database
-        # (exit 3 once read) is never reached; --dump-codes into a missing
-        # directory used to leave the metrics file without a manifest
-        tmp_path, data, _ = workdir
-        ckpt = tmp_path / "model.ckpt"
-        save_checkpoint(ckpt, init_params([8, 16], np.random.default_rng(0)), 16, 4, 0)
-        bad = tmp_path / "bad.txt"
-        bad.write_text("1 8 4\nnot a number\n")
-        outputs = {"--out": tmp_path / "m.json", "--dump-codes": tmp_path / "codes"}
-        outputs[flag] = tmp_path / "missing" / "x"
-        before = sorted(tmp_path.iterdir())
-        code = run(["eval", "--checkpoint", ckpt, "--queries", data, "--database", bad,
-                    *itertools.chain(*outputs.items())])
-        assert capsys.readouterr().err == (
-            f"error: output directory {str(tmp_path / 'missing')!r} does not exist\n"
-        )
-        assert code == 2
-        assert sorted(tmp_path.iterdir()) == before
-
     @pytest.mark.parametrize("role", ["queries", "database"])
     @pytest.mark.parametrize(
         "d, m, problem",
@@ -1174,6 +1160,47 @@ class TestWeightReportCommand:
         assert code == 3
 
 
+class TestOutputDirectories:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("centers", "--out"),
+            ("solve-weights", "--out"),
+            ("train", "--out-prefix"),
+            ("eval", "--out"),
+            ("eval", "--dump-codes"),
+            ("weight-report", "--out-prefix"),
+        ],
+    )
+    def test_missing_output_directory_writes_nothing(self, workdir, capsys, command, flag):
+        # refused before any input is read: each input here fails once
+        # read (a malformed file, or 3-bit centers); train used to run
+        # every epoch first, and eval's --dump-codes to leave the metrics
+        # file without a manifest
+        tmp_path, data, centers = workdir
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, init_params([8, 16], np.random.default_rng(0)), 16, 4, 0)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 8 4\nnot a number\n")
+        inputs = {
+            "centers": ["--bits", 3, "--labels", 7],
+            "solve-weights": ["--distances", bad],
+            "train": ["--data", bad, "--centers", centers],
+            "eval": ["--checkpoint", ckpt, "--queries", data, "--database", bad],
+            "weight-report": ["--weights", bad, "--data", bad],
+        }
+        outputs = {flag: tmp_path / "missing" / "x"}
+        if command == "eval":  # the other output flag points into tmp_path
+            outputs = {"--out": tmp_path / "m.json", "--dump-codes": tmp_path / "codes", **outputs}
+        before = sorted(tmp_path.rglob("*"))
+        code = run([command, *inputs[command], *itertools.chain(*outputs.items())])
+        assert capsys.readouterr().err == (
+            f"error: output directory {str(tmp_path / 'missing')!r} does not exist\n"
+        )
+        assert code == 2
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.fixture(scope="module")
 def manifests(tmp_path_factory):
     """Each command's manifest, without ``wall_clock_seconds``, from one
@@ -1237,7 +1264,7 @@ class TestManifests:
                     "data": p["data.txt"], "data_format": "text", "centers": p["centers.txt"],
                     "epochs": 2, "batch": 16, "lr": 1e-4, "hidden": [8, 4], "beta": 0.1,
                     "lambda": 0.01, "gamma": 0.05, "eta": 0.1, "weight_mode": "learned",
-                    "gradient_mode": "paper", "threads": 1,
+                    "gradient_mode": "exact", "threads": 1,
                 },
                 "outputs": sorted([p["model.ckpt"], p["model.weights.csv"], p["model.loss.csv"]]),
                 "seed": 3,

@@ -859,7 +859,7 @@ class TestPaperModeOnOverflowingObjectives:
     change NaN, and the row keeps stepping instead of stopping after
     one step, with no warning (the suite turns one into an error)."""
 
-    CFG = WeightSolverConfig(beta=10.0)
+    CFG = WeightSolverConfig(beta=10.0, gradient_mode="paper")
 
     @pytest.mark.parametrize("far", [1e200, 1.7e308])
     def test_rows_step_to_the_nearest_center_as_the_reference_does(self, far):
