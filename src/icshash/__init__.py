@@ -80,8 +80,6 @@ from .weights import (
     project_to_simplex,
     solve_weights,
     solve_weights_batch,
-    weight_gradient,
-    weight_objective,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,9 @@
 """Hash-center construction.
 
 Centers are fixed K-bit codes in {-1, +1}, one per class label. When K
-is a power of two they are drawn from the rows of an orthogonal +-1
-matrix built by repeated doubling, which puts every pair of distinct
-rows at Hamming distance exactly K/2; otherwise balanced rows are
-drawn directly and redrawn only when repeated.
+is a power of two they are drawn rows of an orthogonal +-1 matrix,
+which puts every pair of distinct rows at Hamming distance exactly K/2;
+otherwise balanced rows are drawn directly and redrawn until new.
 """
 
 import math
@@ -15,12 +14,9 @@ import numpy as np
 from .data import _parse_rows, _read_table
 from .errors import CapacityError, ParseError, check_int
 
-# Largest supported doubling exponent (order 2^16 = 65536); beyond this
-# the dense matrix no longer fits in desk-scale memory.
+# Largest supported order exponent (K = 2^16): the whole matrix is then 4 GiB
+# and a stacked draw of 2K rows 8 GiB, beyond desk-scale memory.
 MAX_ORDER_EXP = 16
-
-# How often a Bernoulli row that repeats a kept one may be redrawn before giving up.
-MAX_ROW_RESAMPLES = 1000
 
 STRATEGIES = ("hadamard-rows", "stacked-hadamard", "bernoulli")
 
@@ -58,23 +54,31 @@ class HashCenterSet:
 
 
 def sylvester_hadamard(k_exp: int) -> np.ndarray:
-    """Orthogonal +-1 matrix of order 2**k_exp built by repeated doubling.
+    """Orthogonal +-1 matrix of order 2**k_exp, entry (i, j) =
+    (-1)^popcount(i & j): [[1]] Kronecker-multiplied by [[1, 1], [1, -1]]
+    on the left k_exp times. Distinct rows have inner product zero."""
+    return _hadamard_rows(k_exp)
 
-    Starts from [[1]] and Kronecker-multiplies by [[1, 1], [1, -1]] on
-    the left, k_exp times. Every pair of distinct rows has inner
-    product zero.
-    """
+
+def _hadamard_rows(k_exp: int, rows=None) -> np.ndarray:
+    """Rows ``rows`` (all K when None) of sylvester_hadamard(k_exp)
+    stacked with its negation (row K + i is row i negated), built in
+    place: entries [w, 2w) of row i, w = 2^b, are its entries [0, w)
+    times (-1)^(bit b of i), so the result is the whole peak."""
     if k_exp < 0:
         raise ValueError("k_exp must be nonnegative")
     if k_exp > MAX_ORDER_EXP:
         raise CapacityError(
             f"order 2^{k_exp} exceeds the supported maximum 2^{MAX_ORDER_EXP}"
         )
-    block = np.array([[1, 1], [1, -1]], dtype=np.int8)
-    h = np.array([[1]], dtype=np.int8)
-    for _ in range(k_exp):
-        h = np.kron(block, h)
-    return h
+    if rows is None:
+        rows = np.arange(2**k_exp)
+    out = np.empty((len(rows), 2**k_exp), dtype=np.int8)
+    out[:, 0] = np.where(rows >> k_exp, -1, 1)
+    for b in range(k_exp):
+        sign = np.where(rows >> b & 1, -1, 1).astype(np.int8)
+        np.multiply(out[:, : 2**b], sign[:, None], out=out[:, 2**b : 2 ** (b + 1)])
+    return out
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -93,19 +97,16 @@ def _fisher_yates(n: int, rng: "np.random.Generator") -> np.ndarray:
 def _bernoulli_centers(k_bits: int, m_labels: int, rng: "np.random.Generator") -> np.ndarray:
     centers = np.empty((m_labels, k_bits), dtype=np.int8)
     seen = set()
-    for i, row in enumerate(centers):
-        for _ in range(MAX_ROW_RESAMPLES):
+    for row in centers:
+        # generate_centers admits at most the C balanced rows, so with i of
+        # them kept a draw is new with chance 1 - i / C > 0 and this ends
+        while True:
             # +1 at K/2 places, or for odd K at K//2 or K//2 + 1 by a coin,
             # so every balanced row is equally likely
             ones = k_bits // 2 + (k_bits % 2 and int(rng.integers(0, 2)))
             row[:] = np.where(rng.permutation(k_bits) < ones, 1, -1)
             if (key := row.tobytes()) not in seen:
                 break
-        else:
-            raise CapacityError(
-                f"could not draw a distinct center for row {i} "
-                f"after {MAX_ROW_RESAMPLES} resamples (K={k_bits}, M={m_labels})"
-            )
         seen.add(key)
     return centers
 
@@ -120,8 +121,8 @@ def generate_centers(k_bits: int, m_labels: int, seed: int) -> HashCenterSet:
     * K a power of two and K < M <= 2K: sample rows of the matrix
       stacked with its negation ("stacked-hadamard").
     * anything else: balanced rows (K/2 ones, or K//2 or K//2 + 1 for odd
-      K) drawn directly and redrawn only when repeated ("bernoulli");
-      a CapacityError if M exceeds the number of balanced rows.
+      K) drawn directly and redrawn until new ("bernoulli"); a
+      CapacityError if M exceeds the number of balanced rows.
 
     Deterministic given (k_bits, m_labels, seed): integers, K >= 2,
     M >= 1 and seed >= 0, else ValueError naming the field.
@@ -130,9 +131,9 @@ def generate_centers(k_bits: int, m_labels: int, seed: int) -> HashCenterSet:
     seed = check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     if _is_power_of_two(k_bits) and m_labels <= 2 * k_bits:
-        h = sylvester_hadamard(k_bits.bit_length() - 1)
-        pool = h if m_labels <= k_bits else np.vstack([h, -h])
-        centers = pool[np.sort(_fisher_yates(len(pool), rng)[:m_labels])]
+        pool = k_bits if m_labels <= k_bits else 2 * k_bits
+        rows = np.sort(_fisher_yates(pool, rng)[:m_labels])
+        centers = _hadamard_rows(k_bits.bit_length() - 1, rows)
         strategy = "hadamard-rows" if m_labels <= k_bits else "stacked-hadamard"
     else:
         capacity = math.comb(k_bits, k_bits // 2) * (1 + k_bits % 2)

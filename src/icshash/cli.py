@@ -7,11 +7,12 @@ checkpoint), ``weight-report`` (compare learned weights against
 ground-truth proportions). Exit codes: 0 success, 2 usage or
 configuration error, 3 data error, 4 violated internal invariant.
 
-Before it calls a handler, ``main`` checks that the directory of every
-output flag given (``--out``, ``--out-prefix``, ``--dump-codes``) exists
-and reads the seed of ``centers`` and ``train``: ``--seed``, else
-``ICS_SEED``, else 0, as the file headers write an integer (plain ASCII
-decimal digits, at least 0). A ``_cmd_*`` handler gets the parsed flags,
+Before it calls a handler, ``main`` checks that every output flag given
+(``--out``, ``--out-prefix``, ``--dump-codes``) is not empty, that
+``--out`` names no directory, and that its directory exists, and reads
+the seed of ``centers`` and ``train``: ``--seed``, else ``ICS_SEED``,
+else 0, as the file headers write an integer (plain ASCII decimal
+digits, at least 0). A ``_cmd_*`` handler gets the parsed flags,
 ``args.seed`` an int, and returns ``(outputs, seed, values)``. ``main``
 writes the JSON run manifest next to the first output flag,
 ``<out>.manifest.json`` (or ``<out-prefix>.manifest.json``): the seed,
@@ -396,8 +397,11 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     flags = vars(args)
     try:  # where outputs go and the seed, before any work
-        paths = [flags[name] for name in _OUTPUT_FLAGS if flags.get(name)]
-        for path in paths:
+        paths = {name: flags[name] for name in _OUTPUT_FLAGS if flags.get(name) is not None}
+        for name, path in paths.items():
+            # a prefix gains a suffix; --out is opened as given
+            if not path or name == "out" and (os.path.isdir(path) or not os.path.basename(path)):
+                raise ConfigError(f"--{name.replace('_', '-')} must name a file, got {path!r}")
             if not os.path.isdir(directory := os.path.dirname(path) or "."):
                 raise ConfigError(f"output directory {directory!r} does not exist")
         if "seed" in flags:  # read as the file headers' integers are
@@ -419,7 +423,7 @@ def main(argv=None) -> int:
             "wall_clock_seconds": round(time.perf_counter() - started, 6),
             "outputs": sorted(str(p) for p in outputs),
         }
-        _write_json(f"{paths[0]}.manifest.json", manifest)
+        _write_json(f"{next(iter(paths.values()))}.manifest.json", manifest)
         return 0
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

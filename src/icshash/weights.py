@@ -7,17 +7,19 @@ objective combining the likelihood of the weighted code-to-center
 distance with an entropy term that keeps mass from collapsing onto a
 single center.
 
-Two gradient formulas are available. ``paper`` applies, per coordinate,
-
-    grad_j = -w_j / (1 + exp(w_j * d_j)) + lam * (1 + log w_j)
-
-while ``exact`` differentiates the per-sample objective
+The per-sample objective is
 
     F(w) = log(1 + exp(beta * sum_j w_j d_j)) + lam * sum_j w_j log w_j
 
-whose gradient is ``beta * d_j * sigmoid(beta * w.d) + lam * (1 + log w_j)``.
-The reported objective trace is always F, so traces from either mode
-are directly comparable.
+and two modes solve for the weights. ``exact`` returns F's minimizer.
+``paper`` takes the printed step, per coordinate at the weights clamped
+to WEIGHT_FLOOR,
+
+    step_j = -w_j / (1 + exp(w_j * d_j)) + lam * (1 + log w_j)
+
+which is not F's gradient, so it does not minimize F. The reported
+objective trace is always F, so traces from either mode are directly
+comparable.
 
 ``solve_weights_batch`` solves a batch given as a (B, M) distance
 matrix and a (B, M) label mask; ``solve_weights`` is its one-row call,
@@ -82,8 +84,8 @@ class WeightSolverConfig:
 
     lam: entropy strength; 0 disables the regularizer.
     eta: Euclidean gradient step of paper mode.
-    beta: sigmoid bandwidth of the exact-mode objective (the paper-mode
-        gradient formula has no bandwidth).
+    beta: sigmoid bandwidth of F (paper mode's printed step has none,
+        but its objective trace is F).
     tol: relative objective-change stopping threshold.
     gradient_mode: "exact" (the default: F's minimizer) or "paper" (the
         printed update, which does not minimize F).
@@ -197,32 +199,6 @@ def _row_objectives(w, d, mask, cfg: WeightSolverConfig):
     return np.logaddexp(0.0, cfg.beta * np.sum(w * d, axis=-1)) + cfg.lam * entropy
 
 
-def weight_objective(w: np.ndarray, d: np.ndarray, cfg: WeightSolverConfig) -> float:
-    """Exact-mode objective F; also the trace reported in paper mode."""
-    w = np.asarray(w, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    return float(_row_objectives(w, d, True, cfg))
-
-
-def weight_gradient(
-    w: Sequence[float], d: Sequence[float], cfg: WeightSolverConfig
-) -> np.ndarray:
-    """Gradient of the weight subproblem at w, in the configured mode.
-
-    w and d are one vector or matching rows (last axis: centers).
-    """
-    w = np.asarray(w, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    if w.shape != d.shape:
-        raise ValueError(f"weight/distance shape mismatch: {w.shape} vs {d.shape}")
-    wc = np.maximum(w, WEIGHT_FLOOR)
-    entropy_grad = cfg.lam * (1.0 + np.log(wc))
-    if cfg.gradient_mode == "paper":
-        return -wc * _sigmoid(-(wc * d)) + entropy_grad
-    omega = np.sum(w * d, axis=-1, keepdims=True)
-    return cfg.beta * d * _sigmoid(cfg.beta * omega) + entropy_grad
-
-
 def _relative_change(new, old):
     return np.abs(new - old) / np.maximum(np.abs(old), 1e-12)
 
@@ -323,7 +299,9 @@ def _projected_steps(d, mask, w, cfg: WeightSolverConfig, traced):
     active = np.arange(len(d))
     for _ in range(cfg.max_iters):
         wa, da, ma = w[active], d[active], mask[active]
-        w_new = project_rows_to_simplex(wa - cfg.eta * weight_gradient(wa, da, cfg), ma)
+        wc = np.maximum(wa, WEIGHT_FLOOR)
+        step = -wc * _sigmoid(-(wc * da)) + cfg.lam * (1.0 + np.log(wc))
+        w_new = project_rows_to_simplex(wa - cfg.eta * step, ma)
         f_new = _row_objectives(w_new, da, ma, cfg)
         rel = _relative_change(f_new, f[active])
         w[active], f[active] = w_new, f_new

@@ -5,6 +5,7 @@ and distinctness of Bernoulli draws, and the text round trip."""
 import itertools
 import os
 import tempfile
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -28,6 +29,15 @@ from icshash.centers import STRATEGIES
 
 def naive_hamming(a, b):
     return int(sum(1 for x, y in zip(a, b) if x != y))
+
+
+def balanced_rows(k_bits):
+    """Every K-bit +-1 row with K // 2 or K - K // 2 entries +1, as bytes."""
+    return {
+        np.array(row, dtype=np.int8).tobytes()
+        for row in itertools.product((-1, 1), repeat=k_bits)
+        if row.count(1) in (k_bits // 2, k_bits - k_bits // 2)
+    }
 
 
 class TestSylvesterHadamard:
@@ -84,6 +94,24 @@ class TestGenerateCenters:
         h = sylvester_hadamard(4)
         assert any(np.array_equal(cs.centers[0], r) for r in h)
 
+    def test_hadamard_centers_build_only_the_drawn_rows(self):
+        # the whole order-16384 matrix is 256 MiB of int8; 80 rows are 1.25 MiB
+        tracemalloc.start()
+        try:
+            cs = generate_centers(16384, 80, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert cs.strategy == "hadamard-rows"
+        # row i of the Sylvester matrix has (-1)^(bit b of i) at column 2^b
+        columns = np.arange(16384)
+        for row in cs.centers:
+            i = sum(1 << b for b in range(14) if row[1 << b] == -1)
+            want = np.where(np.bitwise_count(i & columns) % 2, -1, 1)
+            np.testing.assert_array_equal(row, want)
+        assert len({row.tobytes() for row in cs.centers}) == 80
+
     def test_stacked_strategy(self):
         cs = generate_centers(16, 20, seed=5)
         assert cs.strategy == "stacked-hadamard"
@@ -116,13 +144,20 @@ class TestGenerateCenters:
     def test_bernoulli_full_capacity_odd_bits(self):
         # C(5, 2) rows with two ones and C(5, 3) with three: all 20 are drawn
         cs = generate_centers(5, 20, seed=0)
-        balanced = {
-            np.array(row, dtype=np.int8).tobytes()
-            for row in itertools.product((-1, 1), repeat=5)
-            if row.count(1) in (2, 3)
-        }
+        balanced = balanced_rows(5)
         assert len(balanced) == 20
         assert {row.tobytes() for row in cs.centers} == balanced
+
+    @pytest.mark.parametrize(
+        "k_bits, seed", [(10, 28), (10, 32), (10, 120), (10, 125), (10, 165), (9, 28)]
+    )
+    def test_bernoulli_full_capacity_at_seeds_past_any_redraw_budget(self, k_bits, seed):
+        # C(10, 5) = C(9, 4) + C(9, 5) = 252 balanced rows; at these seeds
+        # some late row repeats a kept one on each of 1000 redraws, which
+        # once raised a CapacityError
+        cs = generate_centers(k_bits, 252, seed=seed)
+        assert cs.strategy == "bernoulli"
+        assert {row.tobytes() for row in cs.centers} == balanced_rows(k_bits)
 
     def test_pow2_bits_many_labels_fall_back_to_bernoulli(self):
         cs = generate_centers(8, 20, seed=1)

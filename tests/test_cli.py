@@ -1160,23 +1160,26 @@ class TestWeightReportCommand:
         assert code == 3
 
 
+OUTPUT_FLAGS = pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("centers", "--out"),
+        ("solve-weights", "--out"),
+        ("train", "--out-prefix"),
+        ("eval", "--out"),
+        ("eval", "--dump-codes"),
+        ("weight-report", "--out-prefix"),
+    ],
+)
+
+
 class TestOutputDirectories:
-    @pytest.mark.parametrize(
-        "command, flag",
-        [
-            ("centers", "--out"),
-            ("solve-weights", "--out"),
-            ("train", "--out-prefix"),
-            ("eval", "--out"),
-            ("eval", "--dump-codes"),
-            ("weight-report", "--out-prefix"),
-        ],
-    )
-    def test_missing_output_directory_writes_nothing(self, workdir, capsys, command, flag):
-        # refused before any input is read: each input here fails once
-        # read (a malformed file, or 3-bit centers); train used to run
-        # every epoch first, and eval's --dump-codes to leave the metrics
-        # file without a manifest
+    @staticmethod
+    def _refused(workdir, command, flag, path):
+        """Run ``command`` with ``flag`` set to ``path`` and inputs that
+        fail once read (a malformed file, or 3-bit centers), so that only
+        a refusal before any work leaves the directory as it was; returns
+        the exit code."""
         tmp_path, data, centers = workdir
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, init_params([8, 16], np.random.default_rng(0)), 16, 4, 0)
@@ -1189,16 +1192,44 @@ class TestOutputDirectories:
             "eval": ["--checkpoint", ckpt, "--queries", data, "--database", bad],
             "weight-report": ["--weights", bad, "--data", bad],
         }
-        outputs = {flag: tmp_path / "missing" / "x"}
+        outputs = {flag: path}
         if command == "eval":  # the other output flag points into tmp_path
             outputs = {"--out": tmp_path / "m.json", "--dump-codes": tmp_path / "codes", **outputs}
         before = sorted(tmp_path.rglob("*"))
         code = run([command, *inputs[command], *itertools.chain(*outputs.items())])
+        assert sorted(tmp_path.rglob("*")) == before
+        return code
+
+    @OUTPUT_FLAGS
+    def test_missing_output_directory_writes_nothing(self, workdir, capsys, command, flag):
+        # train used to run every epoch first, and eval's --dump-codes to
+        # leave the metrics file without a manifest
+        tmp_path = workdir[0]
+        assert self._refused(workdir, command, flag, tmp_path / "missing" / "x") == 2
         assert capsys.readouterr().err == (
             f"error: output directory {str(tmp_path / 'missing')!r} does not exist\n"
         )
-        assert code == 2
-        assert sorted(tmp_path.rglob("*")) == before
+
+    @OUTPUT_FLAGS
+    def test_empty_output_path_writes_nothing(
+        self, workdir, capsys, monkeypatch, command, flag
+    ):
+        # an empty prefix would put train's files in the working directory
+        # and then fail on the manifest; an empty --dump-codes once meant
+        # "no dump"
+        monkeypatch.chdir(workdir[0])
+        assert self._refused(workdir, command, flag, "") == 2
+        assert capsys.readouterr().err == f"error: {flag} must name a file, got ''\n"
+
+    @pytest.mark.parametrize("command", ["centers", "solve-weights", "eval"])
+    @pytest.mark.parametrize("name", ["sub", "sub/"])
+    def test_directory_as_out_writes_nothing(self, workdir, capsys, command, name):
+        # opening a directory used to fail only after the draw, solve or ranking
+        tmp_path = workdir[0]
+        (tmp_path / "sub").mkdir()
+        path = f"{tmp_path}/{name}"
+        assert self._refused(workdir, command, "--out", path) == 2
+        assert capsys.readouterr().err == f"error: --out must name a file, got {path!r}\n"
 
 
 @pytest.fixture(scope="module")

@@ -597,6 +597,51 @@ class TestSettableValues:
             assert found == want, name
 
 
+class TestPublicNames:
+    def test_package_names_are_pinned(self):
+        """Every public name ``icshash`` exports, by the module that
+        defines it: a name is added to or removed from the API on purpose."""
+        names = {}
+        for name, value in vars(icshash).items():
+            if not name.startswith("_") and not inspect.ismodule(value):
+                names.setdefault(value.__module__.removeprefix("icshash."), []).append(name)
+        assert {module: sorted(found) for module, found in names.items()} == {
+            "centers": [
+                "HashCenterSet", "generate_centers", "load_centers", "min_pairwise_hamming",
+                "save_centers", "sylvester_hadamard",
+            ],
+            "data": [
+                "Dataset", "MultiLabelSample", "SyntheticSpec", "features_matrix",
+                "generate_synthetic", "labels_matrix", "load_dataset", "save_dataset",
+                "spearman_corr",
+            ],
+            "encoder": [
+                "AdamState", "EncoderParams", "TrainConfig", "TrainState", "adam_step",
+                "binarize", "encode_binary", "init_params", "load_checkpoint",
+                "save_checkpoint", "train",
+            ],
+            "errors": [
+                "CapacityError", "ConfigError", "DataError", "EvaluationError",
+                "InternalInvariantError", "ParseError", "ToolkitError",
+            ],
+            "loss": [
+                "CenterAssignment", "LossConfig", "assignment_for_labels", "bce_distance",
+                "distance_matrix", "distance_vector", "loss_gradient_wrt_codes",
+                "quantization_loss", "total_loss",
+            ],
+            "retrieval": [
+                "CodeDatabase", "RankedResult", "hamming", "load_codes", "map_at_k",
+                "pack_code", "pack_database", "precision_at_k", "rank_database",
+                "retrieval_metrics", "save_codes", "unpack_database",
+            ],
+            "weights": [
+                "WeightSolveResult", "WeightSolverConfig", "entropy_regularizer",
+                "project_rows_to_simplex", "project_to_simplex", "solve_weights",
+                "solve_weights_batch",
+            ],
+        }
+
+
 class TestBinarize:
     def test_threshold(self):
         np.testing.assert_array_equal(binarize([0.9, 0.1]), [1, -1])

@@ -25,10 +25,9 @@ from icshash import (
     quantization_loss,
     solve_weights_batch,
     total_loss,
-    weight_objective,
 )
 from icshash.loss import CODE_EPS, CenterAssignment, _loss_and_gradient
-from icshash.weights import WEIGHT_FLOOR, WeightSolverConfig
+from icshash.weights import WEIGHT_FLOOR, WeightSolverConfig, _row_objectives
 
 
 def make_assignment(centers01):
@@ -343,7 +342,7 @@ class TestOneObjectiveForBothSteps:
             _, parts = total_loss(codes, assignments, weights, LossConfig(beta=beta, lam=lam))
             solver = WeightSolverConfig(lam=lam, beta=beta)
             want = sum(
-                weight_objective(w, distance_matrix(b[None], a.centers01)[0], solver)
+                _row_objectives(w, distance_matrix(b[None], a.centers01)[0], True, solver)
                 for b, a, w in zip(codes, assignments, weights)
             )
             got = parts["central"] + lam * parts["entropy"]

@@ -1,14 +1,14 @@
 """Weight-solver tests.
 
 Oracles: a dense grid over the simplex (brute force, small c), an
-independent water-filling bisection for the projection (any c), central
-finite differences for the exact-mode gradient, grid search over the
-simplex for the solver's limit behavior, the exact-mode optimum
-from a scalar optimality condition solved by bisection, a test-local
-copy of the per-sample paper-mode loop as the reference for paper
-mode, and scipy.special.expit for the logistic. ``solve_weights`` is
-the one-row call of ``solve_weights_batch``, so the reference for its
-paper mode is that loop, not the batched solver.
+independent water-filling bisection for the projection (any c), grid
+search over the simplex for the solver's limit behavior, the exact-mode
+optimum from a scalar optimality condition solved by bisection, a
+test-local transcription of the objective F, a test-local per-sample
+paper-mode loop with its own transcription of the printed step as the
+reference for paper mode, and scipy.special.expit for the logistic.
+``solve_weights`` is the one-row call of ``solve_weights_batch``, so
+the reference for its paper mode is that loop, not the batched solver.
 """
 
 import csv
@@ -37,8 +37,6 @@ from icshash import (
     solve_weights,
     solve_weights_batch,
     train,
-    weight_gradient,
-    weight_objective,
 )
 from icshash.cli import main as cli_main
 from icshash.encoder import forward_batch, init_params
@@ -102,15 +100,31 @@ def exact_optimum(d, lam, beta):
     return weights_at(0.5 * (lo + hi))
 
 
+def objective(w, d, cfg):
+    """Test-local F of one sample: softplus(beta * w.d) plus lam times
+    the entropy of w clamped at WEIGHT_FLOOR."""
+    w, d = np.asarray(w, dtype=np.float64), np.asarray(d, dtype=np.float64)
+    wc = np.maximum(w, WEIGHT_FLOOR)
+    return np.logaddexp(0.0, cfg.beta * np.sum(w * d)) + cfg.lam * np.sum(wc * np.log(wc))
+
+
+def paper_step(w, d, lam):
+    """Test-local printed step -w_j / (1 + exp(w_j d_j)) + lam (1 + log w_j)
+    at the weights clamped to WEIGHT_FLOOR; the logistic is taken as
+    1 / (1 + exp), then multiplied, as the solver rounds it."""
+    wc = np.maximum(w, WEIGHT_FLOOR)
+    return -wc * (1.0 / (1.0 + np.exp(wc * d))) + lam * (1.0 + np.log(wc))
+
+
 def paper_reference(d, cfg, w_init=None):
-    """Test-local per-sample paper-mode loop: the printed gradient step
-    and a Euclidean projection, until the relative objective change
-    drops below tol. Returns (w, iterations, objective trace)."""
+    """Test-local per-sample paper-mode loop: the printed step and a
+    Euclidean projection, until the relative change of F drops below
+    tol. Returns (w, iterations, objective trace)."""
     w = np.full(d.size, 1.0 / d.size) if w_init is None else project_to_simplex(w_init)
-    trace = [weight_objective(w, d, cfg)]
+    trace = [objective(w, d, cfg)]
     for t in range(1, cfg.max_iters + 1):
-        w = project_to_simplex(w - cfg.eta * weight_gradient(w, d, cfg))
-        trace.append(weight_objective(w, d, cfg))
+        w = project_to_simplex(w - cfg.eta * paper_step(w, d, cfg.lam))
+        trace.append(objective(w, d, cfg))
         if abs(trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12) < cfg.tol:
             break
     return w, t, np.array(trace)
@@ -358,46 +372,11 @@ class TestEntropyRegularizer:
             assert -math.log(c) - 1e-9 <= r <= 1e-6
 
 
-class TestWeightGradient:
+class TestPaperStep:
     def test_paper_formula_at_unit_weight(self):
-        cfg = WeightSolverConfig(lam=0.0, gradient_mode="paper")
         for d in (0.0, 1.0, 5.0):
-            g = weight_gradient(np.array([1.0]), np.array([d]), cfg)
+            g = paper_step(np.array([1.0]), np.array([d]), 0.0)
             assert g[0] == pytest.approx(-1.0 / (1.0 + math.exp(d)))
-
-    def test_exact_zero_case(self):
-        cfg = WeightSolverConfig(lam=0.0, beta=1.0, gradient_mode="exact")
-        g = weight_gradient(np.full(3, 1 / 3), np.zeros(3), cfg)
-        np.testing.assert_allclose(g, 0.0, atol=1e-12)
-
-    def test_exact_matches_finite_differences(self):
-        rng = np.random.default_rng(11)
-        step = 1e-6
-        for _ in range(50):
-            c = int(rng.integers(2, 7))
-            w = rng.dirichlet(np.ones(c))
-            w = np.maximum(w, 1e-3)
-            w /= w.sum()
-            d = rng.uniform(0, 16 * math.log(2), size=c)
-            cfg = WeightSolverConfig(
-                lam=float(rng.choice([0.01, 0.1, 1.0])),
-                beta=float(rng.choice([0.1, 1.0])),
-                gradient_mode="exact",
-            )
-            g = weight_gradient(w, d, cfg)
-            for j in range(c):
-                up, down = w.copy(), w.copy()
-                up[j] += step
-                down[j] -= step
-                fd = (
-                    weight_objective(up, d, cfg) - weight_objective(down, d, cfg)
-                ) / (2 * step)
-                assert g[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-
-    def test_shape_mismatch(self):
-        cfg = WeightSolverConfig()
-        with pytest.raises(ValueError):
-            weight_gradient(np.ones(2) / 2, np.ones(3), cfg)
 
 
 class TestSolveWeights:
@@ -472,7 +451,7 @@ class TestSolveWeights:
         result = solve_weights(d, cfg)
         w0 = np.array([0.5, 0.5])
         assert result.objective_trace[0] == pytest.approx(
-            weight_objective(w0, d, cfg)
+            objective(w0, d, cfg)
         )
         assert len(result.objective_trace) == result.iterations + 1
 
@@ -505,7 +484,7 @@ class TestSolveWeights:
         for d, lam in criterion_one_instances():
             cfg = WeightSolverConfig(lam=lam, eta=0.1, gradient_mode="exact")
             result = solve_weights(d, cfg)
-            best = weight_objective(exact_optimum(d, lam, cfg.beta), d, cfg)
+            best = objective(exact_optimum(d, lam, cfg.beta), d, cfg)
             gap = float(result.objective_trace[-1]) - best
             # the weight floor lets the solver undercut the unclamped
             # optimum, but only by about lam * c * floor * |log floor|
@@ -567,7 +546,7 @@ class TestOneRowCall:
             )
             np.testing.assert_array_equal(one.w, batch[0])
             assert len(one.objective_trace) == one.iterations + 1
-            assert one.objective_trace[-1] == weight_objective(one.w, d, cfg)
+            assert one.objective_trace[-1] == _row_objectives(one.w, d, True, cfg)
 
     def test_exact_mode_ignores_eta_max_iters_and_tol(self):
         for d, lam, w_init in self._instances(150, 43):
@@ -587,7 +566,7 @@ class TestOneRowCall:
         assert result.iterations == 1
         np.testing.assert_array_equal(
             result.objective_trace,
-            [weight_objective(np.full(4, 0.25), d, cfg), weight_objective(result.w, d, cfg)],
+            [_row_objectives(w, d, True, cfg) for w in (np.full(4, 0.25), result.w)],
         )
 
     @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
@@ -610,8 +589,8 @@ class TestOneRowCall:
         cfg = WeightSolverConfig(lam=lam, gradient_mode="exact")
         for row, d in zip(rows, vectors):
             w = np.array([float(v) for v in row["weights"].split(";")])
-            best = weight_objective(exact_optimum(d, lam, cfg.beta), d, cfg)
-            assert abs(weight_objective(w, d, cfg) - best) <= 1e-9
+            best = objective(exact_optimum(d, lam, cfg.beta), d, cfg)
+            assert abs(objective(w, d, cfg) - best) <= 1e-9
 
 
 class TestConfigValidation:
@@ -681,8 +660,8 @@ class TestSolveWeightsBatch:
         assert np.all(w[~mask] == 0.0)
         for row, row_mask, row_d in zip(w, mask, d):
             di = row_d[row_mask]
-            best = weight_objective(exact_optimum(di, lam, beta), di, cfg)
-            assert abs(weight_objective(row[row_mask], di, cfg) - best) <= 1e-9
+            best = objective(exact_optimum(di, lam, beta), di, cfg)
+            assert abs(objective(row[row_mask], di, cfg) - best) <= 1e-9
             assert abs(math.fsum(row.tolist()) - 1.0) <= 1e-12
             if di.size == 1:
                 assert row[row_mask][0] == 1.0
@@ -940,8 +919,8 @@ class TestTrainSolvesEachBatch:
         cfg = WeightSolverConfig(lam=0.5, beta=1.0, gradient_mode="exact")
         table, distances = self._train_one_batch(cfg)
         for w, d in zip(table, distances):
-            best = weight_objective(exact_optimum(d, cfg.lam, cfg.beta), d, cfg)
-            assert abs(weight_objective(w, d, cfg) - best) <= 1e-9
+            best = objective(exact_optimum(d, cfg.lam, cfg.beta), d, cfg)
+            assert abs(objective(w, d, cfg) - best) <= 1e-9
 
     def test_paper_mode_rows_match_per_sample_solves(self):
         cfg = WeightSolverConfig(lam=0.5, gradient_mode="paper")
