@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import retrieval as _retrieval
 from .data import _parse_rows, _read_table
 from .errors import CapacityError, ParseError, check_int
 
@@ -37,7 +38,8 @@ class HashCenterSet:
         c = np.asarray(self.centers)
         if c.ndim != 2 or 0 in c.shape:
             raise ValueError(f"centers shape {c.shape} is not (M, K) with M, K >= 1")
-        if not np.all((c == 1) | (c == -1)):
+        # one (M, K) comparison at a time, not two held together
+        if np.count_nonzero(c == 1) + np.count_nonzero(c == -1) != c.size:
             raise ValueError("center entries must be -1 or +1")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
@@ -148,15 +150,23 @@ def generate_centers(k_bits: int, m_labels: int, seed: int) -> HashCenterSet:
 
 
 def min_pairwise_hamming(center_set: HashCenterSet) -> int:
-    """Smallest Hamming distance over all pairs of distinct centers."""
-    c = np.asarray(center_set.centers, dtype=np.int64)
-    m, k = c.shape
+    """Smallest Hamming distance over all pairs of distinct centers,
+    XOR-popcounted on packed rows by retrieval's kernel, a block of
+    max(1, retrieval._BLOCK_ELEMENTS // M) rows against all M at a time
+    (a center's distance to itself read as K), so no (M, M) array is made."""
+    m, k = center_set.m_labels, center_set.k_bits
     if m < 2:
         raise ValueError("need at least 2 centers")
-    gram = c @ c.T
-    dist = (k - gram) // 2
-    off_diag = dist[~np.eye(m, dtype=bool)]
-    return int(off_diag.min())
+    words = _retrieval.pack_database(center_set.centers).words
+    step = min(max(1, _retrieval._BLOCK_ELEMENTS // m), m)
+    dist, best = np.empty((step, m), np.min_scalar_type(k)), k
+    for start in range(0, m, step):
+        block = dist[: min(step, m - start)]
+        _retrieval._hamming_rows(words[start : start + step], words, block)
+        rows = np.arange(len(block))
+        block[rows, start + rows] = k
+        best = min(best, int(block.min()))
+    return best
 
 
 def save_centers(path, center_set: HashCenterSet) -> None:

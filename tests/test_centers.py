@@ -14,6 +14,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import icshash.centers
+import icshash.retrieval
 from icshash import (
     CapacityError,
     HashCenterSet,
@@ -244,6 +245,45 @@ class TestMinPairwiseHamming:
         with pytest.raises(ValueError):
             min_pairwise_hamming(cs)
 
+    @pytest.mark.parametrize("block_elements", [None, 64])
+    def test_matches_the_gram_formula_on_every_shape(self, monkeypatch, block_elements):
+        """K crosses word boundaries and passes 255; at 64 elements a block
+        the rows run in several blocks with a short last one, so each
+        block's diagonal offset is checked."""
+        if block_elements is not None:
+            monkeypatch.setattr(icshash.retrieval, "_BLOCK_ELEMENTS", block_elements)
+        rng = np.random.default_rng(0)
+        shapes = itertools.product([1, 2, 63, 64, 65, 128, 129, 300], [2, 3, 50])
+        for (k, m), dtype in itertools.product(shapes, [np.int8, np.int64, np.float64]):
+            for twin in (None, "repeat", "complement"):
+                c = rng.choice(np.array([-1, 1], dtype), (m, k))
+                if twin == "repeat":
+                    c[-1] = c[0]
+                elif twin == "complement":
+                    c[-1] = -c[0]
+                gram = (k - c.astype(np.int64) @ c.T.astype(np.int64)) // 2
+                want = int(gram[~np.eye(m, dtype=bool)].min())
+                got = min_pairwise_hamming(HashCenterSet(c, "bernoulli", 0))
+                assert got == want, (k, m, dtype, twin)
+                if twin == "repeat":
+                    assert got == 0
+                if twin == "complement" and m == 2:
+                    assert got == k
+
+    @pytest.mark.parametrize(
+        "k_bits, m_labels, bound",
+        [(16, 4000, 8 * 2**20), (16384, 80, 4 * 2**20)],  # a Gram matrix traced 382 and 10 MiB
+    )
+    def test_holds_one_block_of_distances(self, k_bits, m_labels, bound):
+        cs = generate_centers(k_bits, m_labels, seed=1)
+        tracemalloc.start()
+        try:
+            min_pairwise_hamming(cs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
 
 class TestCentersFile:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -297,6 +337,16 @@ class TestHashCenterSet:
     def test_what_load_centers_refuses_is_refused(self, centers, seed, match):
         with pytest.raises(ValueError, match=match):
             HashCenterSet(centers, "bernoulli", seed)
+
+    def test_entry_check_holds_one_comparison_at_a_time(self):
+        centers = np.ones((2000, 4096), dtype=np.int8)
+        tracemalloc.start()
+        try:
+            HashCenterSet(centers, "bernoulli", 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * centers.nbytes  # two bool arrays at once are 2x
 
     def test_unknown_strategy_is_refused(self):
         with pytest.raises(ValueError, match="unknown strategy 'hadamard'"):

@@ -88,6 +88,19 @@ class TestCentersCommand:
         assert manifest["seed"] == 7
         assert str(out) in manifest["outputs"]
 
+    def test_every_balanced_row_is_checked_in_bounded_memory(self, tmp_path, capsys):
+        # all C(14, 7) = 3432 balanced rows; a Gram matrix of them traced 282 MiB
+        out = tmp_path / "centers.txt"
+        tracemalloc.start()
+        try:
+            code = run(["centers", "--bits", 14, "--labels", 3432, "--seed", 1, "--out", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out == "min-pairwise-hamming 2\n"
+        assert peak < 16 * 2**20
+
     def test_one_label_has_no_pairwise_distance(self, tmp_path, capsys):
         out = tmp_path / "one.txt"
         assert run(["centers", "--bits", 8, "--labels", 1, "--seed", 1, "--out", out]) == 0
