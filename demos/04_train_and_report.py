@@ -8,7 +8,6 @@ from icshash import (
     LossConfig,
     SyntheticSpec,
     TrainConfig,
-    WeightSolverConfig,
     generate_centers,
     generate_synthetic,
     spearman_corr,
@@ -25,7 +24,6 @@ center_set = generate_centers(16, 8, seed=0)
 cfg = TrainConfig(
     epochs=10, batch_size=64, lr0=1e-3, hidden=(64,),
     loss=LossConfig(beta=1.0, gamma=0.05, lam=4.0),
-    solver=WeightSolverConfig(lam=4.0, beta=1.0, gradient_mode="exact"),
     seed=0,
 )
 state = train(samples, center_set, cfg)

@@ -8,7 +8,6 @@ from icshash import (
     LossConfig,
     SyntheticSpec,
     TrainConfig,
-    WeightSolverConfig,
     features_matrix,
     generate_centers,
     generate_synthetic,
@@ -33,7 +32,6 @@ for mode in ("learned", "equal"):
     cfg = TrainConfig(
         epochs=10, batch_size=64, lr0=1e-3, hidden=(64,),
         loss=LossConfig(beta=1.0, gamma=0.05, lam=4.0),
-        solver=WeightSolverConfig(lam=4.0, beta=1.0, gradient_mode="exact"),
         weight_mode=mode, seed=1,
     )
     state = train(samples, center_set, cfg)

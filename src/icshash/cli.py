@@ -8,16 +8,17 @@ ground-truth proportions). Exit codes: 0 success, 2 usage or
 configuration error, 3 data error, 4 violated internal invariant.
 
 Before it calls a handler, ``main`` checks that every output flag given
-(``--out``, ``--out-prefix``, ``--dump-codes``) is not empty, that
-``--out`` names no directory, and that its directory exists, and reads
-the seed of ``centers`` and ``train``: ``--seed``, else ``ICS_SEED``,
-else 0, as the file headers write an integer (plain ASCII decimal
-digits, at least 0). A ``_cmd_*`` handler gets the parsed flags,
-``args.seed`` an int, and returns ``(outputs, seed, values)``. ``main``
-writes the JSON run manifest next to the first output flag,
-``<out>.manifest.json`` (or ``<out-prefix>.manifest.json``): the seed,
-outputs and ``config``, every flag as parsed except ``--seed`` and the
-output path (``--lambda`` as ``"lambda"``), plus the handler's values,
+(``--out``, ``--out-prefix``, ``--dump-codes``) ends in a file name
+(not empty, ``.`` or ``..``), that ``--out`` names no directory, and
+that its directory exists, and reads the seed of ``centers`` and
+``train``: ``--seed``, else ``ICS_SEED``, else 0, as the file headers
+write an integer (plain ASCII decimal digits, at least 0). A
+``_cmd_*`` handler gets the parsed flags, ``args.seed`` an int, and
+returns ``(outputs, seed, values)``. ``main`` writes the JSON run
+manifest next to the first output flag, ``<out>.manifest.json`` (or
+``<out-prefix>.manifest.json``): the seed, outputs and ``config``,
+every flag as parsed except ``--seed`` and the output path
+(``--lambda`` as ``"lambda"``), plus the handler's values,
 ``centers``' strategy and ``train``'s ``--hidden`` as a list of sizes.
 """
 
@@ -399,8 +400,8 @@ def main(argv=None) -> int:
     try:  # where outputs go and the seed, before any work
         paths = {name: flags[name] for name in _OUTPUT_FLAGS if flags.get(name) is not None}
         for name, path in paths.items():
-            # a prefix gains a suffix; --out is opened as given
-            if not path or name == "out" and (os.path.isdir(path) or not os.path.basename(path)):
+            # its last component names a file, to which a prefix adds a suffix
+            if os.path.basename(path) in ("", ".", "..") or name == "out" and os.path.isdir(path):
                 raise ConfigError(f"--{name.replace('_', '-')} must name a file, got {path!r}")
             if not os.path.isdir(directory := os.path.dirname(path) or "."):
                 raise ConfigError(f"output directory {directory!r} does not exist")

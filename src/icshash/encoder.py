@@ -45,7 +45,8 @@ _LR_DECAY_EVERY, _LR_DECAY_FACTOR = 30, 10.0
 class EncoderParams:
     """One weight matrix (in x out) and one bias vector per layer. The
     layers must chain; their sizes [D, h1, ..., K] are read off the
-    weight shapes."""
+    weight shapes. Every weight, then every bias, is copied row-major into
+    one float64 vector ``flat``, and ``weights`` and ``biases`` are its views."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -64,6 +65,14 @@ class EncoderParams:
                 raise ValueError(f"layer {l}: weight shape {shape} does not follow layer {l - 1}")
             if np.shape(b) != shape[1:]:
                 raise ValueError(f"layer {l}: bias shape {np.shape(b)} is not ({shape[1]},)")
+        arrays = [*self.weights, *self.biases]
+        self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        parts = np.split(self.flat, np.cumsum([np.size(a) for a in arrays[:-1]]))
+        views = [part.reshape(np.shape(a)) for part, a in zip(parts, arrays)]
+        self.weights, self.biases = views[: len(self.weights)], views[len(self.weights) :]
+
+    def __reduce__(self):  # copies and pickles rebuild their own vector
+        return EncoderParams, (self.weights, self.biases)
 
     @property
     def sizes(self) -> list[int]:
@@ -140,33 +149,29 @@ def backward_batch(params: EncoderParams, cache, grad_codes: np.ndarray):
 
 @dataclass
 class AdamState:
-    """First and second moments, one pair per array of
-    ``[*params.weights, *params.biases]``, and the step counter."""
+    """First and second moments of ``params.flat``, and the step counter."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params: EncoderParams) -> "AdamState":
-        arrays = [*params.weights, *params.biases]
-        return cls([np.zeros_like(a) for a in arrays], [np.zeros_like(a) for a in arrays])
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def adam_step(params: EncoderParams, state: AdamState, grads, lr: float) -> None:
-    """In-place Adam update with bias correction, moment decay rates
-    0.9 and 0.99 and denominator guard 1e-8; no weight decay."""
-    grads_w, grads_b = grads
+    """In-place Adam update of ``params.flat`` with bias correction, moment
+    decay rates 0.9 and 0.99 and denominator guard 1e-8; no weight decay."""
+    grad = np.concatenate([np.ravel(g) for layers in grads for g in layers])  # flat's order
     state.t += 1
     corr1 = 1.0 - _ADAM_BETA1**state.t
     corr2 = 1.0 - _ADAM_BETA2**state.t
-    values = [*params.weights, *params.biases]
-    for value, grad, m, v in zip(values, [*grads_w, *grads_b], state.m, state.v):
-        m *= _ADAM_BETA1
-        m += (1.0 - _ADAM_BETA1) * grad
-        v *= _ADAM_BETA2
-        v += (1.0 - _ADAM_BETA2) * grad**2
-        value -= lr * (m / corr1) / (np.sqrt(v / corr2) + _ADAM_EPS)
+    state.m *= _ADAM_BETA1
+    state.m += (1.0 - _ADAM_BETA1) * grad
+    state.v *= _ADAM_BETA2
+    state.v += (1.0 - _ADAM_BETA2) * grad**2
+    params.flat -= lr * (state.m / corr1) / (np.sqrt(state.v / corr2) + _ADAM_EPS)
 
 
 @dataclass
@@ -226,11 +231,11 @@ class TrainState:
         return np.split(flat, np.cumsum(self.label_mask.sum(axis=1))[:-1])
 
 
-def _check_finite(arrays, features, samples, cfg: TrainConfig, epoch: int, batch: int) -> None:
-    """Unless every array (codes or parameters) is finite: DataError for
-    the first of the batch's ``samples`` with a non-finite feature (one
+def _check_finite(values, features, samples, cfg: TrainConfig, epoch: int, batch: int) -> None:
+    """Unless ``values`` (the codes or ``params.flat``) are finite: DataError
+    for the first of the batch's ``samples`` with a non-finite feature (one
     written after the Dataset was built), else ConfigError."""
-    if all(np.isfinite(a).all() for a in arrays):
+    if np.isfinite(values).all():
         return
     bad = samples[~np.isfinite(features[samples]).all(axis=1)]
     if bad.size:
@@ -283,7 +288,7 @@ def train(data: Dataset, center_set: HashCenterSet, cfg: TrainConfig) -> TrainSt
         for b, start in enumerate(range(0, n, cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
             codes, cache = forward_batch(params, features[batch])
-            _check_finite([codes], features, batch, cfg, epoch, b)
+            _check_finite(codes, features, batch, cfg, epoch, b)
             d = distance_matrix(codes, centers01)
             w, batch_mask = weights[batch], mask[batch]
             if cfg.weight_mode == "learned":
@@ -294,7 +299,7 @@ def train(data: Dataset, center_set: HashCenterSet, cfg: TrainConfig) -> TrainSt
             )
             grads = backward_batch(params, cache, grad_codes)
             adam_step(params, adam, grads, lr)
-            _check_finite([*params.weights, *params.biases], features, batch, cfg, epoch, b)
+            _check_finite(params.flat, features, batch, cfg, epoch, b)
             for key, part in {"total": value, **parts}.items():
                 sums[key] += part
         history.append(sums)

@@ -1234,6 +1234,19 @@ class TestOutputDirectories:
         assert self._refused(workdir, command, flag, "") == 2
         assert capsys.readouterr().err == f"error: {flag} must name a file, got ''\n"
 
+    @OUTPUT_FLAGS
+    @pytest.mark.parametrize("path", ["sub/", "sub/.", ".", ".."])
+    def test_path_without_a_file_name_writes_nothing(
+        self, workdir, capsys, monkeypatch, command, flag, path
+    ):
+        # a prefix of "sub/" used to write sub/.ckpt and sub/.manifest.json,
+        # which weight-report's sub/.manifest.json then overwrote, and "."
+        # wrote ..ckpt
+        monkeypatch.chdir(workdir[0])
+        (workdir[0] / "sub").mkdir()
+        assert self._refused(workdir, command, flag, path) == 2
+        assert capsys.readouterr().err == f"error: {flag} must name a file, got {path!r}\n"
+
     @pytest.mark.parametrize("command", ["centers", "solve-weights", "eval"])
     @pytest.mark.parametrize("name", ["sub", "sub/"])
     def test_directory_as_out_writes_nothing(self, workdir, capsys, command, name):

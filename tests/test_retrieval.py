@@ -185,6 +185,13 @@ class TestPacking:
         with pytest.raises(ValueError, match="expected a nonempty vector"):
             pack_code([[1, -1], [-1, 1]])
 
+    @pytest.mark.parametrize(
+        "pack, codes", [(pack_database, np.empty((0, 8))), (pack_code, [])], ids=["matrix", "code"]
+    )
+    def test_rejects_no_codes(self, pack, codes):
+        with pytest.raises(ValueError, match="expected a nonempty matrix of -1/\\+1 values"):
+            pack(codes)
+
     @pytest.mark.parametrize("pack", [pack_code, lambda row: pack_database([row])])
     def test_rejects_fractional_values_instead_of_truncating(self, pack):
         # a cast to int64 before the check packed these as [1, -1, 1]
