@@ -22,7 +22,7 @@ MAX_ORDER_EXP = 16
 STRATEGIES = ("hadamard-rows", "stacked-hadamard", "bernoulli")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HashCenterSet:
     """M center codes of K bits each, valued in {-1, +1}. generate_centers
     draws distinct rows; a set given here or read by load_centers may

@@ -43,7 +43,6 @@ from .data import (
     _ragged_groups,
     _read_nonblank,
     load_dataset,
-    load_dataset_csv,
     spearman_corr,
 )
 from .encoder import (
@@ -67,7 +66,6 @@ from .retrieval import (
 from .weights import GRADIENT_MODES, WeightSolverConfig, _solve_rows
 
 _FLOAT_FMT = "%.17g"
-_DATA_FORMATS = ("text", "csv")
 # parsed attributes that are not recorded in a manifest's config
 _NOT_CONFIG = ("command", "func", "seed", "out", "out_prefix")
 # parsed attributes that name an output path; the manifest goes by the first given
@@ -144,11 +142,7 @@ def _cmd_train(args) -> tuple[list, int, dict]:
         seed=args.seed,
     )
     center_set = load_centers(args.centers)
-    if args.data_format == "csv":
-        data = load_dataset_csv(args.data, center_set.m_labels)
-    else:
-        data = load_dataset(args.data)
-    state = train(data, center_set, cfg)
+    state = train(load_dataset(args.data), center_set, cfg)
 
     ckpt_path = f"{args.out_prefix}.ckpt"
     weights_path = f"{args.out_prefix}.weights.csv"
@@ -166,20 +160,15 @@ def _cmd_train(args) -> tuple[list, int, dict]:
     return [ckpt_path, weights_path, loss_path], args.seed, {"hidden": list(hidden)}
 
 
-def _encode_input(path, data_format, params, m_labels):
+def _encode_input(path, params):
     """The D and M of an ``eval`` input, its packed codes and its (N, M)
-    labels. A text file is read block by block (see _dataset_blocks): each
+    labels. The file is read block by block (see _dataset_blocks): each
     block is parsed and checked whole, then encoded and packed at once
     when its D is the checkpoint's, and only its packed codes and labels
-    are kept. A CSV file is read whole. A D or M that does not match is
-    left for the caller to name once every input has parsed, as a fault
-    in the lines wins; such an input has no codes."""
+    are kept. A D or M that does not match is left for the caller to name
+    once every input has parsed, as a fault in the lines wins; such an
+    input has no codes."""
     d_in, k_bits = params.sizes[0], params.sizes[-1]
-    if data_format == "csv":
-        data = load_dataset_csv(path, m_labels)
-        d, labels = data.features.shape[1], data.labels
-        codes = pack_database(encode_binary(params, data.features)) if d == d_in else None
-        return d, m_labels, codes, labels
 
     def layout(d, m):
         return [(((k_bits + 63) // 64,), np.uint64), ((m,), np.int8)]
@@ -197,7 +186,7 @@ def _cmd_eval(args) -> tuple[list, int, dict]:
     params, meta = load_checkpoint(args.checkpoint)
     d_in, m_labels = params.sizes[0], meta["m_labels"]
     inputs = {
-        name: _encode_input(path, args.data_format, params, m_labels)
+        name: _encode_input(path, params)
         for name, path in (("queries", args.queries), ("database", args.database))
     }
     for name, (d, m, _, _) in inputs.items():
@@ -337,7 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--centers", required=True)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--data-format", choices=_DATA_FORMATS, default="text")
     hidden = ",".join(map(str, TrainConfig.hidden))
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
@@ -359,7 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--database", required=True)
-    p.add_argument("--data-format", choices=_DATA_FORMATS, default="text")
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--out", required=True)
     p.add_argument(

@@ -12,7 +12,6 @@ import math
 import os
 import re
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ _SAVE_BLOCK = 16
 _MAX_NOISE_SIGMA = 1e307
 
 
-@dataclass
+@dataclass(eq=False)
 class MultiLabelSample:
     """features: (D,) floats; labels: (M,) 0/1 with at least one positive;
     proportions: optional, one finite value per positive label in ascending
@@ -52,7 +51,7 @@ class MultiLabelSample:
         return int(np.sum(self.labels))
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """N samples as columns: features (N, D) float64; labels (N, M) int8,
     0/1 with a positive in every row; proportions (N, M) float64, zero
@@ -140,8 +139,13 @@ class SyntheticSpec:
     def __post_init__(self):
         for name, minimum in (("n_samples", 1), ("d_features", 1), ("m_labels", 1), ("seed", 0)):
             check_int(name, getattr(self, name), minimum)
-        lo = check_int("labels_per_sample[0]", self.labels_per_sample[0], 1)
-        hi = check_int("labels_per_sample[1]", self.labels_per_sample[1], lo)
+        try:
+            lo, hi = self.labels_per_sample
+        except (TypeError, ValueError):  # not iterable, or not two values
+            message = f"labels_per_sample must be a (lo, hi) pair, got {self.labels_per_sample!r}"
+            raise ValueError(message) from None
+        lo = check_int("labels_per_sample[0]", lo, 1)
+        hi = check_int("labels_per_sample[1]", hi, lo)
         if hi > self.m_labels:
             raise ValueError(
                 f"labels_per_sample {self.labels_per_sample} out of range "
@@ -448,41 +452,6 @@ def load_dataset(path) -> Dataset:
             r, c = np.divmod(np.flatnonzero(labels.view(bool)[rows]), labels.shape[1])
             proportions[rows[r], c] = values.ravel()
     return Dataset(*columns)
-
-
-def load_dataset_csv(path, m_labels: int) -> Dataset:
-    """Headerless CSV fallback: each row is D feature values followed
-    by M 0/1 label values; no proportions. Blank lines are skipped.
-
-    The format does not carry D, so the column count is the most common
-    one, ties going to the earliest row: in a file of 3 or more rows, a
-    single row of the wrong width is named on its own line, the first
-    row included."""
-    lines, numbers = _read_nonblank(path)
-    if not lines:
-        raise ParseError("empty CSV file", line=1)
-    commas = [line.count(",") for line in lines]
-    width = Counter(commas).most_common(1)[0][0] + 1  # ties: first seen
-    if width <= m_labels:
-        raise ParseError(
-            f"row has {width} columns, need more than M={m_labels}",
-            line=numbers[commas.index(width - 1)],
-        )
-    values = _parse_rows(lines, numbers, width, np.float64, delimiter=",")
-    features = values[:, : width - m_labels]
-    labels = values[:, width - m_labels :]
-    non_finite = ~np.isfinite(features).all(axis=1)
-    bad = non_finite | ~np.isin(labels, (0.0, 1.0)).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        message = "non-finite feature value" if non_finite[i] else "label columns must be 0 or 1"
-        raise ParseError(message, line=numbers[i])
-    labels = labels.astype(np.int8)
-    empty = labels.sum(axis=1) == 0
-    if empty.any():
-        i = int(np.argmax(empty))
-        raise DataError(f"sample {i} (line {numbers[i]}) has no positive label")
-    return Dataset(features, labels, np.zeros(labels.shape), np.zeros(len(labels), dtype=bool))
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.99, 1e-8
 _LR_DECAY_EVERY, _LR_DECAY_FACTOR = 30, 10.0
 
 
-@dataclass
+@dataclass(eq=False)
 class EncoderParams:
     """One weight matrix (in x out) and one bias vector per layer. The
     layers must chain; their sizes [D, h1, ..., K] are read off the
@@ -147,7 +147,7 @@ def backward_batch(params: EncoderParams, cache, grad_codes: np.ndarray):
     return grads_w, grads_b
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     """First and second moments of ``params.flat``, and the step counter."""
 
@@ -214,7 +214,7 @@ def learning_rate(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr0 / (_LR_DECAY_FACTOR ** (epoch // _LR_DECAY_EVERY))
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainState:
     """The trained encoder, the (N, M) weight matrix, zero off the
     (N, M) label mask, and the per-epoch loss parts."""

@@ -52,7 +52,7 @@ class LossConfig:
             raise ValueError("lam must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CenterAssignment:
     """The centers of one sample's positive labels, in label order,
     mapped to {0, 1}."""

@@ -32,7 +32,7 @@ _BLOCK_ELEMENTS = 2**20
 _XOR_ELEMENTS = 2**16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeDatabase:
     """N packed codes sharing one K: ceil(K/64) little-endian words per
     code, pad bits zero. A single code is a one-row database."""
@@ -58,7 +58,7 @@ class CodeDatabase:
         return CodeDatabase(self.k_bits, self.words[i][None])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankedResult:
     """Database ranking for one query: ascending distance, ties by
     ascending database index."""

@@ -48,7 +48,6 @@ from icshash import (
     unpack_database,
 )
 from icshash.cli import _build_parser, _write_csv, main
-from icshash.data import load_dataset_csv
 from icshash.encoder import forward_batch, init_params, save_checkpoint
 
 
@@ -404,25 +403,6 @@ class TestTrainCommand:
         )
         assert code == 3
         assert "line 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("", "line 1: empty CSV file"),
-            ("\n1,0,1,0\n0,1,0,1\n", "line 2: row has 4 columns, need more than M=4"),
-            ("0.5,0.2,1,0,0,0\n\n0.1,0.3,0,0,0,0\n", "sample 1 (line 3) has no positive label"),
-        ],
-    )
-    def test_bad_csv_dataset_is_data_error(self, workdir, capsys, text, message):
-        tmp_path, _, centers = workdir
-        data = tmp_path / "data.csv"
-        data.write_text(text)
-        code = run(
-            ["train", "--data", data, "--data-format", "csv", "--centers", centers,
-             "--out-prefix", tmp_path / "csv", "--epochs", 1, "--hidden", "8", "--seed", 1]
-        )
-        assert code == 3
-        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_center_strategy_is_data_error(self, workdir, capsys):
         tmp_path, data, centers = workdir
@@ -858,34 +838,6 @@ class TestEvalCommand:
                     "--database", files["database"], "--out", tmp_path / "m.json"]) == 3
         assert capsys.readouterr().err == "error: line 152: expected 8 values, found 3\n"
 
-    def test_csv_data_format(self, workdir):
-        tmp_path, data, centers = workdir
-        from icshash import load_dataset
-
-        samples = load_dataset(data)
-        csv_path = tmp_path / "data.csv"
-        with open(csv_path, "w") as fh:
-            for s in samples:
-                row = [f"{v:.9g}" for v in s.features] + [
-                    str(int(v)) for v in s.labels
-                ]
-                fh.write(",".join(row) + "\n")
-        prefix = tmp_path / "csvrun"
-        code = run(
-            ["train", "--data", csv_path, "--centers", centers,
-             "--out-prefix", prefix, "--epochs", 1, "--hidden", "8",
-             "--seed", 2, "--data-format", "csv"]
-        )
-        assert code == 0
-        out = tmp_path / "csv_metrics.json"
-        code = run(
-            ["eval", "--checkpoint", f"{prefix}.ckpt", "--queries", csv_path,
-             "--database", csv_path, "--k", 5, "--out", out,
-             "--data-format", "csv"]
-        )
-        assert code == 0
-        assert json.loads(out.read_text())["n_queries"] == len(samples)
-
 
 def test_one_row_block_sizes_every_streamed_pass(tmp_path, monkeypatch):
     # data._ROW_BLOCK, set once, splits 7 rows into blocks of 3, 3 and 1
@@ -1188,11 +1140,9 @@ OUTPUT_FLAGS = pytest.mark.parametrize(
 
 class TestOutputDirectories:
     @staticmethod
-    def _refused(workdir, command, flag, path):
-        """Run ``command`` with ``flag`` set to ``path`` and inputs that
-        fail once read (a malformed file, or 3-bit centers), so that only
-        a refusal before any work leaves the directory as it was; returns
-        the exit code."""
+    def _argv(workdir, command, flag, path):
+        """The arguments of ``command`` with ``flag`` set to ``path`` and
+        inputs that fail once read (a malformed file, or 3-bit centers)."""
         tmp_path, data, centers = workdir
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, init_params([8, 16], np.random.default_rng(0)), 16, 4, 0)
@@ -1208,9 +1158,17 @@ class TestOutputDirectories:
         outputs = {flag: path}
         if command == "eval":  # the other output flag points into tmp_path
             outputs = {"--out": tmp_path / "m.json", "--dump-codes": tmp_path / "codes", **outputs}
-        before = sorted(tmp_path.rglob("*"))
-        code = run([command, *inputs[command], *itertools.chain(*outputs.items())])
-        assert sorted(tmp_path.rglob("*")) == before
+        return [command, *inputs[command], *itertools.chain(*outputs.items())]
+
+    @classmethod
+    def _refused(cls, workdir, command, flag, path):
+        """Run ``command`` as ``_argv`` builds it, so that only a refusal
+        before any work leaves the directory as it was; returns the exit
+        code."""
+        argv = cls._argv(workdir, command, flag, path)
+        before = sorted(workdir[0].rglob("*"))
+        code = run(argv)
+        assert sorted(workdir[0].rglob("*")) == before
         return code
 
     @OUTPUT_FLAGS
@@ -1256,6 +1214,19 @@ class TestOutputDirectories:
         path = f"{tmp_path}/{name}"
         assert self._refused(workdir, command, "--out", path) == 2
         assert capsys.readouterr().err == f"error: --out must name a file, got {path!r}\n"
+
+    @OUTPUT_FLAGS
+    def test_unrecognized_flag_writes_nothing(self, workdir, capsys, command, flag):
+        # a retired option, such as the dataset format flag that train and
+        # eval once took, is refused by argparse before any input is read
+        tmp_path = workdir[0]
+        argv = self._argv(workdir, command, flag, tmp_path / "out")
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(SystemExit) as exc_info:
+            run([*argv, "--format", "csv"])
+        assert exc_info.value.code == 2
+        assert sorted(tmp_path.rglob("*")) == before
+        assert "error: unrecognized arguments: --format csv\n" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -1318,7 +1289,7 @@ class TestManifests:
                 **common,
                 "command": "train",
                 "config": {
-                    "data": p["data.txt"], "data_format": "text", "centers": p["centers.txt"],
+                    "data": p["data.txt"], "centers": p["centers.txt"],
                     "epochs": 2, "batch": 16, "lr": 1e-4, "hidden": [8, 4], "beta": 0.1,
                     "lambda": 0.01, "gamma": 0.05, "eta": 0.1, "weight_mode": "learned",
                     "gradient_mode": "exact", "threads": 1,
@@ -1331,7 +1302,7 @@ class TestManifests:
                 "command": "eval",
                 "config": {
                     "checkpoint": p["model.ckpt"], "queries": p["data.txt"],
-                    "database": p["data.txt"], "data_format": "text", "k": 10,
+                    "database": p["data.txt"], "k": 10,
                     "dump_codes": p["codes"], "threads": 1,
                 },
                 "outputs": sorted(
@@ -1374,11 +1345,8 @@ class TestNoPerSampleObjects:
         monkeypatch.setattr(MultiLabelSample, "__init__", refuse)
 
     def test_loaders_and_generator(self, workdir, refuse_samples):
-        tmp_path, data, _ = workdir
+        _, data, _ = workdir
         assert len(load_dataset(data)) == 60
-        csv_path = tmp_path / "data.csv"
-        csv_path.write_text("0.5,1.5,1,0\n-0.25,0.75,0,1\n")
-        assert load_dataset_csv(csv_path, 2).labels.shape == (2, 2)
         assert len(generate_synthetic(SyntheticSpec(30, 4, 3, seed=1))) == 30
 
     def test_train_eval_and_weight_report(self, workdir, refuse_samples):

@@ -26,7 +26,7 @@ from icshash import (
     spearman_corr,
 )
 import icshash.data
-from icshash.data import _average_ranks, load_dataset_csv
+from icshash.data import _average_ranks
 
 
 class TestGenerateSynthetic:
@@ -118,6 +118,9 @@ class TestGenerateSynthetic:
             ("m_labels", 3.5),
             ("labels_per_sample", (1.5, 3)),
             ("labels_per_sample", (1, 2.0)),
+            ("labels_per_sample", (1,)),
+            ("labels_per_sample", 2),
+            ("labels_per_sample", (1, 2, 3)),
             ("dirichlet_alpha", float("nan")),
             ("dirichlet_alpha", float("inf")),
             ("noise_sigma", float("nan")),
@@ -238,50 +241,6 @@ class TestDatasetFile:
             load_dataset(path)
         assert exc_info.value.line == 3
         assert "expected a 0/1 string of 2 characters" in str(exc_info.value)
-
-    def test_csv_error_after_blank_line_names_physical_line(self, tmp_path):
-        path = tmp_path / "blank.csv"
-        path.write_text("0.5,1.5,1,0\n\n-0.25,x,0,1\n")
-        with pytest.raises(ParseError) as exc_info:
-            load_dataset_csv(path, m_labels=2)
-        assert exc_info.value.line == 3
-
-    def test_csv_first_row_of_wrong_width_is_named(self, tmp_path):
-        path = tmp_path / "first.csv"
-        for first in ("0.1,0.2,1,0", "0.1,0.2,0.3,0.4,1,0"):
-            path.write_text(f"{first}\n0.5,1.5,2.5,1,0\n-0.25,0.75,0.5,0,1\n")
-            with pytest.raises(ParseError) as exc_info:
-                load_dataset_csv(path, m_labels=2)
-            assert exc_info.value.line == 1
-
-    def test_csv_width_tie_goes_to_the_earliest_row(self, tmp_path):
-        path = tmp_path / "tie.csv"
-        path.write_text("0.1,0.2,1,0\n0.5,1.5,2.5,1,0\n")
-        with pytest.raises(ParseError) as exc_info:
-            load_dataset_csv(path, m_labels=2)
-        assert exc_info.value.line == 2
-
-    def test_csv_rejects_non_finite_feature(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0.5,1.5,1,0\n-0.25,nan,0,1\n")
-        with pytest.raises(ParseError) as exc_info:
-            load_dataset_csv(path, m_labels=2)
-        assert exc_info.value.line == 2
-
-    def test_csv_variant(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("0.5,1.5,1,0\n-0.25,0.75,0,1\n")
-        samples = load_dataset_csv(path, m_labels=2)
-        assert len(samples) == 2
-        np.testing.assert_allclose(samples[0].features, [0.5, 1.5])
-        np.testing.assert_array_equal(samples[0].labels, [1, 0])
-        assert samples[0].proportions is None
-
-    def test_csv_rejects_bad_labels(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0.5,1.5,2,0\n")
-        with pytest.raises(ParseError):
-            load_dataset_csv(path, m_labels=2)
 
 
 def per_sample_synthetic(spec):

@@ -14,7 +14,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -666,6 +666,55 @@ class TestSettableValues:
                 and isinstance(value, number) and not isinstance(value, bool)
             ]
             assert found == want, name
+
+
+def _codes():
+    return icshash.pack_database(np.where(np.eye(3, 8) > 0, 1, -1))
+
+
+# Each record that holds arrays, built from equal inputs on every call.
+RECORD_BUILDS = {
+    "EncoderParams": tiny_net,
+    "AdamState": lambda: AdamState.for_params(tiny_net()),
+    "TrainState": lambda: icshash.TrainState(
+        tiny_net(), np.ones((2, 2)), np.ones((2, 2), dtype=bool), [{"total": 1.0}]
+    ),
+    "Dataset": lambda: generate_synthetic(SyntheticSpec(4, 3, 3, seed=0)),
+    "MultiLabelSample": lambda: icshash.MultiLabelSample([0.5, 1.5], [1, 1], [0.25, 0.75]),
+    "HashCenterSet": lambda: generate_centers(8, 4, 0),
+    "CodeDatabase": _codes,
+    "CenterAssignment": lambda: assignment_for_labels(generate_centers(8, 4, 0), [1, 1, 0, 0]),
+    "RankedResult": lambda: icshash.rank_database(_codes().code(0), _codes()),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_BUILDS)
+def test_records_compare_and_hash_by_identity(name):
+    # a generated __eq__ compares array fields with ==, which raises on
+    # distinct records, and a frozen record's generated __hash__ hashes them
+    a, b = RECORD_BUILDS[name](), RECORD_BUILDS[name]()
+    assert type(a).__name__ == name
+    assert (a == b) is False and (a != b) is True and (a == a) is True
+    assert isinstance(hash(a), int) and isinstance(hash(b), int)
+
+
+# Each config, with one field whose change must make it compare unequal.
+CONFIG_CHANGES = {
+    "SyntheticSpec": (lambda: SyntheticSpec(4, 3, 3, seed=0), {"seed": 1}),
+    "LossConfig": (LossConfig, {"gamma": 0.1}),
+    "WeightSolverConfig": (WeightSolverConfig, {"gradient_mode": "paper"}),
+    "TrainConfig": (TrainConfig, {"epochs": 3}),
+}
+
+
+@pytest.mark.parametrize("name", CONFIG_CHANGES)
+def test_configs_compare_by_value(name):
+    # configs hold no arrays, so they keep the generated field-by-field __eq__
+    build, change = CONFIG_CHANGES[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name
+    assert a is not b and a == b
+    assert replace(b, **change) != a
 
 
 class TestPublicNames:

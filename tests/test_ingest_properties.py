@@ -1,6 +1,6 @@
 """Property tests for text ingest, one set per file format (dataset,
-CSV, centers, codes, checkpoint, the distances file of
-``solve-weights`` and the weights CSV of ``weight-report``): a valid
+centers, codes, checkpoint, the distances file of ``solve-weights``
+and the weights CSV of ``weight-report``): a valid
 file with one corrupted line fails with a ParseError naming that
 physical 1-based line, and save -> load -> save is byte-identical.
 The dataset loader, which streams its file in blocks, is also run with
@@ -37,7 +37,6 @@ from icshash import (
     save_dataset,
 )
 from icshash.cli import _build_parser, _read_weights_csv, main
-from icshash.data import load_dataset_csv
 
 PINNED = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -59,24 +58,11 @@ CORRUPTIONS = {
     "sizes": ["token", "blank"],  # a changed size count moves the blame to a layer line
     "values": ["drop", "add", "token", "blank"],
     "bits": ["drop", "add", "token", "blank"],
-    # a headerless CSV takes its column count from its most common row
-    # width, ties going to the earliest row, and blank lines are skipped;
-    # so below 3 rows a changed width in row 1 is blamed on another row
-    "csv_first": ["token"],
-    "csv": ["drop", "add", "token"],
 }
 
 
 def pm1(rng, shape):
     return np.where(rng.random(shape) < 0.5, -1, 1).astype(np.int8)
-
-
-def write_csv(path, samples):
-    rows = [
-        ",".join([repr(float(v)) for v in s.features] + [str(int(v)) for v in s.labels])
-        for s in samples
-    ]
-    path.write_text("\n".join(rows) + "\n")
 
 
 def make_dataset(rng, path, n, width):
@@ -91,18 +77,6 @@ def make_dataset(rng, path, n, width):
         features[i] = rng.normal(size=width)
     save_dataset(path, Dataset(features, labels, proportions, given))
     return ["header"] + ["values", "bits", "values"] * n, lambda: load_dataset(path)
-
-
-def make_csv(rng, path, n, width):
-    m = int(rng.integers(1, 5))
-    features, labels = np.empty((n, width)), np.empty((n, m), dtype=np.int8)
-    for i in range(n):
-        labels[i] = rng.random(m) < 0.5
-        labels[i, rng.integers(m)] = 1
-        features[i] = rng.normal(size=width)
-    write_csv(path, Dataset(features, labels, np.zeros((n, m)), np.zeros(n, dtype=bool)))
-    first = "csv" if n >= 3 else "csv_first"
-    return [first] + ["csv"] * (n - 1), lambda: load_dataset_csv(path, m)
 
 
 def make_centers(rng, path, n, width):
@@ -126,7 +100,6 @@ def make_checkpoint(rng, path, n, width):
 
 MAKERS = {
     "dataset": make_dataset,
-    "csv": make_csv,
     "centers": make_centers,
     "codes": make_codes,
     "checkpoint": make_checkpoint,
@@ -134,7 +107,6 @@ MAKERS = {
 
 SAVERS = {
     "dataset": save_dataset,
-    "csv": write_csv,
     "centers": save_centers,
     "codes": save_codes,
     "checkpoint": lambda path, loaded: save_checkpoint(
@@ -150,7 +122,7 @@ def corrupt(line, line_kind, how, draw):
         tokens, sep = list(line), ""
         bad = ["2", "x", "-", "é"]
     else:
-        sep = "," if line_kind.startswith("csv") else " "
+        sep = "," if line_kind == "csv" else " "
         tokens = line.split(sep)
         bad = NOT_A_NUMBER + ["1_0"]
     i = draw(st.integers(0, len(tokens) - 1))
@@ -185,38 +157,6 @@ def test_corrupted_line_is_named(workdir, fmt, seed, n, width, data):
     assert exc_info.value.line == j + 1
 
 
-@PINNED
-@given(seed=SEEDS, n=st.integers(3, 5), width=WIDTHS, data=st.data())
-def test_csv_first_row_corruption_is_named_from_three_rows(workdir, seed, n, width, data):
-    path = workdir / "first.csv"
-    kinds, load = make_csv(np.random.default_rng(seed), path, n, width)
-    lines = path.read_text().splitlines()
-    how = data.draw(st.sampled_from(CORRUPTIONS[kinds[0]]), label="corruption")
-    lines[0] = corrupt(lines[0], kinds[0], how, data.draw)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError) as exc_info:
-        load()
-    assert exc_info.value.line == 1
-
-
-@PINNED
-@given(seed=SEEDS, n=COUNTS, width=WIDTHS, data=st.data())
-def test_csv_error_after_blank_lines_names_physical_line(workdir, seed, n, width, data):
-    path = workdir / "blank.csv"
-    _, load = make_csv(np.random.default_rng(seed), path, n, width)
-    lines = path.read_text().splitlines()
-    for _ in range(data.draw(st.integers(1, 4), label="blank lines")):
-        lines.insert(data.draw(st.integers(0, len(lines))), "")
-    j = data.draw(st.sampled_from([i for i, ln in enumerate(lines) if ln]), label="line")
-    path.write_text("\n".join(lines) + "\n")
-    assert len(load()) == n
-    lines[j] = corrupt(lines[j], "csv", "token", data.draw)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError) as exc_info:
-        load()
-    assert exc_info.value.line == j + 1
-
-
 @pytest.mark.parametrize("fmt", sorted(MAKERS))
 @PINNED
 @given(seed=SEEDS, n=COUNTS, width=WIDTHS)
@@ -232,22 +172,21 @@ def test_save_load_save_is_byte_identical(workdir, fmt, seed, n, width):
 
 @PINNED
 @given(seed=SEEDS, n=COUNTS, width=WIDTHS)
-def test_csv_values_equal_per_line_float_reference(workdir, seed, n, width):
-    # numbers in several spellings, from subnormal to huge; the block
-    # parse must give the values Python's float() gives line by line
+def test_dataset_values_equal_per_line_float_reference(workdir, seed, n, width):
+    # feature values in several spellings, from subnormal to huge; the
+    # block parse must give the values Python's float() gives line by line
     rng = np.random.default_rng(seed)
     spellings = ["%r", "%.3e", "%.17g", "%g", "%.1f", "%E"]
     values = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-310, 300, size=(n, width))
     lines = [
-        ",".join([spellings[rng.integers(len(spellings))] % float(v) for v in row] + ["1"])
+        " ".join(spellings[rng.integers(len(spellings))] % float(v) for v in row)
         for row in values
     ]
-    path = workdir / "spellings.csv"
-    path.write_text("\n".join(lines) + "\n")
-    loaded = load_dataset_csv(path, 1)
-    for sample, line in zip(loaded, lines):
-        reference = [float(p) for p in line.split(",")[:-1]]
-        assert sample.features.tolist() == reference
+    path = workdir / "spellings.txt"
+    path.write_text(f"{n} {width} 1\n" + "".join(f"{line}\n1\n-\n" for line in lines))
+    loaded = load_dataset(path)
+    for features, line in zip(loaded.features, lines):
+        assert features.tolist() == [float(p) for p in line.split()]
 
 
 # Tokens that parse as numbers but are not a finite, nonnegative distance.
@@ -598,12 +537,6 @@ def test_only_newlines_end_a_dataset_line(workdir):
 SPLITLINES_ONLY = ["\x0c", "\x85", "\u2028"]
 
 
-def csv_case(rng, path):
-    lines = [",".join([*map(repr, rng.normal(size=3).tolist()), "1", "0"]) for _ in range(4)]
-    load = lambda: load_dataset_csv(path, 2)  # noqa: E731
-    return lines, ",", lambda: [load().features, load().labels]
-
-
 def distances_case(rng, path):
     lines = [" ".join(map(repr, rng.exponential(5.0, size=3).tolist())) for _ in range(4)]
     out = path.with_name("solved.csv")
@@ -647,7 +580,6 @@ def test_non_finite_checkpoint_value_names_its_line(workdir, value, j, kind):
 
 # Each reader's valid file, the index of a value line and of a later line.
 LINE_RULE_CASES = {
-    "csv": (csv_case, 0, 3),
     "distances": (distances_case, 0, 3),
     "weights_csv": (weights_csv_case, 1, 4),
     "checkpoint": (checkpoint_case, 6, 10),  # a weight row, the bias row
